@@ -18,6 +18,7 @@ import numpy as np
 from .characterize import (
     CONDITION_KINDS,
     AdamsSetup,
+    _log_grid,
     check_condition,
     estimate_operator_norm,
     function_family,
@@ -115,8 +116,7 @@ def _parse_range(text: str):
     t_min, t_max, per_octave = float(parts[0]), float(parts[1]), int(parts[2])
     if t_min <= 0 or t_max <= t_min or per_octave < 1:
         raise ConfigError(f"invalid range {text!r}")
-    k = np.arange(0, np.log2(t_max / t_min) * per_octave + 0.5)
-    return t_min * 2.0 ** (k / per_octave)
+    return _log_grid(t_min, t_max, per_octave)
 
 
 def _parse_schedule(text: str):

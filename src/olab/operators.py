@@ -33,6 +33,8 @@ def _check_alpha(alpha: float, n: int, *, strict: bool) -> None:
 def maximal(f: SampledFunction, alpha: float = 0.0, centered: bool = True, radii=None) -> SampledFunction:
     """Fractional maximal function M_alpha f (alpha = 0: Hardy-Littlewood)."""
     _check_alpha(alpha, f.grid.n, strict=False)
+    if not np.all(np.isfinite(f.values)):
+        raise DomainError("the maximal operator needs finite sample values")
     if f.grid.n == 1:
         out = _maximal_1d(f, alpha, centered, radii)
     else:
@@ -40,7 +42,27 @@ def maximal(f: SampledFunction, alpha: float = 0.0, centered: bool = True, radii
     return SampledFunction(f.grid, out)
 
 
+# Consecutive radii bounded together by the centered 1-D branch and bound.
+_RADIUS_BLOCK = 32
+
+
 def _maximal_1d(f, alpha, centered, radii):
+    """Sup over the radius set of (2t)^(alpha-1) * (integral of f over [x-t, x+t]).
+
+    The centered sup is a branch and bound over blocks of _RADIUS_BLOCK
+    consecutive (sorted) radii.  Every cell is evaluated exactly at each
+    block's first and last radius, which gives a lower bound ``best``.  With
+    nonnegative finite samples the prefix sums are nondecreasing in floating
+    point, and so are their differences and products with nonnegative
+    factors; hence the window sum S(x, t) is nondecreasing in t and
+    max(coef over the block) * S(x, last radius) bounds every computed value
+    of the block from above (coef = (2t)^(alpha-1) is nonincreasing for
+    alpha < 1, so that max is the first radius's).  The inner radii of a
+    block are evaluated only for cells whose bound exceeds ``best``, with
+    the same floating-point operations as a sweep over every radius, so the
+    result equals the sweep's exactly.  The uncentered sup sweeps every
+    radius.
+    """
     g = f.grid
     h, n_cells = g.h, g.cells_per_axis
     v = f.values
@@ -53,20 +75,43 @@ def _maximal_1d(f, alpha, centered, radii):
         if np.any(ts <= 0):
             raise DomainError("radii must be positive")
         ms = np.floor(ts / h + 1e-9).astype(int)
-    idx = np.arange(n_cells)
-    best = np.zeros(n_cells)
-    for m, t in zip(ms, ts):
-        lo = np.maximum(idx - m, 0)
-        hi = np.minimum(idx + m, n_cells - 1)
-        sums = (prefix[hi + 1] - prefix[lo]) * h
-        vals = (2.0 * t) ** (alpha - 1.0) * sums
-        if centered:
-            np.maximum(best, vals, out=best)
-        else:
+    if not centered:
+        idx = np.arange(n_cells)
+        best = np.zeros(n_cells)
+        for m, t in zip(ms, ts):
+            lo = np.maximum(idx - m, 0)
+            hi = np.minimum(idx + m, n_cells - 1)
+            sums = (prefix[hi + 1] - prefix[lo]) * h
+            vals = (2.0 * t) ** (alpha - 1.0) * sums
             # sup over balls containing x: window max of the per-center values
             w = min(m, n_cells - 1)
             windowed = maximum_filter1d(vals, size=2 * w + 1, mode="constant", cval=-np.inf)
             np.maximum(best, windowed, out=best)
+        return best
+    if len(ts) == 0:
+        return np.zeros(n_cells)
+
+    # padded prefix: pext[k + n_cells] = prefix[clip(k, 0, n_cells)], so the
+    # window [x - m, x + m] needs no clipping; m beyond the grid acts as n_cells - 1
+    pext = np.concatenate([np.zeros(n_cells), prefix, np.full(n_cells - 1, prefix[-1])])
+    ms = np.minimum(ms, n_cells - 1)
+    up, down = n_cells + ms + 1, n_cells - ms
+    coef = np.array([(2.0 * t) ** (alpha - 1.0) for t in ts])
+
+    def window_sums(x, k):
+        return (pext[x + up[k]] - pext[x + down[k]]) * h
+
+    # block b holds the radii edges[b] .. edges[b + 1]; neighbours share an edge
+    edges = np.unique(np.append(np.arange(0, len(ts), _RADIUS_BLOCK), len(ts) - 1))
+    s_edge = window_sums(np.arange(n_cells), edges[:, None])
+    best = (coef[edges][:, None] * s_edge).max(axis=0)
+    upper = np.maximum.reduceat(coef, edges[:-1])[:, None] * s_edge[1:]
+    for b in range(len(edges) - 1):
+        cells = np.flatnonzero(upper[b] > best)
+        if cells.size:
+            k = np.arange(edges[b] + 1, edges[b + 1])
+            vals = coef[k] * window_sums(cells[:, None], k)
+            best[cells] = np.maximum(best[cells], vals.max(axis=1, initial=0.0))
     return best
 
 
@@ -159,4 +204,4 @@ def riesz_potential(f: SampledFunction, alpha: float) -> SampledFunction:
     rho = h / math.sqrt(math.pi)
     kernel[n_cells - 1, n_cells - 1] = 2.0 * math.pi * rho**alpha / alpha
     out = convolve2d(f.values, kernel, mode="same")
-    return SampledFunction(g, np.maximum(out, 0.0))
+    return SampledFunction(g, out)

@@ -21,7 +21,6 @@ __all__ = [
     "SampledFunction",
     "ball_measure",
     "sample_function",
-    "formula_from_config",
 ]
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
@@ -254,12 +253,6 @@ def _term_values(grid: GridSpec, cfg: dict) -> np.ndarray:
 def sample_function(grid: GridSpec, formula: dict) -> SampledFunction:
     """Evaluate a formula descriptor at all cell centers."""
     return SampledFunction(grid, _term_values(grid, formula))
-
-
-def formula_from_config(cfg: dict, grid: GridSpec) -> SampledFunction:
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise ConfigError(f"formula config must be a dict with a 'type': {cfg!r}")
-    return sample_function(grid, cfg)
 
 
 # -- fast ball sums ---------------------------------------------------------

@@ -35,3 +35,19 @@ def random_indicator_sum(grid, rng, max_terms=3, gaussians=True):
             "weight": float(rng.uniform(0.2, 2.0)),
         })
     return sample_function(grid, {"type": "sum", "terms": terms})
+
+
+def stepped_function(grid, rng):
+    """1-D integer-weighted indicators: duplicate values, and zeros between the pieces."""
+    terms = []
+    for _ in range(rng.integers(1, 5)):
+        c = float(rng.uniform(-grid.extent / 2, grid.extent / 2))
+        r = float(rng.uniform(grid.h, grid.extent / 4))
+        terms.append({"type": "ball_indicator", "center": (c,), "radius": r,
+                      "weight": float(rng.integers(1, 4))})
+    return sample_function(grid, {"type": "sum", "terms": terms})
+
+
+# 1-D grids of 68, 80 and 96 cells for pinning the fast paths to per-ball and
+# per-radius references; not all are multiples of the maximal's radius block
+PIN_GRIDS = [GridSpec(1, 1 / 8, 4.25), GridSpec(1, 1 / 16, 2.5), GridSpec(1, 1 / 16, 3.0)]

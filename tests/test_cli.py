@@ -56,6 +56,16 @@ def test_domain_error_is_status_3(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_non_finite_maximal_input_is_status_3(capsys, n):
+    # an Infinity weight on a gaussian (positive on the whole grid) samples to inf everywhere
+    inf_gauss = '{"type":"sum","terms":[{"type":"gaussian","scale":1,"weight":Infinity}]}'
+    code, _, err = run(capsys, "operators", "--alpha", "0.5", "--input", inf_gauss, "--grid-n", n,
+                       "--grid-h", "0.25", "--grid-extent", "1")
+    assert code == 3
+    assert "finite" in err
+
+
 def test_unrepresentable_ball_is_status_4(capsys):
     big = '{"type":"ball_indicator","center":[0],"radius":99}'
     code, _, err = run(capsys, "norm", "--input", big, "--young", P2)

@@ -15,14 +15,15 @@ from olab import (
     generalized_orlicz_morrey_norm,
     growth_from_lambda,
     luxemburg_norm,
+    maximal,
     sample_function,
     triviality_probe,
     weak_orlicz_norm,
 )
 from olab.errors import ConfigError
-from olab.norms import _ball_gauge_matrix, _lux_gauge, _weak_gauge
+from olab.norms import _axis_bounds, _ball_gauge_matrix, _lux_gauge, _power_form, _weak_gauge
 
-from conftest import random_indicator_sum
+from conftest import PIN_GRIDS, random_indicator_sum, stepped_function
 
 P2 = PowerYoung(2)
 
@@ -211,6 +212,80 @@ def test_fast_paths_agree_with_bisection(grid64):
                 for c in centers
             ])
             assert np.allclose(fast, slow, rtol=1e-8, atol=1e-12)
+
+
+def per_ball_weak_power_gauges(f, phi, centers, radii):
+    """Weak power gauges ball by ball: sort each ball's positive values of f**p (reference)."""
+    p, scale = _power_form(phi)
+    vp = f.values**p
+    k_lo, k_hi = _axis_bounds(f.grid, np.array([c[0] for c in centers]), np.asarray(radii))
+    sups = np.zeros(k_lo.shape)
+    for i, j in np.ndindex(*k_lo.shape):
+        if k_lo[i, j] > k_hi[i, j]:
+            continue
+        vs = np.sort(vp[k_lo[i, j] : k_hi[i, j] + 1])[::-1]
+        vs = vs[vs > 0]
+        if vs.size:
+            sups[i, j] = np.max(vs * (f.grid.cell_volume * np.arange(1, vs.size + 1)))
+    return (scale * sups) ** (1.0 / p)
+
+
+WEAK_PHIS = [PowerYoung(1), P2, PowerYoung(3, scale=0.5), P2.compose_power(0.5)]
+
+
+def pin_sampling(g):
+    # every cell is a center (edge-clipped windows), plus the centroid, a center
+    # off the cell centers and two balls entirely off the grid; the smallest
+    # radii lie below h/2, so balls around cell edges start out empty
+    return MorreySampling(r_min=0.2 * g.h, r_max=3 * g.extent, n_radii=40, center_stride=1,
+                          extra_centers=((0.3 * g.h,), (g.extent + 1.0,), (-g.extent - 2.0,)))
+
+
+def check_weak_gauges_match_per_ball(f, phi, centers, radii):
+    fast = _ball_gauge_matrix(f, phi, centers, radii, weak=True)
+    assert np.allclose(fast, per_ball_weak_power_gauges(f, phi, centers, radii), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("grid", PIN_GRIDS)
+def test_weak_power_gauges_match_per_ball_loop(grid):
+    rng = np.random.default_rng(27)
+    sampling = pin_sampling(grid)
+    f = stepped_function(grid, rng)
+    for g in (f, maximal(f, alpha=0.25)):
+        centers = sampling.centers(g)
+        # unsorted radii reach the same windows
+        radii = rng.permutation(sampling.radii())
+        for phi in WEAK_PHIS:
+            check_weak_gauges_match_per_ball(g, phi, centers, radii)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS),
+       st.sampled_from(WEAK_PHIS))
+@settings(max_examples=25, deadline=None)
+def test_weak_power_gauges_property(seed, grid, phi):
+    rng = np.random.default_rng(seed)
+    f = stepped_function(grid, rng) if seed % 2 else random_indicator_sum(grid, rng)
+    centers = [(float(c),) for c in rng.uniform(-1.5 * grid.extent, 1.5 * grid.extent, rng.integers(1, 40))]
+    radii = rng.uniform(0.1 * grid.h, 3 * grid.extent, rng.integers(1, 30))
+    check_weak_gauges_match_per_ball(f, phi, centers, radii)
+
+
+@pytest.mark.parametrize("phi", [P2, P2.compose_power(1 / 3)])
+def test_weak_morrey_witness_matches_per_ball_argmax(phi):
+    # the Morrey prefactor is constant in r (lambda = 0): hundreds of balls tie exactly
+    g = PIN_GRIDS[1]
+    f = maximal(stepped_function(g, np.random.default_rng(29)), alpha=0.25)
+    varphi = growth_from_lambda(phi, 0.0)
+    sampling = pin_sampling(g)
+    ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=True, sampling=sampling)
+    centers, radii = sampling.centers(f), sampling.radii()
+    measures = np.array([ball_measure(1, r) for r in radii])
+    vals = per_ball_weak_power_gauges(f, phi, centers, radii)
+    vals = vals * (phi.inverse(1.0 / measures) / varphi(radii))[None, :]
+    assert ev.value == pytest.approx(vals.max(), rel=1e-12)
+    # smallest radius first, then lexicographic center
+    r, c = min((radii[j], centers[i]) for i, j in np.argwhere(vals == vals.max()))
+    assert (ev.witness.center, ev.witness.radius) == (c, r)
 
 
 def test_generic_young_kind_morrey_sweep(unit_indicator, grid64):

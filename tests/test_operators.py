@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olab import (
     Ball,
     DomainError,
     GridSpec,
+    SampledFunction,
     maximal,
     riesz_potential,
     sample_function,
 )
 
-from conftest import random_indicator_sum
+from conftest import PIN_GRIDS, random_indicator_sum, stepped_function
 
 
 def brute_force_maximal(f, alpha, radii):
@@ -26,6 +29,28 @@ def brute_force_maximal(f, alpha, radii):
             best = max(best, (2 * t) ** (alpha - 1.0) * s)
         out[i] = best
     return out
+
+
+def sweep_maximal(f, alpha, radii=None):
+    """Reference sweep over every radius with prefix sums (same arithmetic as olab)."""
+    g = f.grid
+    h, n = g.h, g.cells_per_axis
+    prefix = np.concatenate([[0.0], np.cumsum(f.values)])
+    ts = (np.arange(n) + 0.5) * h if radii is None else np.sort(radii)
+    idx = np.arange(n)
+    best = np.zeros(n)
+    for t in ts:
+        m = int(np.floor(t / h + 1e-9))
+        sums = (prefix[np.minimum(idx + m, n - 1) + 1] - prefix[np.maximum(idx - m, 0)]) * h
+        best = np.maximum(best, (2.0 * t) ** (alpha - 1.0) * sums)
+    return best
+
+
+def check_maximal_matches_sweeps(f, alpha, radii=None):
+    fast = maximal(f, alpha=alpha, radii=radii).values
+    assert np.array_equal(fast, sweep_maximal(f, alpha, radii))
+    ref_radii = (np.arange(f.grid.cells_per_axis) + 0.5) * f.grid.h if radii is None else radii
+    assert np.allclose(fast, brute_force_maximal(f, alpha, ref_radii), rtol=1e-12, atol=1e-12)
 
 
 def test_closed_form_at_center(unit_indicator):
@@ -126,6 +151,47 @@ def test_fast_path_agrees_with_brute_force():
     fast = maximal(f, alpha=0.25).values
     ref = brute_force_maximal(f, 0.25, radii)
     assert np.allclose(fast, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid", PIN_GRIDS)
+# near alpha = 1 the coefficient is almost flat and the block bounds are tight
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.9, 0.999])
+def test_branch_and_bound_matches_sweep(grid, alpha):
+    rng = np.random.default_rng(23)
+    for _ in range(2):
+        f = stepped_function(grid, rng)
+        check_maximal_matches_sweeps(f, alpha)
+        check_maximal_matches_sweeps(random_indicator_sum(grid, rng), alpha)
+
+
+def test_branch_and_bound_custom_radii():
+    # unsorted radii, some below h/2 and some reaching beyond the grid
+    g = PIN_GRIDS[1]
+    rng = np.random.default_rng(24)
+    f = stepped_function(g, rng)
+    for n_radii in (1, 2, 33, 75):
+        radii = rng.permutation(np.concatenate([rng.uniform(0.1 * g.h, 3 * g.extent, n_radii - 1),
+                                                [10 * g.extent]]))
+        check_maximal_matches_sweeps(f, 0.0, radii)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS),
+       st.floats(min_value=0.0, max_value=0.95))
+@settings(max_examples=25, deadline=None)
+def test_branch_and_bound_property(seed, grid, alpha):
+    rng = np.random.default_rng(seed)
+    f = stepped_function(grid, rng) if seed % 2 else random_indicator_sum(grid, rng)
+    radii = None if seed % 3 else rng.uniform(0.05 * grid.h, 3 * grid.extent, rng.integers(1, 70))
+    check_maximal_matches_sweeps(f, alpha, radii)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
+@pytest.mark.parametrize("centered", [True, False])
+def test_maximal_rejects_non_finite_samples(grid, centered):
+    vals = np.zeros(grid.shape())
+    vals.flat[5] = np.inf
+    with pytest.raises(DomainError, match="finite"):
+        maximal(SampledFunction(grid, vals), alpha=0.25, centered=centered)
 
 
 def test_riesz_closed_form(unit_indicator):
