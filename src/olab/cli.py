@@ -32,7 +32,7 @@ from .norms import (
     weak_orlicz_norm,
 )
 from .operators import maximal, riesz_potential
-from .sampled import GridSpec, sample_function
+from .sampled import GridSpec, default_grid, sample_function
 from .young import classify_growth, young_from_config
 
 SCHEMA_LINE = "# olab-schema v1"
@@ -79,8 +79,9 @@ def _write_summary(path: str | None, payload: dict, started: float):
 
 def _grid_from_args(args, n: int | None = None) -> GridSpec:
     n = n if n is not None else args.grid_n
-    h = args.grid_h if args.grid_h is not None else (1.0 / 64.0 if n == 1 else 1.0 / 16.0)
-    extent = args.grid_extent if args.grid_extent is not None else (16.0 if n == 1 else 8.0)
+    default = default_grid(n)
+    h = args.grid_h if args.grid_h is not None else default.h
+    extent = args.grid_extent if args.grid_extent is not None else default.extent
     return GridSpec(n, h, extent)
 
 

@@ -243,9 +243,14 @@ def _term_values(grid: GridSpec, cfg: dict) -> np.ndarray:
         out = np.zeros(grid.shape())
         for term in terms:
             w = float(term.get("weight", 1.0))
+            if not math.isfinite(w):
+                raise ConfigError(f"term weights must be finite, got weight {w}")
             if w < 0:
                 raise ConfigError("term weights must be nonnegative")
-            out = out + w * _term_values(grid, term)
+            vals = _term_values(grid, term)
+            # finite terms may still overflow to inf; operators that need finite samples reject it
+            with np.errstate(over="ignore"):
+                out = out + w * vals
         return out
     raise ConfigError(f"unsupported formula type {kind!r}")
 

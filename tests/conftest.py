@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
+from scipy.signal import convolve2d
 
-from olab import GridSpec, sample_function
+from olab import GridSpec, SampledFunction, sample_function
+from olab.operators import _radius_set_2d
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +56,64 @@ def stepped_function(grid, rng):
 # 1-D grids of 68, 80 and 96 cells for pinning the fast paths to per-ball and
 # per-radius references; not all are multiples of the maximal's radius block
 PIN_GRIDS = [GridSpec(1, 1 / 8, 4.25), GridSpec(1, 1 / 16, 2.5), GridSpec(1, 1 / 16, 3.0)]
+
+
+# 2-D grids of 8x8, 16x16 and 24x24 cells for pinning the 2-D maximal to its sweep
+PIN_GRIDS_2D = [GridSpec(2, 1 / 8, 0.5), GridSpec(2, 1 / 16, 0.5), GridSpec(2, 1 / 8, 1.5)]
+
+
+def random_cells_2d(grid, rng):
+    """2-D samples with duplicate values and zero cells, on grids of any size."""
+    levels = rng.choice([0.5, 1.0, 1.7], grid.shape())
+    return SampledFunction(grid, rng.integers(0, 4, grid.shape()) * levels)
+
+
+def sweep_maximal_2d(f, alphas, radii=None):
+    """Reference 2-D sweep over every radius and row offset; maps each alpha to (centered, uncentered).
+
+    Disk sums gather clipped row-prefix windows over the whole grid per offset,
+    and the uncentered sup is a maximum_filter over the disk's footprint.  One
+    filter pass per radius serves every alpha: rounding is monotone, so
+    max(coef * s) == coef * max(s) exactly for coef > 0.
+    """
+    g = f.grid
+    h, n = g.h, g.cells_per_axis
+    row_prefix = np.concatenate([np.zeros((n, 1)), np.cumsum(f.values, axis=1)], axis=1)
+    ts = _radius_set_2d(g) if radii is None else np.sort(radii)
+    out = {alpha: (np.zeros((n, n)), np.zeros((n, n))) for alpha in alphas}
+    cols = np.arange(n)
+    for t in ts:
+        m = min(int(math.floor(t / h + 1e-9)), n - 1)
+        dys = np.arange(-m, m + 1)
+        half = np.minimum(np.floor(np.sqrt(np.maximum(t * t - (dys * h) ** 2, 0.0)) / h + 1e-9).astype(int),
+                          n - 1)
+        sums = np.zeros((n, n))
+        footprint = np.zeros((2 * m + 1, 2 * m + 1), dtype=bool)
+        for i, (dy, w) in enumerate(zip(dys, half)):
+            lo = np.clip(cols - w, 0, n)
+            hi = np.clip(cols + w + 1, 0, n)
+            src_rows = np.arange(n) + dy
+            valid = (src_rows >= 0) & (src_rows < n)
+            rows = np.clip(src_rows, 0, n - 1)
+            contrib = row_prefix[rows[:, None], hi[None, :]] - row_prefix[rows[:, None], lo[None, :]]
+            sums += np.where(valid[:, None], contrib, 0.0)
+            footprint[i, m - w : m + w + 1] = True
+        sums *= g.cell_volume
+        windowed = maximum_filter(sums, footprint=footprint, mode="constant", cval=-np.inf)
+        for alpha, (centered, uncentered) in out.items():
+            coef = (math.pi * t * t) ** (alpha / 2.0 - 1.0)
+            np.maximum(centered, coef * sums, out=centered)
+            np.maximum(uncentered, coef * windowed, out=uncentered)
+    return out
+
+
+def direct_riesz_2d(f, alpha):
+    """Reference 2-D Riesz potential: direct convolve2d with the same kernel and self-cell."""
+    g = f.grid
+    h, n = g.h, g.cells_per_axis
+    d = np.arange(-(n - 1), n) * h
+    dist = np.hypot(d[:, None], d[None, :])
+    with np.errstate(divide="ignore"):
+        kernel = dist ** (alpha - 2.0) * g.cell_volume
+    kernel[n - 1, n - 1] = 2.0 * math.pi * (h / math.sqrt(math.pi)) ** alpha / alpha
+    return convolve2d(f.values, kernel, mode="same")

@@ -56,14 +56,34 @@ def test_domain_error_is_status_3(capsys):
     assert "alpha" in err
 
 
+# two finite weights whose sum overflows to inf near the gaussian's center
+INF_GAUSS = ('{"type":"sum","terms":[{"type":"gaussian","scale":1,"weight":1e308},'
+             '{"type":"gaussian","scale":1,"weight":1e308}]}')
+
+
 @pytest.mark.parametrize("n", ["1", "2"])
 def test_non_finite_maximal_input_is_status_3(capsys, n):
-    # an Infinity weight on a gaussian (positive on the whole grid) samples to inf everywhere
-    inf_gauss = '{"type":"sum","terms":[{"type":"gaussian","scale":1,"weight":Infinity}]}'
-    code, _, err = run(capsys, "operators", "--alpha", "0.5", "--input", inf_gauss, "--grid-n", n,
+    code, _, err = run(capsys, "operators", "--alpha", "0.5", "--input", INF_GAUSS, "--grid-n", n,
                        "--grid-h", "0.25", "--grid-extent", "1")
     assert code == 3
     assert "finite" in err
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_non_finite_riesz_input_is_status_3(capsys, n):
+    code, _, err = run(capsys, "operators", "--operator", "riesz", "--alpha", "0.5", "--input", INF_GAUSS,
+                       "--grid-n", n, "--grid-h", "0.25", "--grid-extent", "1")
+    assert code == 3
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("weight", ["Infinity", "NaN", "1e999"])
+def test_non_finite_term_weight_is_status_2(capsys, weight):
+    term = '{"type":"ball_indicator","center":[0],"radius":0.5,"weight":%s}' % weight
+    code, _, err = run(capsys, "operators", "--alpha", "0.5", "--grid-h", "0.25", "--grid-extent", "1",
+                       "--input", '{"type":"sum","terms":[%s]}' % term)
+    assert code == 2
+    assert "weight" in err
 
 
 def test_unrepresentable_ball_is_status_4(capsys):
@@ -94,6 +114,15 @@ def test_operators_uncentered_flag(capsys, tmp_path):
     vu = np.array([float(l.split(",")[2]) for l in b.read_text().splitlines()[2:]])
     assert np.all(vu >= vc - 1e-12)
     assert np.all(vu <= 2 ** 0.75 * vc * 1.01 + 1e-300)
+
+
+def test_default_grid_uncentered_2d_maximal(capsys, tmp_path):
+    out_path = tmp_path / "u.csv"
+    small = '{"type":"ball_indicator","center":[0,0],"radius":0.5}'
+    code, _, _ = run(capsys, "operators", "--grid-n", "2", "--uncentered", "--alpha", "0.5",
+                     "--input", small, "--out", str(out_path))
+    assert code == 0
+    assert len(out_path.read_text().splitlines()) == 2 + 256 * 256
 
 
 def test_check_verdict_row_carries_parameters(capsys, tmp_path):

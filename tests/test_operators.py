@@ -13,7 +13,15 @@ from olab import (
     sample_function,
 )
 
-from conftest import PIN_GRIDS, random_indicator_sum, stepped_function
+from conftest import (
+    PIN_GRIDS,
+    PIN_GRIDS_2D,
+    direct_riesz_2d,
+    random_cells_2d,
+    random_indicator_sum,
+    stepped_function,
+    sweep_maximal_2d,
+)
 
 
 def brute_force_maximal(f, alpha, radii):
@@ -194,6 +202,14 @@ def test_maximal_rejects_non_finite_samples(grid, centered):
         maximal(SampledFunction(grid, vals), alpha=0.25, centered=centered)
 
 
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
+def test_riesz_rejects_non_finite_samples(grid):
+    vals = np.zeros(grid.shape())
+    vals.flat[5] = np.inf
+    with pytest.raises(DomainError, match="finite"):
+        riesz_potential(SampledFunction(grid, vals), 0.5)
+
+
 def test_riesz_closed_form(unit_indicator):
     out = riesz_potential(unit_indicator, 0.5)
     assert out.value_at(0.0) == pytest.approx(4.0, rel=0.03)
@@ -226,3 +242,59 @@ def test_2d_uncentered_comparison():
     c = maximal(f, alpha=0.5).values
     u = maximal(f, alpha=0.5, centered=False).values
     assert np.all(u <= 2 ** (2 - 0.5) * c * 1.01 + 1e-300)
+
+
+def check_maximal_2d_matches_sweep(f, alphas, radii=None):
+    for alpha, (centered, uncentered) in sweep_maximal_2d(f, alphas, radii).items():
+        assert np.array_equal(maximal(f, alpha=alpha, radii=radii).values, centered)
+        assert np.array_equal(maximal(f, alpha=alpha, centered=False, radii=radii).values, uncentered)
+
+
+@pytest.mark.parametrize("grid", PIN_GRIDS_2D)
+def test_2d_maximal_matches_sweep(grid):
+    rng = np.random.default_rng(31)
+    check_maximal_2d_matches_sweep(random_cells_2d(grid, rng), [0.0, 0.5, 1.9])
+    # unsorted radii, some below h/2 and some reaching beyond the grid
+    radii = rng.permutation(np.concatenate([rng.uniform(0.1 * grid.h, 0.5 * grid.h, 3),
+                                            rng.uniform(0.5 * grid.h, 4 * grid.extent, 12),
+                                            [10 * grid.extent]]))
+    check_maximal_2d_matches_sweep(random_cells_2d(grid, rng), [0.0, 0.5, 1.9], radii)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS_2D),
+       st.floats(min_value=0.0, max_value=1.95))
+@settings(max_examples=20, deadline=None)
+def test_2d_maximal_property(seed, grid, alpha):
+    rng = np.random.default_rng(seed)
+    f = random_cells_2d(grid, rng)
+    if seed % 2:
+        f = SampledFunction(grid, rng.uniform(0.0, 2.0, grid.shape()))
+    radii = rng.uniform(0.05 * grid.h, 3 * grid.extent, rng.integers(1, 12))
+    check_maximal_2d_matches_sweep(f, [alpha], radii)
+
+
+@pytest.mark.parametrize("centered", [True, False])
+def test_2d_disk_keeps_edge_rows_within_slack(centered):
+    # just below m h, inside the 1e-9 h slack of m, the disk covers the same cells as at m h
+    g = GridSpec(2, 1 / 8, 1.0)
+    f = SampledFunction(g, np.random.default_rng(33).uniform(0.5, 1.5, g.shape()))
+    for m in (1, 2, 5):
+        t = m * g.h
+        edge = maximal(f, alpha=0.5, centered=centered, radii=[t * (1 - 1e-12)]).values
+        exact = maximal(f, alpha=0.5, centered=centered, radii=[t]).values
+        assert np.allclose(edge, exact, rtol=1e-10, atol=0)
+        assert np.array_equal(edge, sweep_maximal_2d(f, [0.5], [t * (1 - 1e-12)])[0.5][0 if centered else 1])
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 1 / 16, 1.0), GridSpec(2, 1 / 8, 3.0), GridSpec(2, 1 / 16, 2.0)])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+def test_2d_riesz_matches_direct_sum(grid, alpha):
+    rng = np.random.default_rng(41)
+    zero = SampledFunction(grid, np.zeros(grid.shape()))
+    assert np.all(riesz_potential(zero, alpha).values == 0.0)
+    h = grid.h
+    singular = sample_function(grid, {"type": "power_decay", "gamma": 1.5, "radius": grid.extent / 2,
+                                      "center": (h / 2, -h / 2)})
+    # random cells reach the grid's edges, where the largest offsets x - y occur
+    for f in (random_indicator_sum(grid, rng), random_cells_2d(grid, rng), singular):
+        assert np.allclose(riesz_potential(f, alpha).values, direct_riesz_2d(f, alpha), rtol=1e-12, atol=0)

@@ -125,6 +125,17 @@ def test_formula_errors(grid64):
         sample_function(grid64, {"type": "power_decay", "gamma": 1.5, "radius": 1.0})
 
 
+@pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+def test_non_finite_term_weight_rejected(grid64, weight):
+    with pytest.raises(ConfigError, match="weight"):
+        sample_function(grid64, {"type": "sum", "terms": [{"type": "gaussian", "weight": weight}]})
+
+
+def test_overflowing_sum_samples_to_inf(grid64):
+    f = sample_function(grid64, {"type": "sum", "terms": [{"type": "gaussian", "weight": 1e308}] * 2})
+    assert f.value_at(0.0) == np.inf
+
+
 def test_negative_values_rejected(grid64):
     from olab import SampledFunction
 
