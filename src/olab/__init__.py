@@ -38,7 +38,6 @@ from .operators import maximal, riesz_potential
 from .report import ConditionReport
 from .sampled import (
     Ball,
-    BallSums,
     GridSpec,
     SampledFunction,
     ball_measure,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamsSetup",
     "Ball",
-    "BallSums",
     "ComposedPowerYoung",
     "ConditionReport",
     "ConfigError",

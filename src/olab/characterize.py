@@ -18,7 +18,7 @@ from .errors import ConfigError, DomainError, ParameterError, UnrepresentableBal
 from .growth import GrowthFunction
 from .norms import MorreySampling, generalized_orlicz_morrey_norm
 from .operators import maximal, riesz_potential
-from .report import ConditionReport, assess, doubling_schedule
+from .report import ConditionReport, assess, combine_legs, doubling_schedule
 from .sampled import GridSpec, SampledFunction, ball_measure, default_grid, sample_function
 from .young import YoungFunction
 
@@ -226,17 +226,12 @@ def check_membership(
             sel = (t_grid >= r_min * (1 - 1e-12)) & (t_grid < 1.0)
             lower.append(float(np.max(1.0 / pv[sel])) if np.any(sel) else 0.0)
         v_up, v_low = assess(upper), assess(lower)
-        verdict = (
-            "diverges"
-            if "diverges" in (v_up, v_low)
-            else ("holds-stable" if v_up == v_low == "holds-stable" else "inconclusive")
-        )
         return ConditionReport(
             condition="membership-omega",
             params=params,
             schedule=list(schedule),
             constants=[max(u, l) for u, l in zip(upper, lower)],
-            verdict=verdict,
+            verdict=combine_legs(v_up, v_low),
             details={
                 "upper": {"values": upper, "verdict": v_up},
                 "lower": {"values": lower, "verdict": v_low},

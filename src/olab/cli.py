@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -114,15 +115,21 @@ def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError("range must be tmin:tmax:per-octave")
-    t_min, t_max, per_octave = float(parts[0]), float(parts[1]), int(parts[2])
-    if t_min <= 0 or t_max <= t_min or per_octave < 1:
+    try:
+        t_min, t_max, per_octave = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:  # int("inf"), float("x")
+        raise ConfigError(f"invalid range {text!r}") from exc
+    if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min <= 0 or t_max <= t_min or per_octave < 1:
         raise ConfigError(f"invalid range {text!r}")
     return _log_grid(t_min, t_max, per_octave)
 
 
 def _parse_schedule(text: str):
-    vals = [float(v) for v in text.split(",") if v.strip()]
-    if not vals or any(v <= 0 for v in vals):
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"invalid schedule {text!r}") from exc
+    if not vals or not all(math.isfinite(v) and v > 0 for v in vals):
         raise ConfigError(f"invalid schedule {text!r}")
     return vals
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .growth import GrowthFunction
-from .report import ConditionReport, assess
-from .sampled import Ball, GridSpec, SampledFunction, ball_measure, default_grid, sample_function
+from .report import ConditionReport, assess, combine_legs
+from .sampled import Ball, GridSpec, SampledFunction, ball_measure, cell_window, default_grid, sample_function
 from .young import ComposedPowerYoung, LinearCappedYoung, PowerYoung, TabulatedYoung, YoungFunction
 
 __all__ = [
@@ -194,15 +194,6 @@ class MorreySampling:
         return cs
 
 
-def _axis_bounds(grid: GridSpec, centers: np.ndarray, radii: np.ndarray):
-    """Index ranges [k_lo, k_hi] of cells with |c_k - x| <= r, vectorized."""
-    lo = (centers[:, None] - radii[None, :] + grid.extent) / grid.h - 0.5
-    hi = (centers[:, None] + radii[None, :] + grid.extent) / grid.h - 0.5
-    k_lo = np.maximum(np.ceil(lo - 1e-9).astype(int), 0)
-    k_hi = np.minimum(np.floor(hi + 1e-9).astype(int), grid.cells_per_axis - 1)
-    return k_lo, k_hi
-
-
 # Centers whose sorted window rows are merged together; the work arrays are
 # _CENTER_CHUNK x (window width) floats.
 _CENTER_CHUNK = 32
@@ -274,7 +265,7 @@ def _ball_gauge_matrix(f, phi, centers, radii, weak):
         p, scale = power
         cen = np.asarray([c[0] for c in centers])
         radii = np.asarray(radii, dtype=float)
-        k_lo, k_hi = _axis_bounds(f.grid, cen, radii)
+        k_lo, k_hi = cell_window(f.grid, cen[:, None], radii[None, :])
         if not weak:
             prefix = np.concatenate([[0.0], np.cumsum(f.values**p)])
             sums = prefix[np.minimum(k_hi + 1, len(prefix) - 1)] - prefix[k_lo]
@@ -368,18 +359,12 @@ def triviality_probe(
     lower_steps = [r_min0 / 2**k for k in range(r_min_steps)]
     lower = [window_sup(r, max(schedule)) for r in lower_steps]
     v_up, v_low = assess(upper), assess(lower)
-    if "diverges" in (v_up, v_low):
-        verdict = "diverges"
-    elif v_up == v_low == "holds-stable":
-        verdict = "holds-stable"
-    else:
-        verdict = "inconclusive"
     return ConditionReport(
         condition="triviality",
         params={"young": phi.config(), "growth": varphi.config(), "n": grid.n},
         schedule=list(schedule) + lower_steps,
         constants=list(upper) + list(lower),
-        verdict=verdict,
+        verdict=combine_legs(v_up, v_low),
         witness=None,
         details={
             "upper": {"r_max": list(schedule), "values": upper, "verdict": v_up},

@@ -7,8 +7,9 @@ set is every half-offset grid radius (m + 1/2) h: at those radii the
 digitized cell count of a centered ball equals its measure 2t exactly
 (constants map to constants), and every distinct ball of cells is realized
 by some anchor, so the finite sup is a faithful evaluation of the continuum
-one.  In 2-D the disk sums come from row-prefix sums, the uncentered sup
-from 1-D running maxima, and the Riesz potential from an FFT.
+one.  Which cells a ball covers is decided by ``olab.sampled``; the ball
+sums come from row-prefix sums (a 1-D grid is one row), the uncentered sup
+from 1-D running maxima, and the 2-D Riesz potential from an FFT.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from .errors import DomainError
-from .sampled import SampledFunction
+from .sampled import SampledFunction, half_width
 
 __all__ = ["maximal", "riesz_potential"]
 
@@ -33,76 +34,64 @@ def _check_alpha(alpha: float, n: int, *, strict: bool) -> None:
 
 def maximal(f: SampledFunction, alpha: float = 0.0, centered: bool = True, radii=None) -> SampledFunction:
     """Fractional maximal function M_alpha f (alpha = 0: Hardy-Littlewood)."""
-    _check_alpha(alpha, f.grid.n, strict=False)
+    g = f.grid
+    _check_alpha(alpha, g.n, strict=False)
     if not np.all(np.isfinite(f.values)):
         raise DomainError("the maximal operator needs finite sample values")
-    if radii is not None:
-        radii = np.sort(np.asarray(radii, dtype=float))
-        if np.any(radii <= 0):
-            raise DomainError("radii must be positive")
-    if f.grid.n == 1:
-        out = _maximal_1d(f, alpha, centered, radii)
+    if radii is None:
+        # 1-D: anchors t = (m + 1/2) h reach across the domain
+        ts = (np.arange(g.cells_per_axis) + 0.5) * g.h if g.n == 1 else _radius_set_2d(g)
     else:
-        out = _maximal_2d(f, alpha, centered, radii)
-    return SampledFunction(f.grid, out)
+        ts = np.sort(np.asarray(radii, dtype=float))
+        if not np.all(ts > 0):  # also rejects NaN
+            raise DomainError("radii must be positive")
+    # one padded row-prefix table for both dimensions (a 1-D grid is one row):
+    # pad[:, n_cells + k] = sum of the first clip(k, 0, n_cells) cells of the row,
+    # so no window needs index clipping
+    n_cells = g.cells_per_axis
+    prefix = np.cumsum(f.values.reshape(-1, n_cells), axis=1)
+    pad = np.hstack([np.zeros((len(prefix), n_cells + 1)), prefix, np.repeat(prefix[:, -1:], n_cells, axis=1)])
+    if g.n == 1 and centered:
+        out = _centered_1d(pad[0], g, alpha, ts)
+    else:
+        out = _sweep(pad, g, alpha, ts, centered)
+    return SampledFunction(g, out.reshape(g.shape()))
+
+
+def _coef(n, alpha, t):
+    """|B(x, t)|^(alpha/n - 1)."""
+    return (2.0 * t) ** (alpha - 1.0) if n == 1 else (math.pi * t * t) ** (alpha / 2.0 - 1.0)
 
 
 # Consecutive radii bounded together by the centered 1-D branch and bound.
 _RADIUS_BLOCK = 32
 
 
-def _maximal_1d(f, alpha, centered, radii):
+def _centered_1d(pad, g, alpha, ts):
     """Sup over the radius set of (2t)^(alpha-1) * (integral of f over [x-t, x+t]).
 
-    The centered sup is a branch and bound over blocks of _RADIUS_BLOCK
-    consecutive (sorted) radii.  Every cell is evaluated exactly at each
-    block's first and last radius, which gives a lower bound ``best``.  With
-    nonnegative finite samples the prefix sums are nondecreasing in floating
-    point, and so are their differences and products with nonnegative
-    factors; hence the window sum S(x, t) is nondecreasing in t and
-    max(coef over the block) * S(x, last radius) bounds every computed value
-    of the block from above (coef = (2t)^(alpha-1) is nonincreasing for
-    alpha < 1, so that max is the first radius's).  The inner radii of a
-    block are evaluated only for cells whose bound exceeds ``best``, with
-    the same floating-point operations as a sweep over every radius, so the
-    result equals the sweep's exactly.  The uncentered sup sweeps every
-    radius.
+    A branch and bound over blocks of _RADIUS_BLOCK consecutive (sorted)
+    radii.  Every cell is evaluated exactly at each block's first and last
+    radius, which gives a lower bound ``best``.  With nonnegative finite
+    samples the prefix sums are nondecreasing in floating point, and so are
+    their differences and products with nonnegative factors; hence the
+    window sum S(x, t) is nondecreasing in t and max(coef over the block) *
+    S(x, last radius) bounds every computed value of the block from above
+    (coef = (2t)^(alpha-1) is nonincreasing for alpha < 1, so that max is
+    the first radius's).  The inner radii of a block are evaluated only for
+    cells whose bound exceeds ``best``, with the same floating-point
+    operations as a sweep over every radius, so the result equals the
+    sweep's exactly.
     """
-    g = f.grid
     h, n_cells = g.h, g.cells_per_axis
-    v = f.values
-    prefix = np.concatenate([[0.0], np.cumsum(v)])
-    if radii is None:
-        ms = np.arange(n_cells)  # anchors t = (m + 1/2) h reach across the domain
-        ts = (ms + 0.5) * h
-    else:
-        ts = radii
-        ms = np.floor(ts / h + 1e-9).astype(int)
-    if not centered:
-        idx = np.arange(n_cells)
-        best = np.zeros(n_cells)
-        for m, t in zip(ms, ts):
-            lo = np.maximum(idx - m, 0)
-            hi = np.minimum(idx + m, n_cells - 1)
-            sums = (prefix[hi + 1] - prefix[lo]) * h
-            vals = (2.0 * t) ** (alpha - 1.0) * sums
-            # sup over balls containing x: window max of the per-center values
-            w = min(m, n_cells - 1)
-            windowed = maximum_filter1d(vals, size=2 * w + 1, mode="constant", cval=-np.inf)
-            np.maximum(best, windowed, out=best)
-        return best
     if len(ts) == 0:
         return np.zeros(n_cells)
-
-    # padded prefix: pext[k + n_cells] = prefix[clip(k, 0, n_cells)], so the
-    # window [x - m, x + m] needs no clipping; m beyond the grid acts as n_cells - 1
-    pext = np.concatenate([np.zeros(n_cells), prefix, np.full(n_cells - 1, prefix[-1])])
-    ms = np.minimum(ms, n_cells - 1)
+    ms = half_width(g, ts)
     up, down = n_cells + ms + 1, n_cells - ms
-    coef = np.array([(2.0 * t) ** (alpha - 1.0) for t in ts])
+    coef = np.array([_coef(1, alpha, t) for t in ts])
 
     def window_sums(x, k):
-        return (pext[x + up[k]] - pext[x + down[k]]) * h
+        return (pad[x + up[k]] - pad[x + down[k]]) * h
 
     # block b holds the radii edges[b] .. edges[b + 1]; neighbours share an edge
     edges = np.unique(np.append(np.arange(0, len(ts), _RADIUS_BLOCK), len(ts) - 1))
@@ -133,37 +122,36 @@ def _radius_set_2d(g):
     return doubled[doubled <= 2.0 * r_star]
 
 
-def _maximal_2d(f, alpha, centered, radii):
-    """Sup over the radius set of (pi t^2)^(alpha/2-1) * (integral of f over B(x, t)).
+def _sweep(pad, g, alpha, ts, centered):
+    """Sup over the radius set of |B(x, t)|^(alpha/n - 1) * (integral of f over B(x, t)), radius by radius.
 
-    A disk is a union of row segments: offset dy, |dy| <= m = floor(t/h + 1e-9),
-    covers the columns within w = floor(sqrt(max(t^2 - (dy h)^2, 0))/h + 1e-9)
-    of the center.  The centered disk sums add the row windows of a padded
-    row-prefix table offset by offset; the uncentered value at x is the max of
-    the centered values over the disk around x, from one 1-D running max of
-    width 2w + 1 per distinct w (van Herk / Gil-Werman), shifted per offset.
+    A ball is a union of row segments: row offset dy covers the columns within
+    w(dy) of the center, both from the cell rule of ``sampled`` (a 1-D grid is
+    one row, offset 0).  The centered ball sums add the row windows of the
+    padded row-prefix table offset by offset; the uncentered value at x is the
+    max of the centered values over the ball around x, from one 1-D running
+    max of width 2w + 1 per distinct w (van Herk / Gil-Werman), shifted per
+    offset.
     """
-    g = f.grid
     h, n_cells = g.h, g.cells_per_axis
-    ts = _radius_set_2d(g) if radii is None else radii
-    # pad[:, n_cells + k] = sum of the first clip(k, 0, n_cells) cells of the row: no index clipping
-    prefix = np.cumsum(f.values, axis=1)
-    pad = np.hstack([np.zeros((n_cells, n_cells + 1)), prefix, np.repeat(prefix[:, -1:], n_cells, axis=1)])
-    best, sums, buf = np.zeros((3, n_cells, n_cells))
-    for t in ts:
-        m = min(int(math.floor(t / h + 1e-9)), n_cells - 1)  # offsets beyond the grid add nothing
-        dys = np.arange(-m, m + 1)
-        half = np.minimum(np.floor(np.sqrt(np.maximum(t * t - (dys * h) ** 2, 0.0)) / h + 1e-9), n_cells - 1)
-        half = half.astype(int)
+    n_rows = len(pad)
+    best, sums, buf = np.zeros((3, n_rows, n_cells))
+    ms = np.minimum(half_width(g, ts), n_rows - 1)  # row offsets beyond the grid add nothing
+    # half-widths of the rows at offsets -m..m of every radius, from one call of the rule
+    counts = 2 * ms + 1
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - ms - 1, counts)
+    row_r = np.sqrt(np.maximum(np.repeat(ts * ts, counts) - (offsets * h) ** 2, 0.0))
+    halves = np.split(half_width(g, row_r), np.cumsum(counts)[:-1])
+    for t, m, half in zip(ts, ms.tolist(), halves):
         # output rows r and source rows r + dy of each offset, both inside the grid
-        rows = [(slice(max(-dy, 0), n_cells - max(dy, 0)), slice(max(dy, 0), n_cells + min(dy, 0)))
-                for dy in dys.tolist()]
+        rows = [(slice(max(-dy, 0), n_rows - max(dy, 0)), slice(max(dy, 0), n_rows + min(dy, 0)))
+                for dy in range(-m, m + 1)]
         sums.fill(0.0)
         for (dst, src), w in zip(rows, half.tolist()):
             np.subtract(pad[src, n_cells + w + 1 : 2 * n_cells + w + 1], pad[src, n_cells - w : 2 * n_cells - w],
                         out=buf[dst])
             sums[dst] += buf[dst]
-        vals = (math.pi * t * t) ** (alpha / 2.0 - 1.0) * (sums * g.cell_volume)
+        vals = _coef(g.n, alpha, t) * (sums * g.cell_volume)
         if centered:
             np.maximum(best, vals, out=best)
             continue

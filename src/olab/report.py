@@ -81,6 +81,16 @@ def assess(constants) -> str:
     return INCONCLUSIVE
 
 
+def combine_legs(v_up: str, v_low: str) -> str:
+    """Verdict of a probe widened in two directions: ``diverges`` if either
+    leg diverges, ``holds-stable`` if both hold, else ``inconclusive``."""
+    if DIVERGES in (v_up, v_low):
+        return DIVERGES
+    if v_up == v_low == HOLDS_STABLE:
+        return HOLDS_STABLE
+    return INCONCLUSIVE
+
+
 def doubling_schedule(start: float = 2.0**4, stop: float = 2.0**10) -> list[float]:
     """Default truncation schedule {start, 2*start, ..., stop}."""
     out = []

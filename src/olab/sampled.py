@@ -2,8 +2,19 @@
 
 Cells are cubes of side h whose centers sit at -L + (k + 1/2) h per axis, so
 cell edges align with the origin and there are 2L/h cells per axis.  All
-integrals are midpoint quadrature: a cell belongs to a ball iff its center
-does (centers exactly on the sphere count as inside).
+integrals are midpoint quadrature over the cells a ball covers.
+
+This module alone decides which cells a ball B(x, t) covers; norms and
+operators ask it.  Along an axis, cell k lies in the window of a ball with
+center coordinate x and radius t iff
+
+    (x - t + L)/h - 1/2 - 1e-9  <=  k  <=  (x + t + L)/h - 1/2 + 1e-9,
+
+that is, iff its center is within t of x up to a slack of 1e-9 cell widths,
+so centers on the sphere stay inside whatever the rounding.  In 2-D the
+rows are the window at radius t along the first axis, and a row whose
+center lies at distance d from x's first coordinate covers the window at
+radius sqrt(max(t^2 - d^2, 0)) along the second.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ __all__ = [
     "Ball",
     "SampledFunction",
     "ball_measure",
+    "cell_window",
+    "half_width",
     "sample_function",
 ]
 
@@ -70,6 +83,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ParameterError(f"dimension must be 1 or 2, got {self.n}")
+        if not (math.isfinite(self.h) and math.isfinite(self.extent)):
+            raise ParameterError(f"spacing and extent must be finite, got h={self.h}, extent={self.extent}")
         if self.h <= 0 or self.extent <= 0:
             raise ParameterError("spacing and extent must be positive")
         ratio = self.extent / self.h
@@ -112,6 +127,40 @@ def default_grid(n: int = 1) -> GridSpec:
     return GridSpec(2, 1.0 / 16.0, 8.0)
 
 
+# -- which cells a ball covers (the one rule; see the module docstring) ------
+
+# Cell widths by which a cell center may lie outside a ball and still count as covered.
+_CELL_SLACK = 1e-9
+
+
+def _axis_bounds(grid: GridSpec, center, radius):
+    """Real bounds (a, b): cell k lies in the ball's window along one axis iff a <= k <= b."""
+    a = (center - radius + grid.extent) / grid.h - 0.5 - _CELL_SLACK
+    b = (center + radius + grid.extent) / grid.h - 0.5 + _CELL_SLACK
+    return a, b
+
+
+def cell_window(grid: GridSpec, center, radius):
+    """Cell index range [k_lo, k_hi] of a ball along one axis, clipped to the grid.
+
+    Broadcasts over arrays of centers and radii; the window is empty where
+    k_lo > k_hi.
+    """
+    a, b = _axis_bounds(grid, center, radius)
+    k_lo = np.maximum(np.ceil(a), 0).astype(int)
+    k_hi = np.minimum(np.floor(b), grid.cells_per_axis - 1).astype(int)
+    return k_lo, k_hi
+
+
+def half_width(grid: GridSpec, radius):
+    """Cells covered on each side of the center cell by balls centered on a cell.
+
+    Clipped at cells_per_axis - 1, where a ball from any cell reaches across
+    the grid; broadcasts over radii.
+    """
+    return cell_window(grid, grid.axis_centers()[0], radius)[1]
+
+
 class SampledFunction:
     """Nonnegative function sampled at cell centers of a GridSpec."""
 
@@ -130,14 +179,19 @@ class SampledFunction:
     # -- geometry ---------------------------------------------------------
 
     def ball_mask(self, ball: Ball) -> np.ndarray:
-        if ball.n != self.grid.n:
+        """Cells the ball covers, by the rule in the module docstring."""
+        g = self.grid
+        if ball.n != g.n:
             raise DomainError("ball dimension does not match grid dimension")
-        ax = self.grid.axis_centers()
-        if self.grid.n == 1:
-            return np.abs(ax - ball.center[0]) <= ball.radius
-        dx = ax[:, None] - ball.center[0]
-        dy = ax[None, :] - ball.center[1]
-        return dx**2 + dy**2 <= ball.radius**2
+        k = np.arange(g.cells_per_axis)
+        t = ball.radius
+        a, b = _axis_bounds(g, ball.center[0], t)
+        if g.n == 1:
+            return (k >= a) & (k <= b)
+        d = g.axis_centers() - ball.center[0]
+        lo, hi = _axis_bounds(g, ball.center[1], np.sqrt(np.maximum(t * t - d**2, 0.0)))
+        hi = np.where((k >= a) & (k <= b), hi, -1.0)  # rows outside the window cover no column
+        return (k >= lo[:, None]) & (k <= hi[:, None])
 
     def ball_values(self, ball: Ball) -> np.ndarray:
         return self.values[self.ball_mask(ball)]
@@ -200,19 +254,26 @@ def _radial_dist2(grid: GridSpec, center) -> np.ndarray:
     return (ax[:, None] - center[0]) ** 2 + (ax[None, :] - center[1]) ** 2
 
 
+def _finite(value, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"formula {name} must be finite, got {name} {value}")
+    return value
+
+
 def _term_values(grid: GridSpec, cfg: dict) -> np.ndarray:
     kind = cfg.get("type")
-    center = tuple(cfg.get("center", (0.0,) * grid.n))
+    center = tuple(_finite(c, "center") for c in cfg.get("center", (0.0,) * grid.n))
     if len(center) != grid.n:
         raise ConfigError(f"formula center {center} does not match dimension {grid.n}")
     if kind == "ball_indicator":
-        ball = Ball(center, cfg["radius"])
+        ball = Ball(center, _finite(cfg["radius"], "radius"))
         grid.require_ball(ball)
         d2 = _radial_dist2(grid, center)
         return (d2 <= ball.radius**2).astype(float)
     if kind == "power_decay":
-        gamma = float(cfg["gamma"])
-        radius = float(cfg["radius"])
+        gamma = _finite(cfg["gamma"], "gamma")
+        radius = _finite(cfg["radius"], "radius")
         if not 0 < gamma < grid.n:
             raise ConfigError(f"power decay needs 0 < gamma < n, got {gamma}")
         ball = Ball(center, radius)
@@ -231,7 +292,7 @@ def _term_values(grid: GridSpec, cfg: dict) -> np.ndarray:
             vals = np.where(singular, avg, vals)
         return vals
     if kind == "gaussian":
-        scale = float(cfg.get("scale", 1.0))
+        scale = _finite(cfg.get("scale", 1.0), "scale")
         if scale <= 0:
             raise ConfigError("gaussian scale must be positive")
         d2 = _radial_dist2(grid, center)
@@ -242,9 +303,7 @@ def _term_values(grid: GridSpec, cfg: dict) -> np.ndarray:
             raise ConfigError("sum formula needs a nonempty 'terms' list")
         out = np.zeros(grid.shape())
         for term in terms:
-            w = float(term.get("weight", 1.0))
-            if not math.isfinite(w):
-                raise ConfigError(f"term weights must be finite, got weight {w}")
+            w = _finite(term.get("weight", 1.0), "weight")
             if w < 0:
                 raise ConfigError("term weights must be nonnegative")
             vals = _term_values(grid, term)
@@ -258,56 +317,3 @@ def _term_values(grid: GridSpec, cfg: dict) -> np.ndarray:
 def sample_function(grid: GridSpec, formula: dict) -> SampledFunction:
     """Evaluate a formula descriptor at all cell centers."""
     return SampledFunction(grid, _term_values(grid, formula))
-
-
-# -- fast ball sums ---------------------------------------------------------
-
-
-class BallSums:
-    """Prefix-sum tables answering h^n * sum(f over ball) in O(1) per ball (1-D)
-    or O(rows) per ball (2-D).  Built once, then only read; must agree with
-    SampledFunction.integrate to 1e-12 (exercised by tests)."""
-
-    def __init__(self, f: SampledFunction):
-        if np.any(np.isinf(f.values)):
-            raise DomainError("prefix tables require finite sample values")
-        self.f = f
-        self.grid = f.grid
-        if self.grid.n == 1:
-            self._prefix = np.concatenate([[0.0], np.cumsum(f.values)])
-        else:
-            self._prefix = np.concatenate(
-                [np.zeros((f.values.shape[0], 1)), np.cumsum(f.values, axis=1)], axis=1
-            )
-
-    def _axis_range(self, center: float, radius: float) -> tuple:
-        # indices k with |c_k - center| <= radius, c_k = -L + (k + 1/2) h
-        g = self.grid
-        lo = (center - radius + g.extent) / g.h - 0.5
-        hi = (center + radius + g.extent) / g.h - 0.5
-        k_lo = max(int(math.ceil(lo - 1e-9)), 0)
-        k_hi = min(int(math.floor(hi + 1e-9)), g.cells_per_axis - 1)
-        return k_lo, k_hi
-
-    def ball_sum(self, ball: Ball) -> float:
-        """Integral of f over the ball (midpoint quadrature)."""
-        g = self.grid
-        if g.n == 1:
-            k_lo, k_hi = self._axis_range(ball.center[0], ball.radius)
-            if k_lo > k_hi:
-                return 0.0
-            return float((self._prefix[k_hi + 1] - self._prefix[k_lo]) * g.h)
-        ax = g.axis_centers()
-        i_lo, i_hi = self._axis_range(ball.center[0], ball.radius)
-        if i_lo > i_hi:
-            return 0.0
-        total = 0.0
-        r2 = ball.radius**2
-        for i in range(i_lo, i_hi + 1):
-            rem = r2 - (ax[i] - ball.center[0]) ** 2
-            if rem < 0:
-                continue
-            j_lo, j_hi = self._axis_range(ball.center[1], math.sqrt(rem))
-            if j_lo <= j_hi:
-                total += self._prefix[i, j_hi + 1] - self._prefix[i, j_lo]
-        return float(total * g.cell_volume)

@@ -86,6 +86,44 @@ def test_non_finite_term_weight_is_status_2(capsys, weight):
     assert "weight" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--grid-h", "nan"), ("--grid-h", "inf"), ("--grid-extent", "inf")])
+def test_non_finite_grid_is_status_3(capsys, flag, value):
+    code, _, err = run(capsys, "operators", "--alpha", "0.5", "--input", BALL, flag, value)
+    assert code == 3
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--condition", "adams-necessary", "--range", "nan:1:4"],
+    ["check", "--condition", "adams-necessary", "--rmax-schedule", "nan"],
+    ["check", "--condition", "adams-necessary", "--rmax-schedule", "16,inf"],
+    ["classify", "--young", P2, "--class", "delta2", "--range", "1:inf:4"],
+    ["classify", "--young", P2, "--class", "delta2", "--range", "1:2:inf"],
+    ["check", "--condition", "adams-necessary", "--rmax-schedule", "16,x"],
+])
+def test_non_finite_range_or_schedule_is_status_2(capsys, tmp_path, argv):
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps(
+        {"young": {"kind": "power", "p": 2.0}, "lambda": 0.0, "alpha": 0.25, "beta": 0.5, "n": 1}))
+    if argv[0] == "check":
+        argv = argv + ["--setup", str(setup)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "invalid" in err
+
+
+@pytest.mark.parametrize("term", [
+    '{"type":"gaussian","scale":NaN}',
+    '{"type":"gaussian","center":[NaN]}',
+    '{"type":"ball_indicator","center":[0],"radius":NaN}',
+])
+def test_non_finite_formula_parameter_is_status_2(capsys, term):
+    code, _, err = run(capsys, "operators", "--alpha", "0.5", "--grid-h", "0.25", "--grid-extent", "1",
+                       "--input", term)
+    assert code == 2
+    assert "finite" in err
+
+
 def test_unrepresentable_ball_is_status_4(capsys):
     big = '{"type":"ball_indicator","center":[0],"radius":99}'
     code, _, err = run(capsys, "norm", "--input", big, "--young", P2)

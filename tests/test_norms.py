@@ -21,7 +21,8 @@ from olab import (
     weak_orlicz_norm,
 )
 from olab.errors import ConfigError
-from olab.norms import _axis_bounds, _ball_gauge_matrix, _lux_gauge, _power_form, _weak_gauge
+from olab.norms import NORM_REL_TOL, _ball_gauge_matrix, _lux_gauge, _power_form, _weak_gauge
+from olab.sampled import cell_window
 
 from conftest import PIN_GRIDS, random_indicator_sum, stepped_function
 
@@ -214,11 +215,24 @@ def test_fast_paths_agree_with_bisection(grid64):
             assert np.allclose(fast, slow, rtol=1e-8, atol=1e-12)
 
 
+def test_ball_cells_agree_between_closed_forms_and_ball_values(grid64):
+    # just below 5h, inside the 1e-9-cell slack, both paths take the 11 cells of radius 5h
+    rng = np.random.default_rng(22)
+    f = random_indicator_sum(grid64, rng)
+    k = int(np.argmax(f.values))
+    ball = Ball((float(grid64.axis_centers()[k]),), 5 * grid64.h * (1 - 1e-12))
+    assert f.ball_values(ball).size == 11
+    for phi in (P2, PowerYoung(3)):
+        for weak, norm in ((False, luxemburg_norm), (True, weak_orlicz_norm)):
+            closed = _ball_gauge_matrix(f, phi, [ball.center], np.array([ball.radius]), weak)[0, 0]
+            assert norm(f, phi, ball).value == pytest.approx(closed, rel=NORM_REL_TOL)
+
+
 def per_ball_weak_power_gauges(f, phi, centers, radii):
     """Weak power gauges ball by ball: sort each ball's positive values of f**p (reference)."""
     p, scale = _power_form(phi)
     vp = f.values**p
-    k_lo, k_hi = _axis_bounds(f.grid, np.array([c[0] for c in centers]), np.asarray(radii))
+    k_lo, k_hi = cell_window(f.grid, np.array([c[0] for c in centers])[:, None], np.asarray(radii)[None, :])
     sups = np.zeros(k_lo.shape)
     for i, j in np.ndindex(*k_lo.shape):
         if k_lo[i, j] > k_hi[i, j]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d
 
 from olab import (
     Ball,
@@ -52,6 +53,41 @@ def sweep_maximal(f, alpha, radii=None):
         sums = (prefix[np.minimum(idx + m, n - 1) + 1] - prefix[np.maximum(idx - m, 0)]) * h
         best = np.maximum(best, (2.0 * t) ** (alpha - 1.0) * sums)
     return best
+
+
+def sweep_uncentered_maximal(f, alpha, radii=None):
+    """Reference 1-D uncentered sweep: per radius, the centered window values, then their running max."""
+    g = f.grid
+    h, n = g.h, g.cells_per_axis
+    prefix = np.concatenate([[0.0], np.cumsum(f.values)])
+    if radii is None:
+        ms = np.arange(n)
+        ts = (ms + 0.5) * h
+    else:
+        ts = np.sort(radii)
+        ms = np.floor(ts / h + 1e-9).astype(int)
+    idx = np.arange(n)
+    best = np.zeros(n)
+    for m, t in zip(ms, ts):
+        sums = (prefix[np.minimum(idx + m, n - 1) + 1] - prefix[np.maximum(idx - m, 0)]) * h
+        vals = (2.0 * t) ** (alpha - 1.0) * sums
+        w = min(m, n - 1)
+        np.maximum(best, maximum_filter1d(vals, size=2 * w + 1, mode="constant", cval=-np.inf), out=best)
+    return best
+
+
+@pytest.mark.parametrize("grid", PIN_GRIDS)
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.9])
+def test_1d_uncentered_matches_sweep(grid, alpha):
+    rng = np.random.default_rng(25)
+    # unsorted radii, some below h/2 and some reaching beyond the grid
+    radii = rng.permutation(np.concatenate([rng.uniform(0.1 * grid.h, 0.5 * grid.h, 3),
+                                            rng.uniform(0.5 * grid.h, 3 * grid.extent, 30),
+                                            [10 * grid.extent]]))
+    for f in (stepped_function(grid, rng), random_indicator_sum(grid, rng)):
+        for r in (None, radii):
+            fast = maximal(f, alpha=alpha, centered=False, radii=r).values
+            assert np.array_equal(fast, sweep_uncentered_maximal(f, alpha, r))
 
 
 def check_maximal_matches_sweeps(f, alpha, radii=None):
@@ -203,6 +239,13 @@ def test_maximal_rejects_non_finite_samples(grid, centered):
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+def test_maximal_rejects_bad_radii(grid, radius):
+    with pytest.raises(DomainError, match="radii"):
+        maximal(SampledFunction(grid, np.ones(grid.shape())), alpha=0.25, radii=[0.5, radius])
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
 def test_riesz_rejects_non_finite_samples(grid):
     vals = np.zeros(grid.shape())
     vals.flat[5] = np.inf
@@ -284,6 +327,20 @@ def test_2d_disk_keeps_edge_rows_within_slack(centered):
         exact = maximal(f, alpha=0.5, centered=centered, radii=[t]).values
         assert np.allclose(edge, exact, rtol=1e-10, atol=0)
         assert np.array_equal(edge, sweep_maximal_2d(f, [0.5], [t * (1 - 1e-12)])[0.5][0 if centered else 1])
+
+
+@pytest.mark.parametrize("k", [(8, 8), (0, 5), (15, 15)])
+def test_2d_disk_cells_match_ball_mask(k):
+    # the maximal of a one-cell function is positive exactly where the disk around the cell reaches
+    g = GridSpec(2, 1 / 16, 0.5)
+    t = 3 * g.h * (1 - 1e-12)
+    vals = np.zeros(g.shape())
+    vals[k] = 1.0
+    f = SampledFunction(g, vals)
+    ball = Ball(tuple(float(g.axis_centers()[i]) for i in k), t)
+    assert np.array_equal(maximal(f, alpha=0.5, radii=[t]).values > 0, f.ball_mask(ball))
+    if k == (8, 8):  # rows 0 and +-1, +-2, +-3 cover 7, 5, 5 and 1 cells
+        assert np.count_nonzero(f.ball_mask(ball)) == 29
 
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 1 / 16, 1.0), GridSpec(2, 1 / 8, 3.0), GridSpec(2, 1 / 16, 2.0)])

@@ -3,10 +3,10 @@ import pytest
 
 from olab import (
     Ball,
-    BallSums,
     DomainError,
     GridSpec,
     ParameterError,
+    SampledFunction,
     UnrepresentableBallError,
     ball_measure,
     sample_function,
@@ -34,6 +34,9 @@ def test_grid_validation():
         GridSpec(1, 1 / 64, 16.3)
     with pytest.raises(ParameterError):
         GridSpec(3, 1 / 64, 16.0)
+    for h, extent in [(np.nan, 1.0), (np.inf, 1.0), (1 / 8, np.inf), (1 / 8, np.nan)]:
+        with pytest.raises(ParameterError, match="finite"):
+            GridSpec(1, h, extent)
     g = GridSpec(1, 1 / 64, 16.0)
     assert g.cells_per_axis == 2048
     ax = g.axis_centers()
@@ -125,6 +128,23 @@ def test_formula_errors(grid64):
         sample_function(grid64, {"type": "power_decay", "gamma": 1.5, "radius": 1.0})
 
 
+@pytest.mark.parametrize("term", [
+    {"type": "gaussian", "scale": np.nan},
+    {"type": "gaussian", "scale": np.inf},
+    {"type": "gaussian", "center": (np.nan,)},
+    {"type": "ball_indicator", "radius": np.nan},
+    {"type": "ball_indicator", "radius": np.inf},
+    {"type": "ball_indicator", "center": (-np.inf,), "radius": 1.0},
+    {"type": "power_decay", "gamma": np.nan, "radius": 1.0},
+    {"type": "power_decay", "gamma": 0.5, "radius": np.inf},
+])
+def test_non_finite_formula_parameter_rejected(grid64, term):
+    with pytest.raises(ConfigError, match="finite"):
+        sample_function(grid64, term)
+    with pytest.raises(ConfigError, match="finite"):
+        sample_function(grid64, {"type": "sum", "terms": [term]})
+
+
 @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
 def test_non_finite_term_weight_rejected(grid64, weight):
     with pytest.raises(ConfigError, match="weight"):
@@ -137,15 +157,11 @@ def test_overflowing_sum_samples_to_inf(grid64):
 
 
 def test_negative_values_rejected(grid64):
-    from olab import SampledFunction
-
     with pytest.raises(DomainError):
         SampledFunction(grid64, np.full(grid64.shape(), -1.0))
 
 
 def test_infinite_cell_makes_integral_infinite(grid64):
-    from olab import SampledFunction
-
     vals = np.zeros(grid64.shape())
     vals[100] = np.inf
     f = SampledFunction(grid64, vals)
@@ -154,22 +170,45 @@ def test_infinite_cell_makes_integral_infinite(grid64):
     assert f.integrate(Ball((10.0,), 0.5)) == 0.0
 
 
-def test_prefix_sums_agree_with_integrate(grid64):
-    rng = np.random.default_rng(11)
-    f = random_indicator_sum(grid64, rng)
-    bs = BallSums(f)
-    for _ in range(100):
-        b = Ball((float(rng.uniform(-15, 15)),), float(rng.uniform(0.01, 12)))
-        assert bs.ball_sum(b) == pytest.approx(f.integrate(b), abs=1e-12)
+def exact_ball_mask(grid, ball):
+    """Oracle: the cells whose centers satisfy |x - c| <= t (1-D) or dx^2 + dy^2 <= t^2 (2-D), no slack."""
+    ax = grid.axis_centers()
+    if grid.n == 1:
+        return np.abs(ax - ball.center[0]) <= ball.radius
+    dx = ax[:, None] - ball.center[0]
+    dy = ax[None, :] - ball.center[1]
+    return dx**2 + dy**2 <= ball.radius**2
 
 
-def test_prefix_sums_agree_2d(small_grid2d):
-    rng = np.random.default_rng(13)
-    f = random_indicator_sum(small_grid2d, rng)
-    bs = BallSums(f)
-    for _ in range(50):
-        b = Ball(tuple(rng.uniform(-1.5, 1.5, size=2)), float(rng.uniform(0.05, 2.0)))
-        assert bs.ball_sum(b) == pytest.approx(f.integrate(b), abs=1e-12)
+def test_ball_mask_matches_exact_comparison(grid64, small_grid2d):
+    # random balls come nowhere near the 1e-9-cell slack, so the rule picks the exact cells
+    def draw_1d(rng):
+        return Ball((float(rng.uniform(-15, 15)),), float(rng.uniform(0.01, 12)))
+
+    def draw_2d(rng):
+        return Ball(tuple(rng.uniform(-1.5, 1.5, size=2)), float(rng.uniform(0.05, 2.0)))
+
+    for grid, seed, count, draw in [(grid64, 11, 100, draw_1d), (small_grid2d, 13, 50, draw_2d)]:
+        rng = np.random.default_rng(seed)
+        f = random_indicator_sum(grid, rng)
+        for _ in range(count):
+            b = draw(rng)
+            mask = exact_ball_mask(grid, b)
+            assert np.array_equal(f.ball_mask(b), mask)
+            assert f.integrate(b) == f.values[mask].sum() * grid.cell_volume
+
+
+@pytest.mark.parametrize("k", [0, 7, 31])
+def test_ball_mask_keeps_cells_within_slack(k):
+    # just below m h, inside the 1e-9-cell slack, a cell-centered ball covers the cells of radius m h
+    g = GridSpec(2, 1 / 16, 1.0)
+    f = SampledFunction(g, np.ones(g.shape()))
+    x = float(g.axis_centers()[k])
+    for center in [(x, x), (x, 0.03125)]:
+        for m in (1, 3, 5):
+            exact = Ball(center, m * g.h)
+            assert np.array_equal(f.ball_mask(Ball(center, m * g.h * (1 - 1e-12))), f.ball_mask(exact))
+            assert np.array_equal(f.ball_mask(exact), exact_ball_mask(g, exact))
 
 
 def test_2d_disk_measure(small_grid2d):
