@@ -11,6 +11,7 @@ from olab import (
     ball_measure,
     sample_function,
 )
+from olab.sampled import cell_window
 from olab.errors import ConfigError
 
 from conftest import random_indicator_sum
@@ -168,6 +169,42 @@ def test_infinite_cell_makes_integral_infinite(grid64):
     assert f.integrate() == np.inf
     assert f.integrate(Ball((float(grid64.axis_centers()[100]),), 0.1)) == np.inf
     assert f.integrate(Ball((10.0,), 0.5)) == 0.0
+
+
+def prefix_ball_sum(f, ball):
+    """h^n * sum of f over the ball from row-prefix sums and the integer windows of cell_window."""
+    g = f.grid
+    prefix = np.concatenate([np.zeros((g.cells_per_axis ** (g.n - 1), 1)),
+                             np.cumsum(f.values.reshape(-1, g.cells_per_axis), axis=1)], axis=1)
+    if g.n == 1:
+        rows, radii = [0], [ball.radius]
+    else:
+        i_lo, i_hi = cell_window(g, ball.center[0], ball.radius)
+        rows = range(i_lo, i_hi + 1)
+        d = g.axis_centers()[i_lo : i_hi + 1] - ball.center[0]
+        radii = np.sqrt(np.maximum(ball.radius**2 - d**2, 0.0))
+    total = 0.0
+    for i, r in zip(rows, radii):
+        j_lo, j_hi = cell_window(g, ball.center[-1], r)
+        if j_lo <= j_hi:
+            total += prefix[i, j_hi + 1] - prefix[i, j_lo]
+    return float(total * g.cell_volume)
+
+
+def test_prefix_sums_agree_with_integrate(grid64):
+    rng = np.random.default_rng(11)
+    f = random_indicator_sum(grid64, rng)
+    for _ in range(100):
+        b = Ball((float(rng.uniform(-15, 15)),), float(rng.uniform(0.01, 12)))
+        assert prefix_ball_sum(f, b) == pytest.approx(f.integrate(b), abs=1e-12)
+
+
+def test_prefix_sums_agree_2d(small_grid2d):
+    rng = np.random.default_rng(13)
+    f = random_indicator_sum(small_grid2d, rng)
+    for _ in range(50):
+        b = Ball(tuple(rng.uniform(-1.5, 1.5, size=2)), float(rng.uniform(0.05, 2.0)))
+        assert prefix_ball_sum(f, b) == pytest.approx(f.integrate(b), abs=1e-12)
 
 
 def exact_ball_mask(grid, ball):
