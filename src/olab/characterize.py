@@ -18,7 +18,7 @@ from .errors import ConfigError, DomainError, ParameterError, UnrepresentableBal
 from .growth import GrowthFunction
 from .norms import MorreySampling, generalized_orlicz_morrey_norm
 from .operators import maximal, riesz_potential
-from .report import ConditionReport, assess, combine_legs, doubling_schedule
+from .report import ConditionReport, combine_legs, doubling_schedule, node_max, track
 from .sampled import GridSpec, SampledFunction, ball_measure, default_grid, sample_function
 from .young import YoungFunction
 
@@ -139,28 +139,25 @@ def check_condition(
     except Exception as exc:
         raise ConfigError(f"growth function not evaluable on the range: {exc}") from exc
 
-    constants, witnesses = [], []
-    for r_max in schedule:
-        s = s_all[s_all <= r_max * (1 + 1e-12)]
-        outer = (s >= 1.0 / r_max * (1 - 1e-12)) & np.isin(s, t_grid, assume_unique=False)
-        if not np.any(outer):
-            constants.append(0.0)
-            witnesses.append(np.nan)
-            continue
-        pv = phi_s[: len(s)]
-        ratio = _condition_ratio(kind, s, pv, phi, alpha, beta, n)
-        vals = np.where(outer, ratio, -np.inf)
-        i = int(np.argmax(vals))
-        constants.append(float(vals[i]))
-        witnesses.append(float(s[i]))
+    on_t = np.isin(s_all, t_grid)
 
-    constants = np.maximum.accumulate(np.asarray(constants)).tolist()
+    def measure(window):
+        if not np.any(on_t[window]):
+            return 0.0, np.nan
+        # inner suprema/integrals run up to the window's top node
+        s = s_all[: window.stop]
+        ratio = _condition_ratio(kind, s, phi_s[: window.stop], phi, alpha, beta, n)
+        vals = np.where(on_t[window], ratio[window], -np.inf)
+        i = int(np.argmax(vals))
+        return float(vals[i]), float(s[window][i])
+
+    constants, witnesses, verdict = track(s_all, [(1.0 / r_max, r_max) for r_max in schedule], measure)
     return ConditionReport(
         condition=kind,
         params=setup.config() | {"t_min": float(t_grid[0]), "t_max": float(t_grid[-1])},
         schedule=list(schedule),
         constants=constants,
-        verdict=assess(constants),
+        verdict=verdict,
         witness=witnesses[-1] if witnesses else None,
     )
 
@@ -215,17 +212,11 @@ def check_membership(
 
     if membership == "omega":
         inv_meas = phi.inverse(1.0 / np.array([ball_measure(n, x) for x in t_grid]))
-        upper_ratio = inv_meas / pv
-        t0 = t_grid[0]
-        upper, lower = [], []
-        for r_max in schedule:
-            sel = (t_grid > t0) & (t_grid <= r_max * (1 + 1e-12))
-            upper.append(float(np.max(upper_ratio[sel])) if np.any(sel) else 0.0)
-        for r_max in schedule:
-            r_min = 1.0 / r_max
-            sel = (t_grid >= r_min * (1 - 1e-12)) & (t_grid < 1.0)
-            lower.append(float(np.max(1.0 / pv[sel])) if np.any(sel) else 0.0)
-        v_up, v_low = assess(upper), assess(lower)
+        # the legs' strict edges r > t0 and r < 1 as -inf values
+        upper_ratio = np.where(t_grid > t_grid[0], inv_meas / pv, -np.inf)
+        lower_ratio = np.where(t_grid < 1.0, 1.0 / pv, -np.inf)
+        upper, _, v_up = track(t_grid, [(t_grid[0], r_max) for r_max in schedule], node_max(t_grid, upper_ratio))
+        lower, _, v_low = track(t_grid, [(1.0 / r_max, 1.0) for r_max in schedule], node_max(t_grid, lower_ratio))
         return ConditionReport(
             condition="membership-omega",
             params=params,
@@ -240,29 +231,24 @@ def check_membership(
 
     inv_meas = phi.inverse(t_grid ** (-float(n)))
     psi_vals = pv / inv_meas
-    constants, witnesses = [], []
-    for r_max in schedule:
-        sel = (t_grid >= 1.0 / r_max * (1 - 1e-12)) & (t_grid <= r_max * (1 + 1e-12))
-        w = t_grid[sel]
-        if w.size < 2:
-            constants.append(1.0)
-            witnesses.append(np.nan)
-            continue
-        pw = pv[sel]
-        qw = psi_vals[sel]
+
+    def measure(window):
+        pw, qw = pv[window], psi_vals[window]
+        if pw.size < 2:
+            return 1.0, np.nan
         # almost decreasing: sup_{r <= s} varphi(s)/varphi(r)
         c_dec = float(np.max(pw / np.minimum.accumulate(pw)))
         # almost increasing: sup_{r <= s} psi(r)/psi(s)
         c_inc = float(np.max(np.maximum.accumulate(qw) / qw))
-        constants.append(max(c_dec, c_inc, 1.0))
-        witnesses.append(float(w[-1]))
-    constants = np.maximum.accumulate(np.asarray(constants)).tolist()
+        return max(c_dec, c_inc, 1.0), float(t_grid[window][-1])
+
+    constants, witnesses, verdict = track(t_grid, [(1.0 / r_max, r_max) for r_max in schedule], measure)
     return ConditionReport(
         condition="membership-g",
         params=params,
         schedule=list(schedule),
         constants=constants,
-        verdict=assess(constants),
+        verdict=verdict,
         witness=witnesses[-1],
     )
 

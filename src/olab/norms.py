@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .growth import GrowthFunction
-from .report import ConditionReport, assess, combine_legs
+from .report import ConditionReport, combine_legs, node_max, track
 from .sampled import Ball, GridSpec, SampledFunction, ball_measure, cell_window, default_grid, sample_function
 from .young import ComposedPowerYoung, LinearCappedYoung, PowerYoung, TabulatedYoung, YoungFunction
 
@@ -348,17 +348,11 @@ def triviality_probe(
     sampling = MorreySampling(r_min=float(ladder[0]), r_max=float(ladder[-1]), n_radii=len(ladder))
     centers = sampling.centers(f)
     vals = _morrey_matrix(f, phi, varphi, centers, ladder, weak=False)
-    col_max = vals.max(axis=0)
-
-    def window_sup(rlo, rhi):
-        sel = (ladder >= rlo * (1 - 1e-12)) & (ladder <= rhi * (1 + 1e-12))
-        return float(col_max[sel].max()) if np.any(sel) else 0.0
-
+    col_max = node_max(ladder, vals.max(axis=0))
     r_min0 = 4 * grid.h
-    upper = [window_sup(r_min0, R) for R in schedule]
     lower_steps = [r_min0 / 2**k for k in range(r_min_steps)]
-    lower = [window_sup(r, max(schedule)) for r in lower_steps]
-    v_up, v_low = assess(upper), assess(lower)
+    upper, _, v_up = track(ladder, [(r_min0, r_max) for r_max in schedule], col_max)
+    lower, _, v_low = track(ladder, [(r_min, max(schedule)) for r_min in lower_steps], col_max)
     return ConditionReport(
         condition="triviality",
         params={"young": phi.config(), "growth": varphi.config(), "n": grid.n},

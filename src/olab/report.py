@@ -5,6 +5,14 @@ empirical best constant C is recomputed while the probed range widens on a
 doubling schedule, and the trend of the C-sequence decides the verdict.
 A genuine power-law blow-up keeps growing as the range widens; a bounded
 condition plateaus.
+
+Which nodes of a sorted grid a probed range covers is decided here alone,
+by ``track``, for every verdict: node t lies in the window (lo, hi) iff
+
+    lo * (1 - 1e-12)  <=  t  <=  hi * (1 + 1e-12),
+
+so edge nodes stay inside whatever the rounding of the grid.  A probe with
+a strict edge gives the nodes it excludes the value -inf.
 """
 
 from __future__ import annotations
@@ -79,6 +87,42 @@ def assess(constants) -> str:
     if np.all(tail <= 1.0 + STABILITY_TOL):
         return HOLDS_STABLE
     return INCONCLUSIVE
+
+
+# Relative slack of the window rule in the module docstring.
+_WINDOW_SLACK = 1e-12
+
+
+def track(nodes, windows, measure):
+    """Best constants of ``measure`` over windows (lo, hi) of the sorted ``nodes``.
+
+    ``measure`` maps the slice of ``nodes`` inside one window to (constant,
+    witness) and decides what an empty window gives.  The constants are made
+    nondecreasing, as suprema over nested windows, before ``assess`` reads
+    them.  Returns (constants, witnesses, verdict).
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    found = [measure(slice(np.searchsorted(nodes, lo * (1 - _WINDOW_SLACK)),
+                           np.searchsorted(nodes, hi * (1 + _WINDOW_SLACK), side="right")))
+             for lo, hi in windows]
+    constants = np.maximum.accumulate(np.array([c for c, _ in found], dtype=float)).tolist()
+    return constants, [w for _, w in found], assess(constants)
+
+
+def node_max(nodes, values):
+    """Measure for ``track``: the largest per-node value in a window and its node.
+
+    A window whose values are all -inf, or that holds no node, gives (0.0, nan).
+    """
+
+    def measure(window):
+        v = values[window]
+        if np.all(v == -np.inf):
+            return 0.0, np.nan
+        i = int(np.argmax(v))
+        return float(v[i]), float(nodes[window][i])
+
+    return measure
 
 
 def combine_legs(v_up: str, v_low: str) -> str:

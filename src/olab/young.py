@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
-from .report import ConditionReport, assess, doubling_schedule
+from .report import ConditionReport, doubling_schedule, track
 
 __all__ = [
     "YoungFunction",
@@ -372,12 +372,6 @@ def young_from_config(cfg: dict) -> YoungFunction:
         raise ConfigError(f"missing parameter {exc} for Young kind {kind!r}") from exc
 
 
-def _growth_windows(t_grid, schedule):
-    for r_max in schedule:
-        window = t_grid[(t_grid >= 1.0 / r_max - 1e-15) & (t_grid <= r_max + 1e-15)]
-        yield r_max, window
-
-
 _NABLA2_CANDIDATES = np.geomspace(1.0, 2.0**10, 41)  # contains 2 exactly
 
 
@@ -390,37 +384,26 @@ def classify_growth(phi: YoungFunction, growth_class: str, t_grid=None, schedule
     """
     if t_grid is None:
         t_grid = np.geomspace(2.0**-10, 2.0**10, 321)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.sort(np.asarray(t_grid, dtype=float))
     if np.any(t_grid <= 0):
         raise DomainError("t grid must be positive")
     if schedule is None:
         schedule = doubling_schedule()
+    if growth_class not in _GROWTH_CLASSES:
+        raise ConfigError(f"unknown growth class {growth_class!r}")
+    constant = _GROWTH_CLASSES[growth_class]
 
-    constants, witnesses = [], []
-    for r_max, window in _growth_windows(np.sort(t_grid), schedule):
-        if window.size == 0:
-            constants.append(0.0)
-            witnesses.append(np.nan)
-            continue
-        if growth_class == "delta2":
-            c, w = _delta2_constant(phi, window)
-        elif growth_class == "nabla2":
-            c, w = _nabla2_constant(phi, window)
-        elif growth_class == "delta_prime":
-            c, w = _delta_prime_constant(phi, window)
-        else:
-            raise ConfigError(f"unknown growth class {growth_class!r}")
-        constants.append(c)
-        witnesses.append(w)
+    def measure(window):
+        nodes = t_grid[window]
+        return constant(phi, nodes) if nodes.size else (0.0, np.nan)
 
-    # suprema over nested windows: enforce monotonicity against float noise
-    constants = np.maximum.accumulate(np.asarray(constants)).tolist()
+    constants, witnesses, verdict = track(t_grid, [(1.0 / r_max, r_max) for r_max in schedule], measure)
     return ConditionReport(
         condition=f"young-{growth_class}",
-        params={"young": phi.config(), "t_min": float(t_grid.min()), "t_max": float(t_grid.max())},
+        params={"young": phi.config(), "t_min": float(t_grid[0]), "t_max": float(t_grid[-1])},
         schedule=list(schedule),
         constants=constants,
-        verdict=assess(constants),
+        verdict=verdict,
         witness=witnesses[-1] if witnesses else None,
     )
 
@@ -472,3 +455,6 @@ def _delta_prime_constant(phi, window):
     if not np.isfinite(best) or best < 0:
         return 0.0, np.nan
     return float(best), float(window[i])
+
+
+_GROWTH_CLASSES = {"delta2": _delta2_constant, "nabla2": _nabla2_constant, "delta_prime": _delta_prime_constant}

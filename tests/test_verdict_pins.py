@@ -16,12 +16,15 @@ import pathlib
 import sys
 from functools import partial
 
+import numpy as np
 import pytest
 
 from olab import (
     AdamsSetup,
+    ComposedPowerYoung,
     ExpMinusOneYoung,
     LinearCappedYoung,
+    PowerGrowth,
     PowerLogYoung,
     PowerYoung,
     check_condition,
@@ -31,6 +34,8 @@ from olab import (
     triviality_probe,
 )
 from olab.characterize import CONDITION_KINDS
+from olab.report import doubling_schedule, node_max, track
+from olab.young import _GROWTH_CLASSES
 
 PINS = pathlib.Path(__file__).with_name("verdict_pins.json")
 
@@ -122,6 +127,40 @@ def test_same_is_strict():
     assert same([1.0, float("nan")], [1.0, float("nan")])
     assert not same([1.0], [1.0 + 4e-16])
     assert not same({"a": None}, {"a": 0.0})
+
+
+# classify_growth's default grid; np.geomspace rounds its node 2^9 to 512.0000000000001
+CLASSIFY_GRID = np.geomspace(2.0**-10, 2.0**10, 321)
+
+
+def test_window_keeps_rounded_edge_node():
+    edge = CLASSIFY_GRID[304]
+    assert 512.0 + 1e-15 < edge < 512.0 * (1 + 1e-12)
+    _, witnesses, _ = track(CLASSIFY_GRID, [(1.0 / 512, 512.0)], node_max(CLASSIFY_GRID, CLASSIFY_GRID))
+    assert witnesses == [edge]
+
+
+@pytest.mark.parametrize("growth_class", sorted(_GROWTH_CLASSES))
+def test_classify_constants_unmoved_by_window_rule(growth_class):
+    """The relative window edge adds node 512.0000000000001 at r_max = 512 and moves no shipped constant."""
+    constant = _GROWTH_CLASSES[growth_class]
+    shipped = [PowerYoung(1), P2, PowerYoung(3, scale=0.5), PowerLogYoung(1, 1), PowerLogYoung(2, 0.5), EXP,
+               LinearCappedYoung(), ComposedPowerYoung(P2, 0.5), ComposedPowerYoung(EXP, 0.5), EXP.conjugate()]
+    t = CLASSIFY_GRID
+    for phi in shipped:
+        # the absolute 1e-15 slack the windows had before the shared rule
+        absolute = [constant(phi, t[(t >= 1.0 / r - 1e-15) & (t <= r + 1e-15)])[0] for r in doubling_schedule()]
+        assert classify_growth(phi, growth_class).constants == np.maximum.accumulate(absolute).tolist(), phi
+
+
+def test_omega_legs_keep_strict_edges():
+    # 1/varphi(r) = r peaks at the excluded node 1.0 of the lower leg (r < 1)
+    t = np.array([0.25, 0.5, 1.0, 2.0])
+    rep = check_membership(PowerGrowth(-1.0), P2, "omega", t_grid=t, schedule=[4.0])
+    assert rep.details["lower"]["values"] == [0.5]
+    # a window holding only t0 is empty for the upper leg (r > t0)
+    rep = check_membership(PowerGrowth(-1.0), P2, "omega", t_grid=t, schedule=[0.25])
+    assert rep.details["upper"]["values"] == [0.0]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
