@@ -93,6 +93,15 @@ def _witness_fields(ev):
     return center, _fmt(ev.witness.radius)
 
 
+def _growth_from_args(args, phi, n):
+    """The growth function of --growth, else of --lambda, else None."""
+    if args.growth is not None:
+        return growth_from_config(_load_json(args.growth), phi=phi, n=n)
+    if args.lam is not None:
+        return growth_from_lambda(phi, args.lam, n=n)
+    return None
+
+
 def _setup_from_config(cfg: dict) -> tuple[AdamsSetup, dict]:
     if not isinstance(cfg, dict):
         raise ConfigError("setup config must be a JSON object")
@@ -142,11 +151,8 @@ def _cmd_norm(args):
     grid = _grid_from_args(args)
     f = sample_function(grid, _load_json(args.input))
     phi = young_from_config(_load_json(args.young))
-    if args.growth is not None or getattr(args, "lam", None) is not None:
-        if args.growth is not None:
-            varphi = growth_from_config(_load_json(args.growth), phi=phi, n=grid.n)
-        else:
-            varphi = growth_from_lambda(phi, args.lam, n=grid.n)
+    varphi = _growth_from_args(args, phi, grid.n)
+    if varphi is not None:
         ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=args.weak)
         trunc = ev.truncation or {}
         wc, wr = _witness_fields(ev)
@@ -228,13 +234,7 @@ def _cmd_adams(args):
     rows_out = estimate_operator_norm(
         setup, operator=args.operator, target=args.target, family=family, grid=grid
     )
-    rows = []
-    for r in rows_out:
-        wc, wr = ("", "")
-        if r.witness is not None:
-            wc = "/".join(_fmt(c) for c in r.witness.center)
-            wr = _fmt(r.witness.radius)
-        rows.append([r.test_id, r.source, r.target, r.ratio, wc, wr, r.note])
+    rows = [[r.test_id, r.source, r.target, r.ratio, *_witness_fields(r), r.note] for r in rows_out]
     _write_csv(args.out, ["test_id", "source_norm", "target_norm", "ratio",
                           "witness_center", "witness_radius", "note"], rows)
     ratios = [r.ratio for r in rows_out if not np.isnan(r.ratio)]
@@ -254,11 +254,8 @@ def _cmd_probe(args):
     started = time.time()
     phi = young_from_config(_load_json(args.young))
     grid = _grid_from_args(args)
-    if args.growth is not None:
-        varphi = growth_from_config(_load_json(args.growth), phi=phi, n=grid.n)
-    elif args.lam is not None:
-        varphi = growth_from_lambda(phi, args.lam, n=grid.n)
-    else:
+    varphi = _growth_from_args(args, phi, grid.n)
+    if varphi is None:
         raise ConfigError("probe needs --growth or --lambda")
     rep = triviality_probe(phi, varphi, grid=grid)
     rows = []

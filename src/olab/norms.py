@@ -176,8 +176,8 @@ class MorreySampling:
         return cls(r_min=4 * grid.h, r_max=2 * grid.extent)
 
     def radii(self) -> np.ndarray:
-        if self.n_radii < 1 or self.r_min <= 0 or self.r_max < self.r_min:
-            raise ConfigError("empty radius sampling")
+        if self.n_radii < 1 or not 0 < self.r_min <= self.r_max < np.inf:
+            raise ConfigError(f"radius sampling needs 0 < r_min <= r_max < inf, got [{self.r_min}, {self.r_max}]")
         return np.geomspace(self.r_min, self.r_max, self.n_radii)
 
     def centers(self, f: SampledFunction) -> list[tuple]:
@@ -292,11 +292,10 @@ def _morrey_matrix(f, phi, varphi, centers, radii, weak):
 
 def _argmax_witness(vals: np.ndarray, centers, radii):
     best = np.max(vals)
-    ties = np.argwhere(vals == best)
-    # smallest radius first, then lexicographic center
-    order = sorted((radii[j], centers[i]) for i, j in ties)
-    r, c = order[0]
-    return float(best), Ball(c, float(r))
+    i, j = np.nonzero(vals == best)
+    # smallest radius first, then lexicographic center (lexsort's last key is the primary one)
+    first = np.lexsort((*np.asarray(centers)[i].T[::-1], np.asarray(radii)[j]))[0]
+    return float(best), Ball(centers[i[first]], float(radii[j[first]]))
 
 
 def generalized_orlicz_morrey_norm(

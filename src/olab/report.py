@@ -6,13 +6,10 @@ doubling schedule, and the trend of the C-sequence decides the verdict.
 A genuine power-law blow-up keeps growing as the range widens; a bounded
 condition plateaus.
 
-Which nodes of a sorted grid a probed range covers is decided here alone,
-by ``track``, for every verdict: node t lies in the window (lo, hi) iff
-
-    lo * (1 - 1e-12)  <=  t  <=  hi * (1 + 1e-12),
-
-so edge nodes stay inside whatever the rounding of the grid.  A probe with
-a strict edge gives the nodes it excludes the value -inf.
+Every verdict asks ``track`` which nodes of a sorted grid a probed range
+covers: node t lies in the window (lo, hi) iff lo(1 - 1e-12) <= t <=
+hi(1 + 1e-12), so edge nodes stay inside whatever the rounding.  A probe
+with a strict edge gives the nodes it excludes the value -inf.
 """
 
 from __future__ import annotations
@@ -89,31 +86,23 @@ def assess(constants) -> str:
     return INCONCLUSIVE
 
 
-# Relative slack of the window rule in the module docstring.
-_WINDOW_SLACK = 1e-12
-
-
 def track(nodes, windows, measure):
-    """Best constants of ``measure`` over windows (lo, hi) of the sorted ``nodes``.
+    """(constants, witnesses, verdict) of ``measure`` over windows (lo, hi) of the sorted ``nodes``.
 
-    ``measure`` maps the slice of ``nodes`` inside one window to (constant,
-    witness) and decides what an empty window gives.  The constants are made
-    nondecreasing, as suprema over nested windows, before ``assess`` reads
-    them.  Returns (constants, witnesses, verdict).
+    ``measure`` maps the slice of nodes in one window to (constant, witness),
+    empty windows included; the constants are made nondecreasing, as suprema
+    over nested windows, before ``assess`` reads them.
     """
     nodes = np.asarray(nodes, dtype=float)
-    found = [measure(slice(np.searchsorted(nodes, lo * (1 - _WINDOW_SLACK)),
-                           np.searchsorted(nodes, hi * (1 + _WINDOW_SLACK), side="right")))
+    found = [measure(slice(np.searchsorted(nodes, lo * (1 - 1e-12)),
+                           np.searchsorted(nodes, hi * (1 + 1e-12), side="right")))
              for lo, hi in windows]
     constants = np.maximum.accumulate(np.array([c for c, _ in found], dtype=float)).tolist()
     return constants, [w for _, w in found], assess(constants)
 
 
 def node_max(nodes, values):
-    """Measure for ``track``: the largest per-node value in a window and its node.
-
-    A window whose values are all -inf, or that holds no node, gives (0.0, nan).
-    """
+    """Measure for ``track``: the top per-node value in a window and its node; (0.0, nan) if all are -inf."""
 
     def measure(window):
         v = values[window]

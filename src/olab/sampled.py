@@ -31,6 +31,7 @@ __all__ = [
     "Ball",
     "SampledFunction",
     "ball_measure",
+    "ball_mask",
     "cell_window",
     "half_width",
     "sample_function",
@@ -152,6 +153,21 @@ def cell_window(grid: GridSpec, center, radius):
     return k_lo, k_hi
 
 
+def ball_mask(grid: GridSpec, ball: Ball) -> np.ndarray:
+    """Cells the ball covers, by the rule in the module docstring."""
+    if ball.n != grid.n:
+        raise DomainError("ball dimension does not match grid dimension")
+    k = np.arange(grid.cells_per_axis)
+    t = ball.radius
+    a, b = _axis_bounds(grid, ball.center[0], t)
+    if grid.n == 1:
+        return (k >= a) & (k <= b)
+    d = grid.axis_centers() - ball.center[0]
+    lo, hi = _axis_bounds(grid, ball.center[1], np.sqrt(np.maximum(t * t - d**2, 0.0)))
+    hi = np.where((k >= a) & (k <= b), hi, -1.0)  # rows outside the window cover no column
+    return (k >= lo[:, None]) & (k <= hi[:, None])
+
+
 def half_width(grid: GridSpec, radius):
     """Cells covered on each side of the center cell by balls centered on a cell.
 
@@ -180,18 +196,7 @@ class SampledFunction:
 
     def ball_mask(self, ball: Ball) -> np.ndarray:
         """Cells the ball covers, by the rule in the module docstring."""
-        g = self.grid
-        if ball.n != g.n:
-            raise DomainError("ball dimension does not match grid dimension")
-        k = np.arange(g.cells_per_axis)
-        t = ball.radius
-        a, b = _axis_bounds(g, ball.center[0], t)
-        if g.n == 1:
-            return (k >= a) & (k <= b)
-        d = g.axis_centers() - ball.center[0]
-        lo, hi = _axis_bounds(g, ball.center[1], np.sqrt(np.maximum(t * t - d**2, 0.0)))
-        hi = np.where((k >= a) & (k <= b), hi, -1.0)  # rows outside the window cover no column
-        return (k >= lo[:, None]) & (k <= hi[:, None])
+        return ball_mask(self.grid, ball)
 
     def ball_values(self, ball: Ball) -> np.ndarray:
         return self.values[self.ball_mask(ball)]
@@ -269,8 +274,7 @@ def _term_values(grid: GridSpec, cfg: dict) -> np.ndarray:
     if kind == "ball_indicator":
         ball = Ball(center, _finite(cfg["radius"], "radius"))
         grid.require_ball(ball)
-        d2 = _radial_dist2(grid, center)
-        return (d2 <= ball.radius**2).astype(float)
+        return ball_mask(grid, ball).astype(float)
     if kind == "power_decay":
         gamma = _finite(cfg["gamma"], "gamma")
         radius = _finite(cfg["radius"], "radius")
@@ -280,7 +284,7 @@ def _term_values(grid: GridSpec, cfg: dict) -> np.ndarray:
         grid.require_ball(ball)
         d2 = _radial_dist2(grid, center)
         with np.errstate(divide="ignore"):
-            vals = np.where(d2 <= radius**2, d2 ** (-gamma / 2.0), 0.0)
+            vals = np.where(ball_mask(grid, ball), d2 ** (-gamma / 2.0), 0.0)
         singular = d2 <= (1e-12 * grid.h) ** 2
         if np.any(singular):
             # analytic cell average around the singularity (midpoint value is inf)

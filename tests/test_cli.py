@@ -191,6 +191,26 @@ def test_probe_and_classify(capsys):
     assert "diverges" in out
 
 
+@pytest.mark.parametrize("command", ["norm", "probe"])
+def test_growth_takes_precedence_over_lambda(capsys, tmp_path, command):
+    growth = '{"kind":"power","exponent":-0.25}'
+    extra = ["--input", BALL] if command == "norm" else []
+    small = ["--grid-h", "0.125", "--grid-extent", "4"]
+    outputs = []
+    for flags in (["--growth", growth], ["--growth", growth, "--lambda", "0.9"]):
+        path = tmp_path / f"{command}{len(outputs)}.csv"
+        code, _, _ = run(capsys, command, "--young", P2, *extra, *small, *flags, "--out", str(path))
+        assert code == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_probe_without_growth_is_status_2(capsys):
+    code, _, err = run(capsys, "probe", "--young", P2)
+    assert code == 2
+    assert "--growth or --lambda" in err
+
+
 def test_adams_subcommand(capsys, tmp_path):
     setup = tmp_path / "setup.json"
     setup.write_text(json.dumps(

@@ -21,7 +21,15 @@ from olab import (
     weak_orlicz_norm,
 )
 from olab.errors import ConfigError
-from olab.norms import NORM_REL_TOL, _ball_gauge_matrix, _lux_gauge, _power_form, _weak_gauge
+from olab.norms import (
+    NORM_REL_TOL,
+    _argmax_witness,
+    _ball_gauge_matrix,
+    _lux_gauge,
+    _morrey_matrix,
+    _power_form,
+    _weak_gauge,
+)
 from olab.sampled import cell_window
 
 from conftest import PIN_GRIDS, random_indicator_sum, stepped_function
@@ -197,6 +205,38 @@ def test_morrey_empty_sampling_rejected(unit_indicator):
             unit_indicator, P2, PowerGrowth(-0.25),
             sampling=MorreySampling(r_min=1.0, r_max=0.5),
         )
+
+
+@pytest.mark.parametrize("r_min, r_max", [(np.nan, 1.0), (0.5, np.nan), (0.5, np.inf)])
+def test_morrey_non_finite_sampling_rejected(r_min, r_max):
+    g = GridSpec(1, 1 / 8, 2.0)
+    f = sample_function(g, {"type": "ball_indicator", "center": (0.0,), "radius": 1.0})
+    with pytest.raises(ConfigError):
+        generalized_orlicz_morrey_norm(f, P2, PowerGrowth(-0.5), sampling=MorreySampling(r_min=r_min, r_max=r_max))
+
+
+def tuple_sort_witness(vals, centers, radii):
+    """Reference tie-break: the first of the tied (radius, center) tuples in Python's order."""
+    best = np.max(vals)
+    r, c = min((radii[j], centers[i]) for i, j in np.argwhere(vals == best))
+    return float(best), Ball(c, float(r))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 4.0), GridSpec(2, 1 / 8, 0.5)], ids=["1d", "2d"])
+def test_argmax_witness_matches_tuple_sort(grid):
+    # at lambda = 0 every ball covering the whole support ties for the sup
+    f = sample_function(grid, {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": 0.5})
+    sampling = MorreySampling(r_min=grid.h, r_max=2 * grid.extent, n_radii=8, center_stride=2)
+    centers = sampling.centers(f)
+    radii = sampling.radii()
+    assert centers[-1] == f.support_centroid()
+    vals = _morrey_matrix(f, P2, growth_from_lambda(P2, 0.0, n=grid.n), centers, radii, weak=False)
+    assert np.count_nonzero(vals == vals.max()) > 10
+    assert _argmax_witness(vals, centers, radii) == tuple_sort_witness(vals, centers, radii)
+    # integer values: ties everywhere, across radii and centers
+    for seed in range(20):
+        ties = np.random.default_rng(seed).integers(0, 3, vals.shape).astype(float)
+        assert _argmax_witness(ties, centers, radii) == tuple_sort_witness(ties, centers, radii)
 
 
 def test_fast_paths_agree_with_bisection(grid64):

@@ -248,6 +248,18 @@ def test_ball_mask_keeps_cells_within_slack(k):
             assert np.array_equal(f.ball_mask(exact), exact_ball_mask(g, exact))
 
 
+def test_indicator_covers_the_ball_mask_cells():
+    # inside the 1e-9-cell slack the exact d^2 <= r^2 gives 25 cells, the cell rule 29
+    g = GridSpec(2, 1 / 16, 0.5)
+    ball = Ball((g.h / 2, g.h / 2), 3 * g.h * (1 - 1e-12))
+    f = sample_function(g, {"type": "ball_indicator", "center": ball.center, "radius": ball.radius})
+    mask = f.ball_mask(ball)
+    assert mask.sum() == 29
+    assert np.array_equal(f.values > 0, mask)
+    decay = sample_function(g, {"type": "power_decay", "gamma": 0.5, "center": ball.center, "radius": ball.radius})
+    assert np.array_equal(decay.values > 0, mask)
+
+
 def test_2d_disk_measure(small_grid2d):
     f = sample_function(small_grid2d, {"type": "ball_indicator", "center": (0.0, 0.0), "radius": 1.0})
     assert f.integrate() == pytest.approx(np.pi, rel=0.02)

@@ -138,6 +138,15 @@ def test_window_keeps_rounded_edge_node():
     assert 512.0 + 1e-15 < edge < 512.0 * (1 + 1e-12)
     _, witnesses, _ = track(CLASSIFY_GRID, [(1.0 / 512, 512.0)], node_max(CLASSIFY_GRID, CLASSIFY_GRID))
     assert witnesses == [edge]
+    # the lower edge is relative too: 1 - 1e-13 lies in the window (1, 2)
+    nodes = np.array([1.0 - 1e-13, 2.0])
+    assert track(nodes, [(1.0, 2.0)], node_max(nodes, np.array([5.0, 1.0])))[:2] == ([5.0], [nodes[0]])
+
+
+def test_track_constants_nondecreasing():
+    nodes = np.array([1.0, 2.0, 4.0])
+    constants, witnesses, verdict = track(nodes, [(1.0, 4.0), (1.0, 2.0)], node_max(nodes, nodes))
+    assert (constants, witnesses, verdict) == ([4.0, 4.0], [4.0, 2.0], "holds-stable")
 
 
 @pytest.mark.parametrize("growth_class", sorted(_GROWTH_CLASSES))
