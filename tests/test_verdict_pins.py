@@ -42,19 +42,16 @@ PINS = pathlib.Path(__file__).with_name("verdict_pins.json")
 P2 = PowerYoung(2)
 EXP = ExpMinusOneYoung()
 MEMBERSHIP_YOUNG = {"power": P2, "power_log": PowerLogYoung(2, 1), "exp_minus_one": EXP}
+CLASSIFY_YOUNG = {
+    "power-1": PowerYoung(1),
+    "power-2": P2,
+    "power_log": PowerLogYoung(2, 1),
+    "exp_minus_one": EXP,
+    "linear_capped": LinearCappedYoung(),
+    "tabulated-conjugate": EXP.conjugate(),
+}
 # a schedule whose first windows (1/r_max, r_max) are empty or a single node
 EMPTY_WINDOWS = [0.5, 1.0, 4.0, 16.0]
-
-
-def _classify_young():
-    return {
-        "power-1": PowerYoung(1),
-        "power-2": P2,
-        "power_log": PowerLogYoung(2, 1),
-        "exp_minus_one": EXP,
-        "linear_capped": LinearCappedYoung(),
-        "tabulated-conjugate": EXP.conjugate(),
-    }
 
 
 def cases():
@@ -75,7 +72,7 @@ def cases():
                     check_membership, varphi, phi, membership)
                 out[f"membership/{membership}/{name}/lam={lam}/schedule=0.5,1,4"] = partial(
                     check_membership, varphi, phi, membership, schedule=[0.5, 1.0, 4.0])
-    for name, phi in _classify_young().items():
+    for name, phi in CLASSIFY_YOUNG.items():
         for growth_class in ("delta2", "nabla2", "delta_prime"):
             out[f"classify/{growth_class}/{name}"] = partial(classify_growth, phi, growth_class)
             out[f"classify/{growth_class}/{name}/empty-windows"] = partial(
@@ -153,8 +150,8 @@ def test_track_constants_nondecreasing():
 def test_classify_constants_unmoved_by_window_rule(growth_class):
     """The relative window edge adds node 512.0000000000001 at r_max = 512 and moves no shipped constant."""
     constant = _GROWTH_CLASSES[growth_class]
-    shipped = [PowerYoung(1), P2, PowerYoung(3, scale=0.5), PowerLogYoung(1, 1), PowerLogYoung(2, 0.5), EXP,
-               LinearCappedYoung(), ComposedPowerYoung(P2, 0.5), ComposedPowerYoung(EXP, 0.5), EXP.conjugate()]
+    shipped = [*CLASSIFY_YOUNG.values(), PowerYoung(3, scale=0.5), PowerLogYoung(1, 1),
+               ComposedPowerYoung(P2, 0.5), ComposedPowerYoung(EXP, 0.5)]
     t = CLASSIFY_GRID
     for phi in shipped:
         # the absolute 1e-15 slack the windows had before the shared rule
