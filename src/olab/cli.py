@@ -166,7 +166,7 @@ def _cmd_norm(args):
     if ev.witness is not None:
         summary["witness"] = {"center": list(ev.witness.center), "radius": ev.witness.radius}
     if ev.truncation is not None:
-        summary["truncation"] = ev.truncation
+        summary.update(truncation=ev.truncation, path=ev.path, bisections=ev.bisections)
     _write_summary(args.out, summary, started)
     return 0
 

@@ -5,6 +5,21 @@ the weak variant replaces the integral by sup_t phi(t/lam) d_f(t) with d_f
 the distribution function.  Generalized Orlicz-Morrey norms are suprema of
 phi_inv(|B|^{-1}) * ||f||_{L^Phi(B)} / varphi(r) over a sampled family of
 balls; the attaining ball is returned as a witness.
+
+Ball gauges take one of two paths.  Power kinds on 1-D grids have closed
+forms.  Every other case finds, per radius (and chunk of weak centers), one
+root lam* = min{lam : max_c U_c(lam) <= 1} of bounds U_c >= F_c of the balls'
+constraints, which fall in lam; each step evaluates every ball at once, by
+``sampled.ball_sums`` plus its rounding bound (strong) or on windows sorted
+once (weak: the very products of ``_weak_gauge``).  The values stay those of
+the per-ball bisections (``_lux_gauge``, ``_weak_gauge``, tolerance 1e-9):
+where U_c(lam) <= 1 that bisection ends below lam (1 + 2e-9), bracket ends
+permitting (checked).  So a ball with U_c(mu) <= 1, mu = lam* (1 - 1e-7),
+stays below mu (1 + 2e-9); the others are re-bisected, and if one reaches
+mu (1 + 3e-9) it strictly tops every skipped ball, else the whole column is
+re-bisected.  A column stays below lam* (1 + 2e-9), so columns are taken by
+decreasing lam* * prefactor until that times (1 + 4e-9) falls below the best
+exact entry: no later entry can win or tie.  Skipped entries read 0.
 """
 
 from __future__ import annotations
@@ -16,8 +31,9 @@ import numpy as np
 from .errors import ConfigError
 from .growth import GrowthFunction
 from .report import ConditionReport, combine_legs, node_max, track
-from .sampled import Ball, GridSpec, SampledFunction, ball_measure, cell_window, default_grid, sample_function
-from .young import ComposedPowerYoung, LinearCappedYoung, PowerYoung, TabulatedYoung, YoungFunction
+from .sampled import (Ball, GridSpec, SampledFunction, _row_table, ball_measure, ball_sums, ball_windows, cell_window,
+                      default_grid, sample_function)
+from .young import ComposedPowerYoung, PowerYoung, YoungFunction
 
 __all__ = [
     "NormEvaluation",
@@ -35,6 +51,8 @@ NORM_REL_TOL = 1e-9
 # Bracket for the gauge: [1e-12, 1e12] * max|f|; outside it the norm is
 # reported as 0 or inf.
 _BRACKET_LO, _BRACKET_HI = 1e-12, 1e12
+# Relative margin below a column's root within which balls are re-bisected.
+_MARGIN = 1e-7
 
 
 @dataclass
@@ -45,6 +63,8 @@ class NormEvaluation:
     witness: Ball | None = None
     truncation: dict | None = None
     kind: str = "orlicz"
+    path: str | None = None  # Morrey sups: "closed-form" or "column-root-find"
+    bisections: int = 0  # per-ball gauge bisections made
 
     def __float__(self):
         return float(self.value)
@@ -65,19 +85,6 @@ def _power_form(phi: YoungFunction) -> tuple[float, float] | None:
     return None
 
 
-def _jump_point(phi: YoungFunction) -> float | None:
-    """Location of a jump to infinity, if the kind has one."""
-    if isinstance(phi, LinearCappedYoung):
-        return 1.0
-    if isinstance(phi, TabulatedYoung):
-        j = phi._first_inf_node
-        return float(j) if np.isfinite(j) else None
-    if isinstance(phi, ComposedPowerYoung):
-        j = _jump_point(phi.base)
-        return j**phi.beta if j is not None else None
-    return None
-
-
 def _gauge_bisect(constraint, maxv: float) -> float:
     """Smallest lam with constraint(lam) <= 1, by bisection in log space."""
     lo = _BRACKET_LO * maxv
@@ -94,6 +101,24 @@ def _gauge_bisect(constraint, maxv: float) -> float:
             hi = mid
         else:
             lo = mid
+    return hi
+
+
+def _column_root(constraint, maxv: float) -> float:
+    """``_gauge_bisect``'s root, by Illinois regula falsi on log constraint against log lam.
+
+    Where the constraint is 0 or inf at a bracket end the step halves instead.
+    """
+    lo, hi, side = _BRACKET_LO * maxv, _BRACKET_HI * maxv + 1e-300, 0
+    y_lo, y_hi = np.log(constraint(lo)), np.log(constraint(hi))
+    if y_hi > 0 or y_lo <= 0:
+        return np.inf if y_hi > 0 else lo
+    while hi - lo > NORM_REL_TOL * hi:
+        mid = lo * (hi / lo) ** (np.clip(y_lo / (y_lo - y_hi), 0.01, 0.99) if np.isfinite(y_lo - y_hi) else 0.5)
+        if (y := np.log(constraint(mid))) <= 0:
+            hi, y_hi, y_lo, side = mid, y, y_lo / (2 if side == 1 else 1), 1
+        else:
+            lo, y_lo, y_hi, side = mid, y, y_hi / (2 if side == -1 else 1), -1
     return hi
 
 
@@ -121,21 +146,13 @@ def _weak_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction) -> float:
     if np.isinf(maxv):
         return np.inf
     # measure{f >= v} for v running through the sorted values; duplicates are
-    # dominated by the last entry of their run, so no dedup is needed
+    # dominated by the last entry of their run, so no dedup is needed.  A jump
+    # of phi at t/lam adds nothing: the least value above t has rank |{f > t}|.
     meas = cellvol * np.arange(1, pos.size + 1)
-    jump = _jump_point(phi)
 
     def constraint(lam):
         with np.errstate(over="ignore"):
-            best = float(np.max(phi(pos / lam) * meas))
-        if jump is not None:
-            # sup over the constancy interval straddling the jump of phi(t/lam)
-            for t in (lam * jump * (1 - 1e-12), lam * jump * (1 + 1e-12)):
-                d = cellvol * float(np.count_nonzero(pos > t))
-                if d > 0:
-                    with np.errstate(over="ignore"):
-                        best = max(best, float(phi(np.array([t / lam]))[0]) * d)
-        return best
+            return float(np.max(phi(pos / lam) * meas))
 
     return _gauge_bisect(constraint, maxv)
 
@@ -245,49 +262,94 @@ def _weak_power_sups(vp, cellvol, k_lo, k_hi):
     return out
 
 
-def _ball_gauge_matrix(f, phi, centers, radii, weak):
-    """Ball Orlicz gauges for every (center, radius) pair.
+def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
+    """Ball Orlicz gauges per (center, radius) pair, and the per-ball bisections (None: closed form).
 
     Power kinds scale * t**p on 1-D grids go through closed forms: prefix
     sums of f**p for the strong gauge, and for the weak one the order
     statistics sup_k v_(k)**p * |{f >= v_(k)}| of each ball, merged across
-    the nested windows of one center (``_weak_power_sups``), which forms
-    the same products as sorting each ball on its own.  Both agree with the
-    bisection gauges to their tolerance and are exercised against per-ball
-    references in tests.
+    the nested windows of one center (``_weak_power_sups``).  Else the column
+    root-find gives the entries that can attain the sup of gauge * prefactor
+    (with no prefactor, each column's maximum); the rest read 0.
     """
     cellvol = f.grid.cell_volume
-    n_c, n_r = len(centers), len(radii)
-    out = np.zeros((n_c, n_r))
-    power = _power_form(phi)
-    fast = power is not None and f.grid.n == 1 and np.all(np.isfinite(f.values))
-    if fast:
-        p, scale = power
-        cen = np.asarray([c[0] for c in centers])
-        radii = np.asarray(radii, dtype=float)
-        k_lo, k_hi = cell_window(f.grid, cen[:, None], radii[None, :])
-        if not weak:
-            prefix = np.concatenate([[0.0], np.cumsum(f.values**p)])
-            sums = prefix[np.minimum(k_hi + 1, len(prefix) - 1)] - prefix[k_lo]
-            sums = np.where(k_lo <= k_hi, sums, 0.0)
-            return (scale * cellvol * sums) ** (1.0 / p)
-        order = np.argsort(radii, kind="stable")
-        out[:, order] = _weak_power_sups(f.values**p, cellvol, k_lo[:, order], k_hi[:, order])
-        return (scale * out) ** (1.0 / p)
-    gauge = _weak_gauge if weak else _lux_gauge
-    for i, c in enumerate(centers):
-        for j, r in enumerate(radii):
-            out[i, j] = gauge(f.ball_values(Ball(c, float(r))), cellvol, phi)
-    return out
-
-
-def _morrey_matrix(f, phi, varphi, centers, radii, weak):
-    """varphi(r)^{-1} phi^{-1}(|B(x,r)|^{-1}) ||f||_{L^Phi(B(x,r))} per pair."""
+    out = np.zeros((len(centers), len(radii)))
     radii = np.asarray(radii, dtype=float)
-    gauges = _ball_gauge_matrix(f, phi, centers, radii, weak)
+    power = _power_form(phi)
+    if power is None or f.grid.n != 1 or not np.all(np.isfinite(f.values)):
+        return _root_find_gauges(f, phi, centers, radii, weak, prefactor)
+    p, scale = power
+    cen = np.asarray([c[0] for c in centers])
+    k_lo, k_hi = cell_window(f.grid, cen[:, None], radii[None, :])
+    if not weak:
+        prefix = np.concatenate([[0.0], np.cumsum(f.values**p)])
+        sums = prefix[np.minimum(k_hi + 1, len(prefix) - 1)] - prefix[np.minimum(k_lo, len(prefix) - 1)]
+        sums = np.where(k_lo <= k_hi, sums, 0.0)
+        return (scale * cellvol * sums) ** (1.0 / p), None
+    order = np.argsort(radii, kind="stable")
+    out[:, order] = _weak_power_sups(f.values**p, cellvol, k_lo[:, order], k_hi[:, order])
+    return (scale * out) ** (1.0 / p), None
+
+
+def _root_find_gauges(f, phi, centers, radii, weak, prefactor):
+    """The column root-find of the module docstring: (gauges, per-ball bisections)."""
+    out, cache = np.zeros((len(centers), len(radii))), {}
+    pos = f.values[f.values > 0]
+    if pos.size == 0:
+        return out, 0
+    cellvol, fmax = f.grid.cell_volume, pos.max()
+    # weak: the centers whose windows are sorted together, 2**16 cells' worth or _CENTER_CHUNK
+    step = max(_CENTER_CHUNK, 2**16 // f.values.size) if weak else len(centers)
+    gauge, positives = _weak_gauge if weak else _lux_gauge, np.cumsum(_row_table(f.values > 0), axis=1).ravel()
+    blocks = [(j, c0) for j in range(len(radii)) for c0 in range(0, len(centers), step)]
+
+    def block(j, c0):  # the windows, and lam -> U_c(lam) >= F_c(lam) for their balls
+        w = start, stop = ball_windows(f.grid, centers[c0 : c0 + step], radii[j])
+        if not weak:
+            return w, lambda lam: cellvol * np.add(*ball_sums(phi(f.values / lam), w))
+        k = np.arange(max((stop - start).max(), 1))
+        v = _row_table(f.values).ravel()[np.minimum(start[..., None] + 1 + k, stop[..., None])]
+        v = np.sort(np.where(k < (stop - start)[..., None], v, 0.0).reshape(len(start), -1), axis=1)[:, ::-1]
+        meas = cellvol * np.arange(1, v.shape[1] + 1)
+        return w, lambda lam: np.max(phi(v / lam) * meas, axis=1) * (1 + 4 * np.finfo(float).eps)
+
+    def exact(j, c0, balls, w):  # balls over the same positive cells, or of equal content, share a bisection
+        a, z = positives[w[0][balls]], positives[w[1][balls]]
+        key = np.concatenate([a, z], axis=1) * np.tile(a != z, 2)
+        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        for i in c0 + balls[first]:
+            vals = f.ball_values(Ball(centers[i], float(radii[j])))
+            content = vals[vals > 0].tobytes()
+            out[i, j] = cache[content] = cache[content] if content in cache else gauge(vals, cellvol, phi)
+        out[c0 + balls, j] = out[c0 + balls[first], j][inverse.ravel()]
+        return out[c0 + balls, j]
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stars = np.array([np.inf if np.isinf(fmax) else _column_root(lambda lam: up(lam).max(), fmax)
+                          for _, up in (block(*b) for b in blocks)])
+        # no per-ball bisection can end at its upper bracket end, inf
+        sane, every_column = cellvol * f.values.size * phi(2 * _BRACKET_LO) < 0.5, prefactor is None
+        pref, best = np.ones(len(radii)) if every_column else prefactor, -np.inf
+        for b in np.argsort(-stars * pref[[j for j, _ in blocks]], kind="stable"):
+            (j, c0), lam = blocks[b], stars[b]
+            if sane and not every_column and lam * pref[j] * (1 + 4e-9) < best:
+                break
+            w, upper = block(j, c0)
+            mu = lam * (1 - _MARGIN)
+            brackets = sane and _BRACKET_LO * fmax < mu  # no per-ball bracket end binds below mu
+            if not (brackets and np.any(exact(j, c0, np.nonzero(upper(mu) > 1)[0], w) >= mu * (1 + 3e-9))):
+                exact(j, c0, np.arange(len(w[0])), w)
+            best = max(best, out[c0 : c0 + step, j].max() * pref[j])
+    return out, len(cache)
+
+
+def _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=False):
+    """varphi(r)^{-1} phi^{-1}(|B(x,r)|^{-1}) ||f||_{L^Phi(B(x,r))} per pair (see ``_ball_gauge_matrix``)."""
+    radii = np.asarray(radii, dtype=float)
     measures = np.array([ball_measure(f.grid.n, r) for r in radii])
     prefactor = phi.inverse(1.0 / measures) / varphi(radii)
-    return gauges * prefactor[None, :]
+    gauges, bisections = _ball_gauge_matrix(f, phi, centers, radii, weak, None if every_column else prefactor)
+    return gauges * prefactor[None, :], bisections
 
 
 def _argmax_witness(vals: np.ndarray, centers, radii):
@@ -309,8 +371,9 @@ def generalized_orlicz_morrey_norm(
     sampling = sampling or MorreySampling.default(f.grid)
     radii = sampling.radii()
     centers = sampling.centers(f)
-    vals = _morrey_matrix(f, phi, varphi, centers, radii, weak)
+    vals, bisections = _morrey_matrix(f, phi, varphi, centers, radii, weak)
     kind = "weak-morrey" if weak else "morrey"
+    path = "closed-form" if bisections is None else "column-root-find"
     trunc = {
         "r_min": float(sampling.r_min),
         "r_max": float(sampling.r_max),
@@ -318,9 +381,7 @@ def generalized_orlicz_morrey_norm(
         + ("+centroid" if sampling.include_centroid else ""),
     }
     best, witness = _argmax_witness(vals, centers, radii)
-    if not np.isfinite(best):
-        return NormEvaluation(float(best), None, trunc, kind)
-    return NormEvaluation(float(best), witness, trunc, kind)
+    return NormEvaluation(float(best), witness if np.isfinite(best) else None, trunc, kind, path, bisections or 0)
 
 
 def triviality_probe(
@@ -346,7 +407,7 @@ def triviality_probe(
     ladder = np.unique(np.concatenate([ladder, [4 * grid.h, grid.h, 1.0], schedule]))
     sampling = MorreySampling(r_min=float(ladder[0]), r_max=float(ladder[-1]), n_radii=len(ladder))
     centers = sampling.centers(f)
-    vals = _morrey_matrix(f, phi, varphi, centers, ladder, weak=False)
+    vals, _ = _morrey_matrix(f, phi, varphi, centers, ladder, weak=False, every_column=True)
     col_max = node_max(ladder, vals.max(axis=0))
     r_min0 = 4 * grid.h
     lower_steps = [r_min0 / 2**k for k in range(r_min_steps)]

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 HOLDS_STABLE = "holds-stable"
 DIVERGES = "diverges"
 INCONCLUSIVE = "inconclusive"
@@ -91,8 +93,12 @@ def track(nodes, windows, measure):
 
     ``measure`` maps the slice of nodes in one window to (constant, witness),
     empty windows included; the constants are made nondecreasing, as suprema
-    over nested windows, before ``assess`` reads them.
+    over nested windows, before ``assess`` reads them.  Each window must
+    contain the one before it (ConfigError otherwise).
     """
+    lo, hi = np.asarray(windows, dtype=float).reshape(-1, 2).T
+    if np.any(lo[1:] > lo[:-1]) or np.any(hi[1:] < hi[:-1]):
+        raise ConfigError(f"each probed window must contain the one before it, got {list(windows)}")
     nodes = np.asarray(nodes, dtype=float)
     found = [measure(slice(np.searchsorted(nodes, lo * (1 - 1e-12)),
                            np.searchsorted(nodes, hi * (1 + 1e-12), side="right")))

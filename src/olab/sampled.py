@@ -32,6 +32,8 @@ __all__ = [
     "SampledFunction",
     "ball_measure",
     "ball_mask",
+    "ball_sums",
+    "ball_windows",
     "cell_window",
     "half_width",
     "sample_function",
@@ -175,6 +177,52 @@ def half_width(grid: GridSpec, radius):
     the grid; broadcasts over radii.
     """
     return cell_window(grid, grid.axis_centers()[0], radius)[1]
+
+
+def _row_table(values) -> np.ndarray:
+    """The cells row by row (one row in 1-D), each row after one leading zero slot."""
+    rows = np.atleast_2d(values)
+    return np.concatenate([np.zeros((len(rows), 1), rows.dtype), rows], axis=1)
+
+
+def ball_windows(grid: GridSpec, centers, radius: float):
+    """Row windows of B(x, radius) for N centers x: slot arrays (start, stop), each (N, rows).
+
+    The cells a ball covers in row i fill the slots start < s <= stop of ``_row_table``, so the
+    row's sum is P[stop] - P[start] in the table's row-wise prefix sums P; missed rows have
+    start == stop.  The rows and their windows follow the rule of the module docstring.
+    """
+    c = np.asarray(centers, dtype=float).reshape(-1, grid.n)
+    m = grid.cells_per_axis
+    lo, hi = cell_window(grid, c[:, :1], radius)
+    if grid.n == 2:
+        inside = (np.arange(m) >= lo) & (np.arange(m) <= hi)
+        d = grid.axis_centers() - c[:, :1]
+        lo, hi = cell_window(grid, c[:, 1:], np.sqrt(np.maximum(radius * radius - d**2, 0.0)))
+        hi = np.where(inside, hi, -1)
+    base = (m + 1) * np.arange(lo.shape[1])
+    lo = np.minimum(lo, m) + base
+    return lo, np.maximum(hi + 1 + base, lo)
+
+
+def ball_sums(values: np.ndarray, windows):
+    """Sums of per-cell ``values`` >= 0 over the balls of ``windows`` and a bound on their rounding.
+
+    One row-prefix table serves every ball.  A window holding an infinite cell sums to inf: a
+    prefix count of infinite cells keeps inf - inf out.  A finite sum differs from the sum of
+    the same cells in any other order by at most the bound, 4 * cells * eps * (finite total):
+    the prefix, difference, row and other-order roundings each stay below cells * eps * total.
+    """
+    start, stop = windows
+    inf = np.isinf(values)
+    finite = np.where(inf, 0.0, values)
+    prefix = np.cumsum(_row_table(finite), axis=1).ravel()
+    sums = (prefix[stop] - prefix[start]).sum(axis=1)
+    if inf.any():
+        count = np.cumsum(_row_table(inf), axis=1).ravel()
+        sums[(count[stop] - count[start]).sum(axis=1) > 0] = np.inf
+    sums[np.isnan(sums)] = np.inf  # the table overflowed
+    return sums, 4 * values.size * np.finfo(float).eps * finite.sum()
 
 
 class SampledFunction:

@@ -5,7 +5,8 @@ import pytest
 from scipy.ndimage import maximum_filter
 from scipy.signal import convolve2d
 
-from olab import GridSpec, SampledFunction, sample_function
+from olab import Ball, GridSpec, SampledFunction, ball_measure, sample_function
+from olab.norms import _argmax_witness, _lux_gauge, _weak_gauge
 from olab.operators import _radius_set_2d
 
 
@@ -117,3 +118,24 @@ def direct_riesz_2d(f, alpha):
         kernel = dist ** (alpha - 2.0) * g.cell_volume
     kernel[n - 1, n - 1] = 2.0 * math.pi * (h / math.sqrt(math.pi)) ** alpha / alpha
     return convolve2d(f.values, kernel, mode="same")
+
+
+def per_ball_gauges(f, phi, centers, radii, weak):
+    """Reference ball gauges: every (center, radius) ball bisected on its own."""
+    gauge = _weak_gauge if weak else _lux_gauge
+    out = np.zeros((len(centers), len(radii)))
+    for i, c in enumerate(centers):
+        for j, r in enumerate(radii):
+            out[i, j] = gauge(f.ball_values(Ball(c, float(r))), f.grid.cell_volume, phi)
+    return out
+
+
+def per_ball_morrey(f, phi, varphi, centers, radii, weak=False, gauges=None):
+    """Reference Morrey matrix from ``per_ball_gauges`` (or the given gauges), and its value and witness."""
+    radii = np.asarray(radii, dtype=float)
+    measures = np.array([ball_measure(f.grid.n, r) for r in radii])
+    if gauges is None:
+        gauges = per_ball_gauges(f, phi, centers, radii, weak)
+    vals = gauges * (phi.inverse(1.0 / measures) / varphi(radii))[None, :]
+    best, witness = _argmax_witness(vals, centers, radii)
+    return vals, best, witness if np.isfinite(best) else None

@@ -37,6 +37,33 @@ def test_norm_morrey_with_lambda(capsys, tmp_path):
     assert (tmp_path / "norm.json").exists()
 
 
+@pytest.mark.parametrize("young, path, bisections", [
+    (P2, "closed-form", 0), ('{"kind":"exp_minus_one"}', "column-root-find", 1)])
+def test_norm_summary_records_path(capsys, tmp_path, young, path, bisections):
+    out_path = tmp_path / "norm.csv"
+    code, _, _ = run(capsys, "norm", "--input", BALL, "--young", young, "--lambda", "0.5",
+                     "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
+    assert code == 0
+    summary = json.loads((tmp_path / "norm.json").read_text())
+    assert (summary["path"], summary["bisections"]) == (path, bisections)
+    assert "root" not in out_path.read_text() and "closed" not in out_path.read_text()
+
+
+def test_shrinking_schedule_is_status_2(capsys, tmp_path):
+    # a window that does not contain the one before it is not a widening probe;
+    # increasing, this schedule reads "diverges"
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps({"young": {"kind": "power", "p": 2.0}, "lambda": 0.0, "alpha": 0.25,
+                                 "beta": 0.3333333333333333, "n": 1}))
+    schedule = [1024, 512, 256, 128, 64, 32, 16]
+    argv = ["check", "--condition", "adams-necessary", "--setup", str(setup), "--rmax-schedule"]
+    code, out, _ = run(capsys, *argv, ",".join(map(str, schedule[::-1])))
+    assert code == 0 and "diverges" in out
+    code, out, err = run(capsys, *argv, ",".join(map(str, schedule)))
+    assert code == 2 and out == ""
+    assert "contain the one before it" in err
+
+
 def test_malformed_json_is_status_2_no_output(capsys, tmp_path):
     out_path = tmp_path / "x.csv"
     code, _, err = run(capsys, "norm", "--input", "{oops", "--young", P2, "--out", str(out_path))

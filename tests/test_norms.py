@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from olab import (
     Ball,
+    ExpMinusOneYoung,
     GridSpec,
     LinearCappedYoung,
     MorreySampling,
     PowerGrowth,
     PowerLogYoung,
     PowerYoung,
+    SampledFunction,
+    TabulatedYoung,
     ball_measure,
     generalized_orlicz_morrey_norm,
     growth_from_lambda,
@@ -20,6 +23,7 @@ from olab import (
     triviality_probe,
     weak_orlicz_norm,
 )
+from olab import norms
 from olab.errors import ConfigError
 from olab.norms import (
     NORM_REL_TOL,
@@ -32,7 +36,15 @@ from olab.norms import (
 )
 from olab.sampled import cell_window
 
-from conftest import PIN_GRIDS, random_indicator_sum, stepped_function
+from conftest import (
+    PIN_GRIDS,
+    PIN_GRIDS_2D,
+    per_ball_gauges,
+    per_ball_morrey,
+    random_cells_2d,
+    random_indicator_sum,
+    stepped_function,
+)
 
 P2 = PowerYoung(2)
 
@@ -230,7 +242,7 @@ def test_argmax_witness_matches_tuple_sort(grid):
     centers = sampling.centers(f)
     radii = sampling.radii()
     assert centers[-1] == f.support_centroid()
-    vals = _morrey_matrix(f, P2, growth_from_lambda(P2, 0.0, n=grid.n), centers, radii, weak=False)
+    vals, _ = _morrey_matrix(f, P2, growth_from_lambda(P2, 0.0, n=grid.n), centers, radii, weak=False)
     assert np.count_nonzero(vals == vals.max()) > 10
     assert _argmax_witness(vals, centers, radii) == tuple_sort_witness(vals, centers, radii)
     # integer values: ties everywhere, across radii and centers
@@ -246,13 +258,9 @@ def test_fast_paths_agree_with_bisection(grid64):
     radii = np.array([0.3, 1.0, 3.7, 9.0])
     for phi in (P2, PowerYoung(3), PowerYoung(2).compose_power(0.5)):
         for weak in (False, True):
-            fast = _ball_gauge_matrix(f, phi, centers, radii, weak)
-            gauge = _weak_gauge if weak else _lux_gauge
-            slow = np.array([
-                [gauge(f.ball_values(Ball(c, float(r))), grid64.cell_volume, phi) for r in radii]
-                for c in centers
-            ])
-            assert np.allclose(fast, slow, rtol=1e-8, atol=1e-12)
+            fast, bisections = _ball_gauge_matrix(f, phi, centers, radii, weak)
+            assert bisections is None
+            assert np.allclose(fast, per_ball_gauges(f, phi, centers, radii, weak), rtol=1e-8, atol=1e-12)
 
 
 def test_ball_cells_agree_between_closed_forms_and_ball_values(grid64):
@@ -264,7 +272,7 @@ def test_ball_cells_agree_between_closed_forms_and_ball_values(grid64):
     assert f.ball_values(ball).size == 11
     for phi in (P2, PowerYoung(3)):
         for weak, norm in ((False, luxemburg_norm), (True, weak_orlicz_norm)):
-            closed = _ball_gauge_matrix(f, phi, [ball.center], np.array([ball.radius]), weak)[0, 0]
+            closed = _ball_gauge_matrix(f, phi, [ball.center], np.array([ball.radius]), weak)[0][0, 0]
             assert norm(f, phi, ball).value == pytest.approx(closed, rel=NORM_REL_TOL)
 
 
@@ -296,7 +304,7 @@ def pin_sampling(g):
 
 
 def check_weak_gauges_match_per_ball(f, phi, centers, radii):
-    fast = _ball_gauge_matrix(f, phi, centers, radii, weak=True)
+    fast, _ = _ball_gauge_matrix(f, phi, centers, radii, weak=True)
     assert np.allclose(fast, per_ball_weak_power_gauges(f, phi, centers, radii), rtol=1e-12, atol=0)
 
 
@@ -387,3 +395,151 @@ def test_triviality_probe_direction_detail():
     assert up["lower"]["verdict"] == "holds-stable"
     low = triviality_probe(P2, growth_from_lambda(P2, 2.0)).details
     assert low["lower"]["verdict"] == "diverges"
+
+
+# -- the column root-find against the per-ball oracle ---------------------------
+
+TABULATED = TabulatedYoung(np.array([0.5, 1.0, 2.0, 4.0]), np.array([0.25, 1.0, 4.0, np.inf]))
+ROOT_FIND_PHIS = {"power_log": PowerLogYoung(2, 1), "exp_minus_one": ExpMinusOneYoung(),
+                  "linear_capped": LinearCappedYoung(), "tabulated": TABULATED}
+ROOT_FIND_CASES = [(g, name) for g in PIN_GRIDS for name in ROOT_FIND_PHIS] + [
+    (PIN_GRIDS_2D[0], name) for name in ["power", *ROOT_FIND_PHIS]] + [
+    (PIN_GRIDS_2D[1], name) for name in ["power", "exp_minus_one"]]
+
+
+def oracle_sampling(g):
+    # radii from below h/2 (balls around cell edges start out empty) to past
+    # the grid; the centroid, a center off the cell centers and one off the grid
+    return MorreySampling(r_min=0.2 * g.h, r_max=3 * g.extent, n_radii=8, center_stride=4 if g.n == 1 else 3,
+                          extra_centers=((0.3 * g.h,) * g.n, (g.extent + 1.0,) * g.n))
+
+
+def check_root_find(f, phi, lams, weak, sampling):
+    """Value and witness equal the per-ball path's for each lambda; returns the last evaluation."""
+    centers, radii = sampling.centers(f), sampling.radii()
+    gauges = per_ball_gauges(f, phi, centers, radii, weak)
+    for lam in lams:
+        varphi = growth_from_lambda(phi, lam, n=f.grid.n)
+        ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=weak, sampling=sampling)
+        _, best, witness = per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)
+        assert (ev.value, ev.witness) == (best, witness)
+    return ev
+
+
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+@pytest.mark.parametrize("grid, name", ROOT_FIND_CASES)
+def test_root_find_matches_per_ball(grid, name, weak):
+    rng = np.random.default_rng(31)
+    f = stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)
+    phi = ROOT_FIND_PHIS.get(name, P2)
+    # lambda = 0 makes the prefactor tie many balls exactly
+    assert check_root_find(f, phi, (0.0, 0.5), weak, oracle_sampling(grid)).path == "column-root-find"
+
+
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+def test_root_find_bisects_only_near_the_sup(weak):
+    # the column root-find re-bisects the one or two balls that attain the
+    # sup, not whole columns
+    g = GridSpec(1, 1 / 64, 1.0)
+    for seed in range(2):
+        f = random_indicator_sum(g, np.random.default_rng(seed))
+        for phi in (PowerLogYoung(2, 1), ExpMinusOneYoung()):
+            for lam in (0.0, 0.5):
+                assert generalized_orlicz_morrey_norm(f, phi, growth_from_lambda(phi, lam), weak=weak).bisections <= 2
+
+
+@pytest.mark.parametrize("grid", [PIN_GRIDS[0], PIN_GRIDS_2D[0]], ids=["1d", "2d"])
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+def test_root_find_extreme_inputs(grid, weak):
+    zero = SampledFunction(grid, np.zeros(grid.shape()))
+    ev = check_root_find(zero, ExpMinusOneYoung(), [0.5], weak, oracle_sampling(grid))
+    assert ev.value == 0.0 and ev.bisections == 0
+    # values of 200 and more: exp(f/lam) - 1 overflows to inf over most of the search
+    rng = np.random.default_rng(33)
+    tall = (stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)).scaled(400.0)
+    check_root_find(tall, ExpMinusOneYoung(), [0.5], weak, oracle_sampling(grid))
+    inf = np.zeros(grid.shape())
+    inf.flat[5] = np.inf
+    ev = check_root_find(SampledFunction(grid, inf), PowerLogYoung(2, 1), [0.5], weak, oracle_sampling(grid))
+    assert ev.value == np.inf and ev.witness is None
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS[:2] + PIN_GRIDS_2D[:1]),
+       st.sampled_from(["power", *ROOT_FIND_PHIS]), st.booleans(), st.sampled_from([0.0, 0.25, 0.5]))
+@settings(max_examples=12, deadline=None)
+def test_root_find_property(seed, grid, name, weak, lam):
+    assume(grid.n == 2 or name != "power")  # 1-D power kinds take the closed forms
+    rng = np.random.default_rng(seed)
+    if grid.n == 2:
+        f = random_cells_2d(grid, rng)
+    else:
+        f = stepped_function(grid, rng) if seed % 2 else random_indicator_sum(grid, rng)
+    extra = tuple(tuple(rng.uniform(-1.5, 1.5, grid.n) * grid.extent) for _ in range(rng.integers(0, 3)))
+    r_min = float(rng.uniform(0.1, 3)) * grid.h
+    sampling = MorreySampling(r_min=r_min, r_max=r_min * float(rng.uniform(1, 40)), n_radii=int(rng.integers(1, 6)),
+                              center_stride=int(rng.integers(2, 6)), include_centroid=bool(seed % 3),
+                              extra_centers=extra)
+    check_root_find(f, ROOT_FIND_PHIS.get(name, P2), [lam], weak, sampling)
+
+
+@pytest.mark.parametrize("seed", [28, 40, 175, 196])
+def test_column_maxima_next_to_a_tall_uncovered_cell(seed):
+    # a tall cell between the centers, outside every small ball, swells the
+    # prefix sums of exp(f/lam) - 1 and their rounding bound; each column's
+    # maximum still equals the per-ball one
+    rng = np.random.default_rng(seed)
+    g = GridSpec(1, 1 / 8, 2.0)
+    v = rng.choice([0, 0.5, 1, 1.5, 2.0], g.shape()) * rng.integers(0, 2, g.shape())
+    stride = int(rng.integers(4, 9))
+    v[int(rng.integers(0, g.cells_per_axis // stride)) * stride + stride // 2] = float(10 ** rng.uniform(2, 7))
+    f, phi = SampledFunction(g, v), ExpMinusOneYoung()
+    sampling = MorreySampling(r_min=0.2 * g.h, r_max=0.45 * stride * g.h, n_radii=6, center_stride=stride,
+                              include_centroid=False)
+    centers, radii, varphi = sampling.centers(f), sampling.radii(), growth_from_lambda(phi, 0.5)
+    fast, _ = _morrey_matrix(f, phi, varphi, centers, radii, weak=False, every_column=True)
+    slow = per_ball_morrey(f, phi, varphi, centers, radii)[0]
+    assert np.array_equal(fast.max(axis=0), slow.max(axis=0))
+
+
+@pytest.mark.parametrize("phi", [ExpMinusOneYoung(), PowerLogYoung(2, 1)], ids=["exp_minus_one", "power_log"])
+def test_triviality_probe_matches_per_ball(phi, monkeypatch):
+    grid, varphi, schedule = GridSpec(1, 1 / 4, 1.0), growth_from_lambda(phi, 0.25), [4.0, 8.0, 16.0]
+    fast = triviality_probe(phi, varphi, grid=grid, schedule=schedule)
+
+    def per_ball_matrix(f, phi, varphi, centers, radii, weak, every_column=False):
+        return per_ball_morrey(f, phi, varphi, centers, radii, weak)[0], None
+
+    monkeypatch.setattr(norms, "_morrey_matrix", per_ball_matrix)
+    slow = triviality_probe(phi, varphi, grid=grid, schedule=schedule)
+    assert (fast.constants, fast.details, fast.verdict) == (slow.constants, slow.details, slow.verdict)
+
+
+def test_norm_reports_its_path(unit_indicator):
+    closed = generalized_orlicz_morrey_norm(unit_indicator, P2, PowerGrowth(-0.25))
+    assert (closed.path, closed.bisections) == ("closed-form", 0)
+    sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
+    generic = generalized_orlicz_morrey_norm(unit_indicator, PowerLogYoung(2, 1), PowerGrowth(-0.25), sampling=sampling)
+    assert generic.path == "column-root-find" and generic.bisections >= 1
+    assert luxemburg_norm(unit_indicator, P2).path is None
+
+
+def test_weak_gauge_needs_no_jump_terms():
+    # sup_t phi(t/lam) |{f > t}| with the terms at a jump J of phi, t = lam J (1 -+ 1e-12),
+    # bisected the same way, gives the same gauge bit for bit
+    g = GridSpec(1, 1 / 16, 2.0)
+    for phi, jump in ((LinearCappedYoung(), 1.0), (TABULATED, 4.0), (TABULATED.compose_power(0.5), 2.0)):
+        for seed in range(20):
+            vals = stepped_function(g, np.random.default_rng(seed)).values * (1 + seed % 3)
+            pos = np.sort(vals[vals > 0])[::-1]
+            meas = g.cell_volume * np.arange(1, pos.size + 1)
+
+            def with_jumps(lam):
+                with np.errstate(over="ignore"):
+                    best = float(np.max(phi(pos / lam) * meas))
+                    for t in (lam * jump * (1 - 1e-12), lam * jump * (1 + 1e-12)):
+                        d = g.cell_volume * float(np.count_nonzero(pos > t))
+                        if d > 0:
+                            best = max(best, float(phi(np.array([t / lam]))[0]) * d)
+                return best
+
+            assert _weak_gauge(vals, g.cell_volume, phi) == norms._gauge_bisect(with_jumps, float(pos[0]))

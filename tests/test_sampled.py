@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from olab import (
     ball_measure,
     sample_function,
 )
-from olab.sampled import cell_window
+from olab.sampled import _row_table, ball_mask, ball_sums, ball_windows, cell_window
 from olab.errors import ConfigError
 
 from conftest import random_indicator_sum
@@ -269,3 +271,46 @@ def test_value_at_edge_goes_to_upper_cell(grid64, unit_indicator):
     # 3.0 is a cell edge; the containing cell is the one above
     f = sample_function(grid64, {"type": "ball_indicator", "center": (3.0 + 1 / 128,), "radius": 1 / 200})
     assert f.value_at(3.0) == 1.0
+
+
+def window_cells(grid, windows, i):
+    """Cells of ball i of ``ball_windows``: slots start < s <= stop of each row of ``_row_table``."""
+    slots = np.zeros(_row_table(np.zeros(grid.shape())).size, dtype=bool)
+    for start, stop in zip(windows[0][i], windows[1][i]):
+        slots[start + 1 : stop + 1] = True
+    return slots.reshape(-1, grid.cells_per_axis + 1)[:, 1:].reshape(grid.shape())
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 8, 2.0), GridSpec(2, 1 / 8, 1.0)], ids=["1d", "2d"])
+def test_ball_windows_follow_ball_mask(grid):
+    rng = np.random.default_rng(41)
+    # centers on cells, between them and off the grid; radii from below h/2 past the grid
+    centers = [tuple(c) for c in rng.uniform(-1.5, 1.5, (30, grid.n)) * grid.extent]
+    centers += [tuple(c) for c in rng.choice(grid.axis_centers(), (10, grid.n))]
+    for r in np.concatenate([rng.uniform(0.1, 4, 8) * grid.h, [3 * grid.h * (1 - 1e-12), 3 * grid.extent]]):
+        windows = ball_windows(grid, centers, r)
+        for i, c in enumerate(centers):
+            assert np.array_equal(window_cells(grid, windows, i), ball_mask(grid, Ball(c, r)))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 8, 2.0), GridSpec(2, 1 / 8, 1.0)], ids=["1d", "2d"])
+def test_ball_sums_bound_covers_the_rounding(grid):
+    rng = np.random.default_rng(42)
+    values = rng.uniform(0, 1, grid.shape()) * rng.integers(0, 2, grid.shape())
+    values.flat[1] = 1e17  # every later prefix cancels catastrophically
+    centers = [tuple(c) for c in rng.choice(grid.axis_centers(), (40, grid.n))]
+    sums, bound = ball_sums(values, ball_windows(grid, centers, 2.5 * grid.h))
+    exact = np.array([math.fsum(values[ball_mask(grid, Ball(c, 2.5 * grid.h))]) for c in centers])
+    assert np.any(sums != exact)
+    assert np.all(np.abs(sums - exact) <= bound)
+
+
+def test_ball_sums_infinite_cells():
+    grid = GridSpec(1, 1 / 8, 2.0)
+    values = np.ones(grid.shape())
+    values[[3, 20]] = np.inf
+    centers = [(float(c),) for c in grid.axis_centers()]
+    sums, bound = ball_sums(values, ball_windows(grid, centers, grid.h))
+    direct = np.array([values[ball_mask(grid, Ball(c, grid.h))].sum() for c in centers])
+    assert np.array_equal(sums, direct)
+    assert np.count_nonzero(np.isinf(sums)) == 6 and np.isfinite(bound)

@@ -34,6 +34,7 @@ from olab import (
     triviality_probe,
 )
 from olab.characterize import CONDITION_KINDS
+from olab.errors import ConfigError
 from olab.report import doubling_schedule, node_max, track
 from olab.young import _GROWTH_CLASSES
 
@@ -141,9 +142,13 @@ def test_window_keeps_rounded_edge_node():
 
 
 def test_track_constants_nondecreasing():
+    # a measure that falls as its nested windows widen still reads as a running sup
     nodes = np.array([1.0, 2.0, 4.0])
-    constants, witnesses, verdict = track(nodes, [(1.0, 4.0), (1.0, 2.0)], node_max(nodes, nodes))
-    assert (constants, witnesses, verdict) == ([4.0, 4.0], [4.0, 2.0], "holds-stable")
+    constants, witnesses, verdict = track(nodes, [(2.0, 2.0), (1.0, 4.0)], lambda w: (4.0 / nodes[w].size, w.start))
+    assert (constants, witnesses, verdict) == ([4.0, 4.0], [1, 0], "holds-stable")
+    # windows that are not nested are no widening probe
+    with pytest.raises(ConfigError, match="contain the one before it"):
+        track(nodes, [(1.0, 4.0), (1.0, 2.0)], node_max(nodes, nodes))
 
 
 @pytest.mark.parametrize("growth_class", sorted(_GROWTH_CLASSES))
