@@ -208,6 +208,8 @@ class MorreySampling:
         cs.extend(tuple(float(v) for v in c) for c in self.extra_centers)
         if not cs:
             raise ConfigError("empty center sampling")
+        if not np.isfinite(cs).all():
+            raise ConfigError(f"center sampling needs finite centers, got {cs}")
         return cs
 
 

@@ -227,6 +227,16 @@ def test_morrey_non_finite_sampling_rejected(r_min, r_max):
         generalized_orlicz_morrey_norm(f, P2, PowerGrowth(-0.5), sampling=MorreySampling(r_min=r_min, r_max=r_max))
 
 
+@pytest.mark.parametrize("center", [np.nan, np.inf])
+@pytest.mark.parametrize("phi", [P2, PowerLogYoung(2, 1)], ids=["closed-form", "root-find"])
+def test_morrey_non_finite_center_rejected(center, phi):
+    g = GridSpec(1, 1 / 8, 2.0)
+    f = sample_function(g, {"type": "ball_indicator", "center": (0.0,), "radius": 1.0})
+    sampling = MorreySampling(r_min=0.5, r_max=1.0, extra_centers=((center,),))
+    with pytest.raises(ConfigError, match="finite centers"):
+        generalized_orlicz_morrey_norm(f, phi, PowerGrowth(-0.5), sampling=sampling)
+
+
 def tuple_sort_witness(vals, centers, radii):
     """Reference tie-break: the first of the tied (radius, center) tuples in Python's order."""
     best = np.max(vals)
