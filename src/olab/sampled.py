@@ -37,6 +37,8 @@ __all__ = [
     "cell_window",
     "half_width",
     "sample_function",
+    "window_key",
+    "window_values",
 ]
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
@@ -186,11 +188,9 @@ def _row_table(values) -> np.ndarray:
 
 
 def ball_windows(grid: GridSpec, centers, radius: float):
-    """Row windows of B(x, radius) for N centers x: slot arrays (start, stop), each (N, rows).
+    """Row windows of B(x, radius) for N centers x, by the rule of the module docstring: (start, stop), each (N, rows).
 
-    The cells a ball covers in row i fill the slots start < s <= stop of ``_row_table``, so the
-    row's sum is P[stop] - P[start] in the table's row-wise prefix sums P; missed rows have
-    start == stop.  The rows and their windows follow the rule of the module docstring.
+    The cells a ball covers in row i fill the slots start < s <= stop of ``_row_table``; missed rows have start == stop.
     """
     c = np.asarray(centers, dtype=float).reshape(-1, grid.n)
     m = grid.cells_per_axis
@@ -205,11 +205,26 @@ def ball_windows(grid: GridSpec, centers, radius: float):
     return lo, np.maximum(hi + 1 + base, lo)
 
 
+def window_values(values: np.ndarray, windows) -> np.ndarray:
+    """Per ball of ``windows``, the values of the cells it covers, row by row, padded with zeros."""
+    start, stop = windows
+    k = np.arange(max((stop - start).max(), 1))
+    v = _row_table(values).ravel()[np.minimum(start[..., None] + 1 + k, stop[..., None])]
+    return np.where(k < (stop - start)[..., None], v, 0.0).reshape(len(start), -1)
+
+
+def window_key(cells: np.ndarray, windows) -> np.ndarray:
+    """Per ball of ``windows``, ints equal for two balls iff they cover the same ``cells`` (boolean); 0 if none."""
+    count = np.cumsum(_row_table(cells), axis=1).ravel()
+    a, z = count[windows[0]], count[windows[1]]
+    return np.concatenate([a, z], axis=1) * np.tile(a != z, 2)
+
+
 def ball_sums(values: np.ndarray, windows):
     """Sums of per-cell ``values`` >= 0 over the balls of ``windows`` and a bound on their rounding.
 
-    One row-prefix table serves every ball.  A window holding an infinite cell sums to inf: a
-    prefix count of infinite cells keeps inf - inf out.  A finite sum differs from the sum of
+    One row-prefix table serves every ball.  A window holding an infinite cell sums to inf (by
+    ``window_key``, so no inf - inf).  A finite sum differs from the sum of
     the same cells in any other order by at most the bound, 4 * cells * eps * (finite total):
     the prefix, difference, row and other-order roundings each stay below cells * eps * total.
     """
@@ -219,8 +234,7 @@ def ball_sums(values: np.ndarray, windows):
     prefix = np.cumsum(_row_table(finite), axis=1).ravel()
     sums = (prefix[stop] - prefix[start]).sum(axis=1)
     if inf.any():
-        count = np.cumsum(_row_table(inf), axis=1).ravel()
-        sums[(count[stop] - count[start]).sum(axis=1) > 0] = np.inf
+        sums[window_key(inf, windows).any(axis=1)] = np.inf
     sums[np.isnan(sums)] = np.inf  # the table overflowed
     return sums, 4 * values.size * np.finfo(float).eps * finite.sum()
 

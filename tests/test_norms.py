@@ -471,7 +471,28 @@ def test_root_find_extreme_inputs(grid, weak):
     inf = np.zeros(grid.shape())
     inf.flat[5] = np.inf
     ev = check_root_find(SampledFunction(grid, inf), PowerLogYoung(2, 1), [0.5], weak, oracle_sampling(grid))
-    assert ev.value == np.inf and ev.witness is None
+    assert ev.value == np.inf and ev.witness is None and ev.bisections == 0
+
+
+@pytest.mark.parametrize("grid", [PIN_GRIDS[0], PIN_GRIDS_2D[0]], ids=["1d", "2d"])
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+def test_infinite_cell_beside_finite_ones(grid, weak):
+    # an infinite cell decides the sup with no bisection once a ball covers
+    # it; balls that miss it keep their gauges, so column maxima and a sup
+    # over balls that all miss it equal the per-ball ones
+    rng = np.random.default_rng(34)
+    v = (stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)).values.copy()
+    v.flat[5] = np.inf
+    f, phi = SampledFunction(grid, v), PowerLogYoung(2, 1)
+    assert check_root_find(f, phi, [0.5], weak, oracle_sampling(grid)).bisections == 0
+    missing = MorreySampling(r_min=0.2 * grid.h, r_max=0.9 * grid.h, n_radii=3, center_stride=4 if grid.n == 1 else 3,
+                             include_centroid=False)
+    assert np.isfinite(check_root_find(f, phi, [0.0, 0.5], weak, missing).value)
+    sampling = oracle_sampling(grid)
+    centers, radii, varphi = sampling.centers(f), sampling.radii(), growth_from_lambda(phi, 0.5, n=grid.n)
+    fast, _ = _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=True)
+    slow = per_ball_morrey(f, phi, varphi, centers, radii, weak)[0]
+    assert np.array_equal(fast.max(axis=0), slow.max(axis=0)) and np.isfinite(slow.max(axis=0)).any()
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS[:2] + PIN_GRIDS_2D[:1]),

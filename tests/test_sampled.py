@@ -13,7 +13,7 @@ from olab import (
     ball_measure,
     sample_function,
 )
-from olab.sampled import _row_table, ball_mask, ball_sums, ball_windows, cell_window
+from olab.sampled import ball_mask, ball_sums, ball_windows, cell_window, window_key, window_values
 from olab.errors import ConfigError
 
 from conftest import random_indicator_sum
@@ -274,11 +274,11 @@ def test_value_at_edge_goes_to_upper_cell(grid64, unit_indicator):
 
 
 def window_cells(grid, windows, i):
-    """Cells of ball i of ``ball_windows``: slots start < s <= stop of each row of ``_row_table``."""
-    slots = np.zeros(_row_table(np.zeros(grid.shape())).size, dtype=bool)
-    for start, stop in zip(windows[0][i], windows[1][i]):
-        slots[start + 1 : stop + 1] = True
-    return slots.reshape(-1, grid.cells_per_axis + 1)[:, 1:].reshape(grid.shape())
+    """Cells of ball i of ``ball_windows``, read back through ``window_values`` of the cell numbers 1, 2, ..."""
+    numbers = window_values(np.arange(1.0, grid.cells_per_axis**grid.n + 1).reshape(grid.shape()), windows)[i]
+    numbers = numbers[numbers > 0].astype(int) - 1
+    assert len(set(numbers)) == len(numbers)  # no cell twice
+    return np.isin(np.arange(grid.cells_per_axis**grid.n), numbers).reshape(grid.shape())
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 8, 2.0), GridSpec(2, 1 / 8, 1.0)], ids=["1d", "2d"])
@@ -291,6 +291,20 @@ def test_ball_windows_follow_ball_mask(grid):
         windows = ball_windows(grid, centers, r)
         for i, c in enumerate(centers):
             assert np.array_equal(window_cells(grid, windows, i), ball_mask(grid, Ball(c, r)))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 8, 2.0), GridSpec(2, 1 / 8, 1.0)], ids=["1d", "2d"])
+def test_window_key_names_the_covered_cells(grid):
+    rng = np.random.default_rng(43)
+    cells = rng.random(grid.shape()) < 0.3
+    centers = [tuple(c) for c in rng.choice(grid.axis_centers(), (25, grid.n))] + [(0.3 * grid.h,) * grid.n]
+    for r in (0.4 * grid.h, 1.5 * grid.h, 3.2 * grid.h, 3 * grid.extent):
+        keys = window_key(cells, ball_windows(grid, centers, r))
+        covered = [ball_mask(grid, Ball(c, r)) & cells for c in centers]
+        for i in range(len(centers)):
+            assert keys[i].any() == covered[i].any()
+            for k in range(len(centers)):
+                assert np.array_equal(keys[i], keys[k]) == np.array_equal(covered[i], covered[k])
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 8, 2.0), GridSpec(2, 1 / 8, 1.0)], ids=["1d", "2d"])
