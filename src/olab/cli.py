@@ -57,9 +57,11 @@ def _load_json(text_or_path: str):
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]):
-    lines = [SCHEMA_LINE, ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+    _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows))
+
+
+def _write_lines(path: str | None, header: list[str], lines):
+    text = "\n".join([SCHEMA_LINE, ",".join(header), *lines]) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -143,6 +145,15 @@ def _parse_schedule(text: str):
     return vals
 
 
+def _grid_lines(grid: GridSpec, values: np.ndarray):
+    """CSV lines index,x[,y],value of a grid function as ``_write_csv`` writes them, formatted column by column."""
+    ax = [_fmt(x) for x in grid.axis_centers()]
+    m = grid.cells_per_axis
+    cols = [ax] if grid.n == 1 else [[x for x in ax for _ in range(m)], ax * m]
+    vals = values.ravel().tolist()  # _fmt's .9g rule writes every float, nan and inf too
+    return map(",".join, zip(map(str, range(len(vals))), *cols, map("{:.9g}".format, vals)))
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -179,19 +190,7 @@ def _cmd_operators(args):
         out = riesz_potential(f, args.alpha)
     else:
         out = maximal(f, alpha=args.alpha, centered=not args.uncentered)
-    ax = grid.axis_centers()
-    rows = []
-    if grid.n == 1:
-        for i, v in enumerate(out.values):
-            rows.append([i, ax[i], v])
-        header = ["index", "x", "value"]
-    else:
-        m = grid.cells_per_axis
-        for i in range(m):
-            for j in range(m):
-                rows.append([i * m + j, ax[i], ax[j], out.values[i, j]])
-        header = ["index", "x", "y", "value"]
-    _write_csv(args.out, header, rows)
+    _write_lines(args.out, ["index", "x", "y"][: grid.n + 1] + ["value"], _grid_lines(grid, out.values))
     _write_summary(
         args.out,
         {"command": "operators", "operator": args.operator, "alpha": args.alpha,

@@ -9,7 +9,9 @@ digitized cell count of a centered ball equals its measure 2t exactly
 by some anchor, so the finite sup is a faithful evaluation of the continuum
 one.  Which cells a ball covers is decided by ``olab.sampled``; the ball
 sums come from row-prefix sums (a 1-D grid is one row), the uncentered sup
-from 1-D running maxima, and the 2-D Riesz potential from an FFT.
+from running maxima widened by clamped shifts, and the 2-D Riesz potential
+from an FFT (scipy.fft, imported on first use).  Radii whose balls cover the
+whole grid from every center all give coef * (grid total); only one is kept.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .errors import DomainError
 from .sampled import SampledFunction, half_width
@@ -45,14 +46,20 @@ def maximal(f: SampledFunction, alpha: float = 0.0, centered: bool = True, radii
         ts = np.sort(np.asarray(radii, dtype=float))
         if not np.all(ts > 0):  # also rejects NaN
             raise DomainError("radii must be positive")
+    # radii whose balls cover the grid from every center (in 2-D: the rows at the largest offset of
+    # _sweep's rule span the grid) sum the whole grid in one order; keep the largest coef among them
+    last = g.cells_per_axis - 1
+    far = ts if g.n == 1 else np.sqrt(np.maximum(ts * ts - (last * g.h) * (last * g.h), 0.0))
+    if (cover := np.flatnonzero(half_width(g, far) >= last)).size:
+        ts = np.append(ts[: cover[0]], max(ts[cover[0] :], key=lambda t: _coef(g.n, alpha, t)))
     # one padded row-prefix table for both dimensions (a 1-D grid is one row):
     # pad[:, n_cells + k] = sum of the first clip(k, 0, n_cells) cells of the row,
     # so no window needs index clipping
     n_cells = g.cells_per_axis
     prefix = np.cumsum(f.values.reshape(-1, n_cells), axis=1)
     pad = np.hstack([np.zeros((len(prefix), n_cells + 1)), prefix, np.repeat(prefix[:, -1:], n_cells, axis=1)])
-    if g.n == 1 and centered:
-        out = _centered_1d(pad[0], g, alpha, ts)
+    if g.n == 1:
+        out = _maximal_1d(pad[0], g, alpha, ts, centered)
     else:
         out = _sweep(pad, g, alpha, ts, centered)
     return SampledFunction(g, out.reshape(g.shape()))
@@ -63,12 +70,35 @@ def _coef(n, alpha, t):
     return (2.0 * t) ** (alpha - 1.0) if n == 1 else (math.pi * t * t) ** (alpha / 2.0 - 1.0)
 
 
-# Consecutive radii bounded together by the centered 1-D branch and bound.
+# Consecutive radii bounded together by the 1-D branch and bound.
 _RADIUS_BLOCK = 32
 
 
-def _centered_1d(pad, g, alpha, ts):
-    """Sup over the radius set of (2t)^(alpha-1) * (integral of f over [x-t, x+t]).
+def _widen(run, w, to):
+    """Running max of half-width ``to`` along the last axis, from ``run``, the one of half-width w <= to.
+
+    Windows are clipped to the row (as ``maximum_filter1d`` with cval=-inf).
+    Each step is a clamped shift, R_(w+d)[c] = max(R_w[max(c-d, 0)],
+    R_w[min(c+d, n-1)]) for 1 <= d <= w; the first step from w = 0 also takes
+    R_0[c] (a three-way max).  Past n - 1 the window is the whole row.
+    """
+    n = run.shape[-1]
+    to = min(to, n - 1)
+    while w < to:
+        d = min(max(w, 1), to - w)  # 2d < n, as d <= w and w + d < n
+        out = np.empty_like(run)
+        np.maximum(run[..., :1], run[..., d : 2 * d], out=out[..., :d])
+        np.maximum(run[..., : -2 * d], run[..., 2 * d :], out=out[..., d:-d])
+        np.maximum(run[..., -2 * d : -d], run[..., -1:], out=out[..., -d:])
+        if w == 0:
+            np.maximum(out, run, out=out)
+        run, w = out, w + d
+    return run
+
+
+def _maximal_1d(pad, g, alpha, ts, centered):
+    """Sup over the radius set of (2t)^(alpha-1) * (integral of f over [y-t, y+t]) for y = x (centered)
+    or for every cell y within the ball's half-width m(t) of x (uncentered).
 
     A branch and bound over blocks of _RADIUS_BLOCK consecutive (sorted)
     radii.  Every cell is evaluated exactly at each block's first and last
@@ -78,8 +108,11 @@ def _centered_1d(pad, g, alpha, ts):
     window sum S(x, t) is nondecreasing in t and max(coef over the block) *
     S(x, last radius) bounds every computed value of the block from above
     (coef = (2t)^(alpha-1) is nonincreasing for alpha < 1, so that max is
-    the first radius's).  The inner radii of a block are evaluated only for
-    cells whose bound exceeds ``best``, with the same floating-point
+    the first radius's).  Uncentered, S(., t) is spread by its running max
+    R_m(t) (``_widen``), which also grows with t, and coef * R_m[S] is the
+    running max of coef * S exactly, since rounding is monotone.  A block's
+    inner radii are evaluated only where its bound exceeds ``best`` (at those
+    cells; uncentered, over the whole row), with the same floating-point
     operations as a sweep over every radius, so the result equals the
     sweep's exactly.
     """
@@ -96,14 +129,20 @@ def _centered_1d(pad, g, alpha, ts):
     # block b holds the radii edges[b] .. edges[b + 1]; neighbours share an edge
     edges = np.unique(np.append(np.arange(0, len(ts), _RADIUS_BLOCK), len(ts) - 1))
     s_edge = window_sums(np.arange(n_cells), edges[:, None])
+    if not centered:
+        s_edge = np.array([_widen(s, 0, m) for s, m in zip(s_edge, ms[edges].tolist())])
     best = (coef[edges][:, None] * s_edge).max(axis=0)
     upper = np.maximum.reduceat(coef, edges[:-1])[:, None] * s_edge[1:]
     for b in range(len(edges) - 1):
         cells = np.flatnonzero(upper[b] > best)
-        if cells.size:
-            k = np.arange(edges[b] + 1, edges[b + 1])
+        k = np.arange(edges[b] + 1, edges[b + 1])
+        if centered and cells.size:
             vals = coef[k] * window_sums(cells[:, None], k)
             best[cells] = np.maximum(best[cells], vals.max(axis=1, initial=0.0))
+        elif cells.size and k.size:  # all inner radii widened to the first's half-width, then each to its own
+            runs = _widen(window_sums(np.arange(n_cells), k[:, None]), 0, ms[k[0]])
+            for j, run in zip(k.tolist(), runs):
+                np.maximum(best, coef[j] * _widen(run, ms[k[0]], ms[j]), out=best)
     return best
 
 
@@ -123,20 +162,20 @@ def _radius_set_2d(g):
 
 
 def _sweep(pad, g, alpha, ts, centered):
-    """Sup over the radius set of |B(x, t)|^(alpha/n - 1) * (integral of f over B(x, t)), radius by radius.
+    """Sup over the radius set of |B(x, t)|^(alpha/2 - 1) * (integral of f over B(x, t)), radius by radius.
 
-    A ball is a union of row segments: row offset dy covers the columns within
-    w(dy) of the center, both from the cell rule of ``sampled`` (a 1-D grid is
-    one row, offset 0).  The centered ball sums add the row windows of the
-    padded row-prefix table offset by offset; the uncentered value at x is the
-    max of the centered values over the ball around x, from one 1-D running
-    max of width 2w + 1 per distinct w (van Herk / Gil-Werman), shifted per
-    offset.
+    A disk is a union of row segments: row offset dy covers the columns
+    within w(dy) of the center, both from the cell rule of ``sampled``.  The
+    centered disk sums add the row windows of the padded row-prefix table
+    offset by offset; the uncentered value at x is the max of the centered
+    values over the disk around x: per radius, the running max along the rows
+    at the smallest distinct w, widened to each larger w in turn (``_widen``),
+    shifted per offset.  ``maximal`` has cut the radii past the covering one.
     """
     h, n_cells = g.h, g.cells_per_axis
     n_rows = len(pad)
     best, sums, buf = np.zeros((3, n_rows, n_cells))
-    ms = np.minimum(half_width(g, ts), n_rows - 1)  # row offsets beyond the grid add nothing
+    ms = half_width(g, ts)  # clipped at the last row offset inside the grid
     # half-widths of the rows at offsets -m..m of every radius, from one call of the rule
     counts = 2 * ms + 1
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - ms - 1, counts)
@@ -155,8 +194,9 @@ def _sweep(pad, g, alpha, ts, centered):
         if centered:
             np.maximum(best, vals, out=best)
             continue
+        run, w_run = vals, 0
         for w in np.unique(half).tolist():
-            run = maximum_filter1d(vals, 2 * w + 1, axis=1, mode="constant", cval=-np.inf)
+            run, w_run = _widen(run, w_run, w), w
             for dst, src in (rows[i] for i in np.flatnonzero(half == w)):
                 np.maximum(best[dst], run[src], out=best[dst])
     return best

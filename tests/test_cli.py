@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from olab.cli import main
+import olab
+from olab import GridSpec
+from olab.cli import _grid_lines, _write_csv, _write_lines, main
 
 BALL = '{"type":"ball_indicator","center":[0],"radius":1}'
 P2 = '{"kind":"power","p":2}'
@@ -174,7 +180,6 @@ def test_operators_uncentered_flag(capsys, tmp_path):
         code, _, _ = run(capsys, "operators", "--alpha", "0.25", "--input", BALL, flag,
                          "--grid-h", "0.0625", "--grid-extent", "2", "--out", str(path))
         assert code == 0
-    import numpy as np
     vc = np.array([float(l.split(",")[2]) for l in a.read_text().splitlines()[2:]])
     vu = np.array([float(l.split(",")[2]) for l in b.read_text().splitlines()[2:]])
     assert np.all(vu >= vc - 1e-12)
@@ -261,3 +266,66 @@ def test_determinism_byte_identical(capsys, tmp_path):
                          "--setup", str(setup), "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 0.25, 1.0), GridSpec(2, 0.25, 1.0)])
+def test_grid_lines_match_per_value_csv(tmp_path, grid):
+    # the rows _cmd_operators built before writing column by column, one _fmt per value
+    rng = np.random.default_rng(3)
+    vals = rng.uniform(-2.0, 2.0, grid.shape()) * 10.0 ** rng.integers(-12, 12, grid.shape())
+    vals.flat[[0, 3, 5, 6]] = [np.nan, np.inf, -np.inf, -0.0]
+    ax = grid.axis_centers()
+    if grid.n == 1:
+        rows, header = [[i, ax[i], v] for i, v in enumerate(vals)], ["index", "x", "value"]
+    else:
+        m = grid.cells_per_axis
+        rows = [[i * m + j, ax[i], ax[j], vals[i, j]] for i in range(m) for j in range(m)]
+        header = ["index", "x", "y", "value"]
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    _write_csv(str(old), header, rows)
+    _write_lines(str(new), header, _grid_lines(grid, vals))
+    assert new.read_bytes() == old.read_bytes()
+    assert b",nan\n" in old.read_bytes() and b",inf\n" in old.read_bytes() and b",-inf\n" in old.read_bytes()
+
+
+_IMPORT_PROBE = """
+import json, sys
+import olab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+ball = '{"type":"ball_indicator","center":[0],"radius":1}'
+disk = '{"type":"ball_indicator","center":[0,0],"radius":0.5}'
+small = ["--grid-h", "0.125", "--grid-extent", "2"]
+seen = {"import": scipy_modules()}
+for name, argv in [
+    ("norm", ["norm", "--input", ball, "--young", '{"kind":"power","p":2}', "--lambda", "0.5", *small]),
+    ("probe", ["probe", "--young", '{"kind":"exp_minus_one"}', "--lambda", "0.25", *small]),
+    ("uncentered", ["operators", "--uncentered", "--alpha", "0.5", "--input", ball, *small]),
+    ("uncentered-2d", ["operators", "--uncentered", "--alpha", "0.5", "--input", disk, "--grid-n", "2", *small]),
+    ("riesz-2d", ["operators", "--operator", "riesz", "--alpha", "0.5", "--input", disk, "--grid-n", "2", *small]),
+]:
+    assert olab.cli.main(argv) == 0, name
+    seen[name] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def _fresh_python(code):
+    """Last stdout line of a fresh interpreter that runs ``code`` with this olab on its path, as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(olab.__file__)),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_loads_no_scipy_but_the_fft_of_the_2d_riesz_potential():
+    # a fresh interpreter: this test process has loaded scipy for its own references
+    seen = _fresh_python(_IMPORT_PROBE)
+    for name in ("import", "norm", "probe", "uncentered", "uncentered-2d"):
+        assert seen[name] == [], name
+    fft_deps = _fresh_python("import json, sys, scipy.fft\n"
+                             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    assert "scipy.fft" in seen["riesz-2d"]
+    assert set(seen["riesz-2d"]) <= set(fft_deps)

@@ -13,6 +13,7 @@ from olab import (
     riesz_potential,
     sample_function,
 )
+from olab.operators import _widen
 
 from conftest import (
     PIN_GRIDS,
@@ -88,6 +89,50 @@ def test_1d_uncentered_matches_sweep(grid, alpha):
         for r in (None, radii):
             fast = maximal(f, alpha=alpha, centered=False, radii=r).values
             assert np.array_equal(fast, sweep_uncentered_maximal(f, alpha, r))
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS),
+       st.floats(min_value=0.0, max_value=0.999))
+@settings(max_examples=25, deadline=None)
+def test_1d_uncentered_branch_and_bound_property(seed, grid, alpha):
+    rng = np.random.default_rng(seed)
+    f = stepped_function(grid, rng) if seed % 2 else random_indicator_sum(grid, rng)
+    radii = None if seed % 3 else rng.uniform(0.05 * grid.h, 3 * grid.extent, rng.integers(1, 70))
+    fast = maximal(f, alpha=alpha, centered=False, radii=radii).values
+    assert np.array_equal(fast, sweep_uncentered_maximal(f, alpha, radii))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (3, 40)])
+def test_widen_matches_maximum_filter1d(shape):
+    a = np.random.default_rng(26).uniform(0.0, 1.0, shape)
+    n = shape[-1]
+    for w in range(n + 2):
+        ref = maximum_filter1d(a, 2 * w + 1, axis=-1, mode="constant", cval=-np.inf)
+        assert np.array_equal(_widen(a, 0, w), ref)
+        # from every narrower running max, as the 2-D sweep widens one width into the next
+        for w0 in range(w):
+            start = maximum_filter1d(a, 2 * w0 + 1, axis=-1, mode="constant", cval=-np.inf)
+            assert np.array_equal(_widen(start, w0, w), ref)
+
+
+@pytest.mark.parametrize("grid", [PIN_GRIDS[0], PIN_GRIDS_2D[0], PIN_GRIDS_2D[1]])
+@pytest.mark.parametrize("centered", [True, False])
+def test_radii_past_the_covering_radius_change_nothing(grid, centered):
+    # from a corner cell, the ball reaches the opposite corner from this radius on
+    cover = (grid.cells_per_axis - 1) * grid.h * np.sqrt(grid.n)
+    rng = np.random.default_rng(27)
+    f = SampledFunction(grid, rng.uniform(0.0, 2.0, grid.shape()))
+    radii = np.concatenate([rng.uniform(0.1 * grid.h, cover, 20), [cover]])
+    past = cover * rng.uniform(1.0, 3.0, 5)
+    for alpha in (0.0, 0.5, 0.99 * grid.n):
+        out = maximal(f, alpha=alpha, centered=centered, radii=radii).values
+        assert np.array_equal(maximal(f, alpha=alpha, centered=centered, radii=np.append(radii, past)).values, out)
+        # the sweeps take every radius
+        if grid.n == 1:
+            ref = (sweep_maximal if centered else sweep_uncentered_maximal)(f, alpha, np.append(radii, past))
+        else:
+            ref = sweep_maximal_2d(f, [alpha], np.append(radii, past))[alpha][0 if centered else 1]
+        assert np.array_equal(out, ref)
 
 
 def check_maximal_matches_sweeps(f, alpha, radii=None):
