@@ -104,7 +104,7 @@ def _growth_from_args(args, phi, n):
     return None
 
 
-def _setup_from_config(cfg: dict) -> tuple[AdamsSetup, dict]:
+def _setup_from_config(cfg: dict) -> AdamsSetup:
     if not isinstance(cfg, dict):
         raise ConfigError("setup config must be a JSON object")
     try:
@@ -116,10 +116,9 @@ def _setup_from_config(cfg: dict) -> tuple[AdamsSetup, dict]:
             varphi = growth_from_lambda(phi, float(cfg["lambda"]), n=n)
         else:
             raise ConfigError("setup needs either 'growth' or 'lambda'")
-        setup = AdamsSetup(phi, varphi, float(cfg["alpha"]), float(cfg["beta"]), n=n)
+        return AdamsSetup(phi, varphi, float(cfg["alpha"]), float(cfg["beta"]), n=n)
     except KeyError as exc:
         raise ConfigError(f"setup config missing key {exc}") from exc
-    return setup, cfg
 
 
 def _parse_range(text: str):
@@ -202,7 +201,7 @@ def _cmd_operators(args):
 
 def _cmd_check(args):
     started = time.time()
-    setup, cfg = _setup_from_config(_load_json(args.setup))
+    setup = _setup_from_config(_load_json(args.setup))
     t_grid = _parse_range(args.range) if args.range else None
     schedule = _parse_schedule(args.rmax_schedule) if args.rmax_schedule else None
     rep = check_condition(args.condition, setup, t_grid=t_grid, schedule=schedule)
@@ -227,7 +226,7 @@ def _cmd_check(args):
 
 def _cmd_adams(args):
     started = time.time()
-    setup, cfg = _setup_from_config(_load_json(args.setup))
+    setup = _setup_from_config(_load_json(args.setup))
     grid = _grid_from_args(args, n=setup.n)
     family = function_family(args.family, grid, seed=args.seed)
     rows_out = estimate_operator_norm(

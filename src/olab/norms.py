@@ -34,8 +34,8 @@ import numpy as np
 from .errors import ConfigError
 from .growth import GrowthFunction
 from .report import ConditionReport, combine_legs, node_max, track
-from .sampled import (Ball, GridSpec, SampledFunction, ball_measure, ball_sums, ball_windows, cell_window, default_grid,
-                      sample_function, window_key, window_values)
+from .sampled import (Ball, GridSpec, SampledFunction, ball_measure, ball_sums, ball_windows, default_grid,
+                      row_table, sample_function, window_key, window_values)
 from .young import ComposedPowerYoung, PowerYoung, YoungFunction
 
 __all__ = [
@@ -221,44 +221,40 @@ class MorreySampling:
 _CENTER_CHUNK = 32
 
 
-def _weak_power_sups(vp, cellvol, k_lo, k_hi):
-    """max_k v_(k)**p * cellvol * k over each window, v_(k) the k-th largest.
+def _weak_power_sups(vp, cellvol, windows):
+    """max_k v_(k)**p * cellvol * k over each 1-D ball of ``windows``, v_(k) the k-th largest.
 
-    ``vp`` holds the per-cell values v**p.  For a fixed center the windows
-    [k_lo, k_hi] are nested as the radius grows (empty ones first), so each
+    ``vp`` holds the per-cell values v**p, ``windows`` the (N, radii, 1)
+    ``ball_windows`` of N centers at nondecreasing radii.  For a fixed center
+    the windows are nested as the radius grows (empty ones first), so each
     row of ``rows`` keeps the window's values sorted ascending and every
     radius appends only the newly covered cells and re-sorts with a stable
     sort, which timsort finishes as a linear merge of the two runs.  Rows
-    are padded at the front with zeros (slot 0 of ``vpz``): zeros sort
+    are padded at the front with zeros (slot 0 of the row table): zeros sort
     first, are taken as ranks beyond the positive values and contribute 0
     terms, so the products of the positive entries are exactly those of
     sorting each ball's positive values on its own.  Leading columns that
-    are zero in every row are trimmed after each sort.  The columns of
-    ``k_lo``/``k_hi`` must be in nondecreasing radius order.
+    are zero in every row are trimmed after each sort.
     """
-    vpz = np.concatenate([[0.0], vp])
-    # half-open windows [lo, hi), empty ones as [lo, lo)
-    lo = np.minimum(k_lo, len(vp))
-    hi = np.maximum(k_hi + 1, lo)
-    positives = np.concatenate([[0], np.cumsum(vp > 0)])
-    n_pos = positives[hi] - positives[lo]
-    # cells added by each radius: [lo, prev_lo) on the left, [prev_hi, hi) on
-    # the right; after an empty window both parts name the cells [lo, hi)
-    n_left = np.concatenate([lo[:, :1], lo[:, :-1]], axis=1) - lo
-    prev_hi = np.concatenate([lo[:, :1], hi[:, :-1]], axis=1)
-    n_new = n_left + hi - prev_hi
+    table, n_pos = row_table(vp)[0], ball_sums(np.where(vp > 0, 1.0, 0.0), windows)[0].astype(int)
+    start, stop = windows[0][..., 0], windows[1][..., 0]
+    # cells added by each radius: the slots (start, prev_start] on the left and (prev_stop, stop]
+    # on the right; after an empty window both parts name the slots (start, stop]
+    n_left = np.concatenate([start[:, :1], start[:, :-1]], axis=1) - start
+    prev_stop = np.concatenate([start[:, :1], stop[:, :-1]], axis=1)
+    n_new = n_left + stop - prev_stop
     rank_vol = cellvol * np.arange(len(vp), 0, -1)  # cellvol * rank, ranks counted from the end
-    out = np.zeros(k_lo.shape)
-    for c0 in range(0, len(k_lo), _CENTER_CHUNK):
+    out = np.zeros(start.shape)
+    for c0 in range(0, len(start), _CENTER_CHUNK):
         chunk = slice(c0, c0 + _CENTER_CHUNK)
-        rows = np.zeros((len(k_lo[chunk]), 0))
-        for j in range(k_lo.shape[1]):
+        rows = np.zeros((len(start[chunk]), 0))
+        for j in range(start.shape[1]):
             width = n_new[chunk, j].max()
             if width:
                 pos = np.arange(width)
                 left = n_left[chunk, j, None]
-                cell = np.where(pos < left, lo[chunk, j, None] + pos, prev_hi[chunk, j, None] + pos - left)
-                new = vpz[np.where(pos < n_new[chunk, j, None], cell + 1, 0)]
+                slot = np.where(pos < left, start[chunk, j, None] + pos, prev_stop[chunk, j, None] + pos - left)
+                new = table[np.where(pos < n_new[chunk, j, None], slot + 1, 0)]
                 rows = np.concatenate([new, rows], axis=1)
                 rows.sort(axis=1, kind="stable")
                 rows = rows[:, rows.shape[1] - n_pos[chunk, j].max() :]
@@ -270,7 +266,7 @@ def _weak_power_sups(vp, cellvol, k_lo, k_hi):
 def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
     """Ball Orlicz gauges per (center, radius) pair, and the per-ball bisections (None: closed form).
 
-    Power kinds scale * t**p on 1-D grids go through closed forms: prefix
+    Power kinds scale * t**p on 1-D grids go through closed forms: window
     sums of f**p for the strong gauge, and for the weak one the order
     statistics sup_k v_(k)**p * |{f >= v_(k)}| of each ball, merged across
     the nested windows of one center (``_weak_power_sups``).  Else the column
@@ -278,22 +274,17 @@ def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
     (with no prefactor, each column's maximum); the rest read 0.
     """
     cellvol = f.grid.cell_volume
-    out = np.zeros((len(centers), len(radii)))
     radii = np.asarray(radii, dtype=float)
     power = _power_form(phi)
     if power is None or f.grid.n != 1 or not np.all(np.isfinite(f.values)):
         return _root_find_gauges(f, phi, centers, radii, weak, prefactor)
     p, scale = power
-    cen = np.asarray([c[0] for c in centers])
-    k_lo, k_hi = cell_window(f.grid, cen[:, None], radii[None, :])
     if not weak:
-        prefix = np.concatenate([[0.0], np.cumsum(f.values**p)])
-        sums = prefix[np.minimum(k_hi + 1, len(prefix) - 1)] - prefix[np.minimum(k_lo, len(prefix) - 1)]
-        sums = np.where(k_lo <= k_hi, sums, 0.0)
+        sums = ball_sums(f.values**p, ball_windows(f.grid, centers, radii))[0]
         return (scale * cellvol * sums) ** (1.0 / p), None
     order = np.argsort(radii, kind="stable")
-    out[:, order] = _weak_power_sups(f.values**p, cellvol, k_lo[:, order], k_hi[:, order])
-    return (scale * out) ** (1.0 / p), None
+    sups = _weak_power_sups(f.values**p, cellvol, ball_windows(f.grid, centers, radii[order]))
+    return (scale * sups[:, np.argsort(order)]) ** (1.0 / p), None
 
 
 def _root_find_gauges(f, phi, centers, radii, weak, prefactor):

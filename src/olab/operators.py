@@ -7,11 +7,11 @@ set is every half-offset grid radius (m + 1/2) h: at those radii the
 digitized cell count of a centered ball equals its measure 2t exactly
 (constants map to constants), and every distinct ball of cells is realized
 by some anchor, so the finite sup is a faithful evaluation of the continuum
-one.  Which cells a ball covers is decided by ``olab.sampled``; the ball
-sums come from row-prefix sums (a 1-D grid is one row), the uncentered sup
-from running maxima widened by clamped shifts, and the 2-D Riesz potential
-from an FFT (scipy.fft, imported on first use).  Radii whose balls cover the
-whole grid from every center all give coef * (grid total); only one is kept.
+one.  ``olab.sampled`` decides which cells a ball covers (``half_width``)
+and lays out the row prefix sums (``row_prefix``) that sum them; the
+uncentered sup comes from running maxima widened by clamped shifts, the 2-D
+Riesz potential from an FFT (scipy.fft, imported on first use).  Radii whose
+balls cover the whole grid from every center give coef * (grid total); one is kept.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .sampled import SampledFunction, half_width
+from .sampled import SampledFunction, half_width, row_prefix
 
 __all__ = ["maximal", "riesz_potential"]
 
@@ -46,28 +46,18 @@ def maximal(f: SampledFunction, alpha: float = 0.0, centered: bool = True, radii
         ts = np.sort(np.asarray(radii, dtype=float))
         if not np.all(ts > 0):  # also rejects NaN
             raise DomainError("radii must be positive")
-    # radii whose balls cover the grid from every center (in 2-D: the rows at the largest offset of
-    # _sweep's rule span the grid) sum the whole grid in one order; keep the largest coef among them
+    with np.errstate(over="ignore"):  # coef = |B(x, t)|^(alpha/n - 1), 0 where the measure overflows
+        coef = np.array([(2.0 * t) ** (alpha - 1.0) if g.n == 1 else (math.pi * t * t) ** (alpha / 2.0 - 1.0)
+                         for t in ts])
+    # radii whose balls cover the grid from every center (in 2-D: the rows at the largest offset
+    # span the grid) sum the whole grid in one order; keep the largest coef among them
     last = g.cells_per_axis - 1
-    far = ts if g.n == 1 else np.sqrt(np.maximum(ts * ts - (last * g.h) * (last * g.h), 0.0))
-    if (cover := np.flatnonzero(half_width(g, far) >= last)).size:
-        ts = np.append(ts[: cover[0]], max(ts[cover[0] :], key=lambda t: _coef(g.n, alpha, t)))
-    # one padded row-prefix table for both dimensions (a 1-D grid is one row):
-    # pad[:, n_cells + k] = sum of the first clip(k, 0, n_cells) cells of the row,
-    # so no window needs index clipping
-    n_cells = g.cells_per_axis
-    prefix = np.cumsum(f.values.reshape(-1, n_cells), axis=1)
-    pad = np.hstack([np.zeros((len(prefix), n_cells + 1)), prefix, np.repeat(prefix[:, -1:], n_cells, axis=1)])
-    if g.n == 1:
-        out = _maximal_1d(pad[0], g, alpha, ts, centered)
-    else:
-        out = _sweep(pad, g, alpha, ts, centered)
+    if (cover := np.flatnonzero(half_width(g, ts, last * (g.n - 1)) >= last)).size:
+        keep = np.append(np.arange(cover[0]), cover[0] + np.argmax(coef[cover[0] :]))
+        ts, coef = ts[keep], coef[keep]
+    pad = row_prefix(f.values)
+    out = _maximal_1d(pad[0], g, ts, coef, centered) if g.n == 1 else _sweep(pad, g, ts, coef, centered)
     return SampledFunction(g, out.reshape(g.shape()))
-
-
-def _coef(n, alpha, t):
-    """|B(x, t)|^(alpha/n - 1)."""
-    return (2.0 * t) ** (alpha - 1.0) if n == 1 else (math.pi * t * t) ** (alpha / 2.0 - 1.0)
 
 
 # Consecutive radii bounded together by the 1-D branch and bound.
@@ -96,7 +86,7 @@ def _widen(run, w, to):
     return run
 
 
-def _maximal_1d(pad, g, alpha, ts, centered):
+def _maximal_1d(pad, g, ts, coef, centered):
     """Sup over the radius set of (2t)^(alpha-1) * (integral of f over [y-t, y+t]) for y = x (centered)
     or for every cell y within the ball's half-width m(t) of x (uncentered).
 
@@ -121,7 +111,6 @@ def _maximal_1d(pad, g, alpha, ts, centered):
         return np.zeros(n_cells)
     ms = half_width(g, ts)
     up, down = n_cells + ms + 1, n_cells - ms
-    coef = np.array([_coef(1, alpha, t) for t in ts])
 
     def window_sums(x, k):
         return (pad[x + up[k]] - pad[x + down[k]]) * h
@@ -161,27 +150,25 @@ def _radius_set_2d(g):
     return doubled[doubled <= 2.0 * r_star]
 
 
-def _sweep(pad, g, alpha, ts, centered):
+def _sweep(pad, g, ts, coef, centered):
     """Sup over the radius set of |B(x, t)|^(alpha/2 - 1) * (integral of f over B(x, t)), radius by radius.
 
     A disk is a union of row segments: row offset dy covers the columns
-    within w(dy) of the center, both from the cell rule of ``sampled``.  The
-    centered disk sums add the row windows of the padded row-prefix table
+    within w(dy) of the center, both from ``sampled.half_width``.  The
+    centered disk sums add the row windows of the ``row_prefix`` table
     offset by offset; the uncentered value at x is the max of the centered
     values over the disk around x: per radius, the running max along the rows
     at the smallest distinct w, widened to each larger w in turn (``_widen``),
     shifted per offset.  ``maximal`` has cut the radii past the covering one.
     """
-    h, n_cells = g.h, g.cells_per_axis
-    n_rows = len(pad)
+    n_cells, n_rows = g.cells_per_axis, len(pad)
     best, sums, buf = np.zeros((3, n_rows, n_cells))
     ms = half_width(g, ts)  # clipped at the last row offset inside the grid
     # half-widths of the rows at offsets -m..m of every radius, from one call of the rule
     counts = 2 * ms + 1
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - ms - 1, counts)
-    row_r = np.sqrt(np.maximum(np.repeat(ts * ts, counts) - (offsets * h) ** 2, 0.0))
-    halves = np.split(half_width(g, row_r), np.cumsum(counts)[:-1])
-    for t, m, half in zip(ts, ms.tolist(), halves):
+    halves = np.split(half_width(g, np.repeat(ts, counts), offsets), np.cumsum(counts)[:-1])
+    for c, m, half in zip(coef, ms.tolist(), halves):
         # output rows r and source rows r + dy of each offset, both inside the grid
         rows = [(slice(max(-dy, 0), n_rows - max(dy, 0)), slice(max(dy, 0), n_rows + min(dy, 0)))
                 for dy in range(-m, m + 1)]
@@ -190,7 +177,7 @@ def _sweep(pad, g, alpha, ts, centered):
             np.subtract(pad[src, n_cells + w + 1 : 2 * n_cells + w + 1], pad[src, n_cells - w : 2 * n_cells - w],
                         out=buf[dst])
             sums[dst] += buf[dst]
-        vals = _coef(g.n, alpha, t) * (sums * g.cell_volume)
+        vals = c * (sums * g.cell_volume)
         if centered:
             np.maximum(best, vals, out=best)
             continue

@@ -4,9 +4,9 @@ Cells are cubes of side h whose centers sit at -L + (k + 1/2) h per axis, so
 cell edges align with the origin and there are 2L/h cells per axis.  All
 integrals are midpoint quadrature over the cells a ball covers.
 
-This module alone decides which cells a ball B(x, t) covers; norms and
-operators ask it.  Along an axis, cell k lies in the window of a ball with
-center coordinate x and radius t iff
+This module alone decides which cells a ball B(x, t) covers and lays out
+the row tables that sum them; norms and operators ask it.  Along an axis,
+cell k lies in the window of a ball with center coordinate x and radius t iff
 
     (x - t + L)/h - 1/2 - 1e-9  <=  k  <=  (x + t + L)/h - 1/2 + 1e-9,
 
@@ -14,7 +14,7 @@ that is, iff its center is within t of x up to a slack of 1e-9 cell widths,
 so centers on the sphere stay inside whatever the rounding.  In 2-D the
 rows are the window at radius t along the first axis, and a row whose
 center lies at distance d from x's first coordinate covers the window at
-radius sqrt(max(t^2 - d^2, 0)) along the second.
+radius sqrt(max(t^2 - d^2, 0)) along the second (the row rule).
 """
 
 from __future__ import annotations
@@ -36,12 +36,15 @@ __all__ = [
     "ball_windows",
     "cell_window",
     "half_width",
+    "row_prefix",
+    "row_table",
     "sample_function",
     "window_key",
     "window_values",
 ]
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
+_EPS = np.finfo(float).eps
 
 
 def ball_measure(n: int, r: float) -> float:
@@ -50,7 +53,13 @@ def ball_measure(n: int, r: float) -> float:
         raise DomainError(f"dimension must be 1 or 2, got {n}")
     if r <= 0:
         raise DomainError(f"ball radius must be positive, got {r}")
-    return _UNIT_BALL_VOLUME[n] * float(r) ** n
+    try:
+        measure = _UNIT_BALL_VOLUME[n] * float(r) ** n
+    except OverflowError:
+        measure = math.inf
+    if not math.isfinite(measure):
+        raise DomainError(f"the measure of a ball of radius {r} in dimension {n} is not a finite float")
+    return measure
 
 
 @dataclass(frozen=True)
@@ -138,92 +147,103 @@ def default_grid(n: int = 1) -> GridSpec:
 _CELL_SLACK = 1e-9
 
 
-def _axis_bounds(grid: GridSpec, center, radius):
-    """Real bounds (a, b): cell k lies in the ball's window along one axis iff a <= k <= b."""
+def cell_window(grid: GridSpec, center, radius):
+    """Cell index range [k_lo, k_hi] of a ball along one axis, clipped to the grid; empty where
+    k_lo > k_hi.  Broadcasts over arrays of centers and radii."""
     a = (center - radius + grid.extent) / grid.h - 0.5 - _CELL_SLACK
     b = (center + radius + grid.extent) / grid.h - 0.5 + _CELL_SLACK
-    return a, b
-
-
-def cell_window(grid: GridSpec, center, radius):
-    """Cell index range [k_lo, k_hi] of a ball along one axis, clipped to the grid.
-
-    Broadcasts over arrays of centers and radii; the window is empty where
-    k_lo > k_hi.
-    """
-    a, b = _axis_bounds(grid, center, radius)
     k_lo = np.maximum(np.ceil(a), 0).astype(int)
     k_hi = np.minimum(np.floor(b), grid.cells_per_axis - 1).astype(int)
     return k_lo, k_hi
 
 
-def ball_mask(grid: GridSpec, ball: Ball) -> np.ndarray:
-    """Cells the ball covers, by the rule in the module docstring."""
-    if ball.n != grid.n:
-        raise DomainError("ball dimension does not match grid dimension")
-    k = np.arange(grid.cells_per_axis)
-    t = ball.radius
-    a, b = _axis_bounds(grid, ball.center[0], t)
-    if grid.n == 1:
-        return (k >= a) & (k <= b)
-    d = grid.axis_centers() - ball.center[0]
-    lo, hi = _axis_bounds(grid, ball.center[1], np.sqrt(np.maximum(t * t - d**2, 0.0)))
-    hi = np.where((k >= a) & (k <= b), hi, -1.0)  # rows outside the window cover no column
-    return (k >= lo[:, None]) & (k <= hi[:, None])
+def _row_radius(grid: GridSpec, x, y, radius, d):
+    """The row rule: radius sqrt(max(t^2 - d^2, 0)) of the row at distance d from x, for a center (x, y).
+
+    Past hypot(|x| + L, |y| + L) + h every row spans the grid; t is clipped there, so t * t stays finite."""
+    t = np.minimum(radius, np.hypot(np.abs(x) + grid.extent, np.abs(y) + grid.extent) + grid.h)
+    return np.sqrt(np.maximum(t * t - d * d, 0.0))
 
 
-def half_width(grid: GridSpec, radius):
-    """Cells covered on each side of the center cell by balls centered on a cell.
-
-    Clipped at cells_per_axis - 1, where a ball from any cell reaches across
-    the grid; broadcasts over radii.
-    """
-    return cell_window(grid, grid.axis_centers()[0], radius)[1]
+def half_width(grid: GridSpec, radius, offset=0):
+    """Cells covered on each side of the center column, ``offset`` rows from the center of a ball centered
+    on a cell; clipped at cells_per_axis - 1, where a ball from any cell spans the grid.  Broadcasts."""
+    r = _row_radius(grid, grid.extent, grid.extent, radius, offset * grid.h)
+    return cell_window(grid, grid.axis_centers()[0], r)[1]
 
 
-def _row_table(values) -> np.ndarray:
-    """The cells row by row (one row in 1-D), each row after one leading zero slot."""
-    rows = np.atleast_2d(values)
-    return np.concatenate([np.zeros((len(rows), 1), rows.dtype), rows], axis=1)
+def ball_windows(grid: GridSpec, centers, radius):
+    """Row windows (start, stop), each (N, *radius.shape, rows), of B(x, t) for N centers x and radii t.
 
-
-def ball_windows(grid: GridSpec, centers, radius: float):
-    """Row windows of B(x, radius) for N centers x, by the rule of the module docstring: (start, stop), each (N, rows).
-
-    The cells a ball covers in row i fill the slots start < s <= stop of ``_row_table``; missed rows have start == stop.
-    """
+    The cells a ball covers in a row sum to P[stop] - P[start], P the flat ``row_prefix``; missed rows
+    have start == stop."""
     c = np.asarray(centers, dtype=float).reshape(-1, grid.n)
+    t = np.asarray(radius, dtype=float)[..., None]
+    x = c[:, 0].reshape((-1,) + (1,) * t.ndim)
     m = grid.cells_per_axis
-    lo, hi = cell_window(grid, c[:, :1], radius)
+    lo, hi = cell_window(grid, x, t)
     if grid.n == 2:
         inside = (np.arange(m) >= lo) & (np.arange(m) <= hi)
-        d = grid.axis_centers() - c[:, :1]
-        lo, hi = cell_window(grid, c[:, 1:], np.sqrt(np.maximum(radius * radius - d**2, 0.0)))
+        y = c[:, 1].reshape(x.shape)
+        lo, hi = cell_window(grid, y, _row_radius(grid, x, y, t, grid.axis_centers() - x))
         hi = np.where(inside, hi, -1)
-    base = (m + 1) * np.arange(lo.shape[1])
+    base = m + (3 * m + 1) * np.arange(lo.shape[-1])  # the slot before each row's first cell
     lo = np.minimum(lo, m) + base
     return lo, np.maximum(hi + 1 + base, lo)
+
+
+def ball_mask(grid: GridSpec, ball: Ball) -> np.ndarray:
+    """Cells the ball covers, read off its ``ball_windows``."""
+    if ball.n != grid.n:
+        raise DomainError("ball dimension does not match grid dimension")
+    start, stop = (w.reshape(-1, 1) for w in ball_windows(grid, [ball.center], ball.radius))
+    cells = row_table(np.ones(grid.shape(), bool))
+    slot = np.arange(cells.size).reshape(cells.shape)
+    return ((start < slot) & (slot <= stop))[cells].reshape(grid.shape())
+
+
+def row_table(values) -> np.ndarray:
+    """The row table, the one slot layout of this module: the grid's rows (one in 1-D), each of m cells
+    after m + 1 zero slots and before m more, so that no window of any half-width needs clipping."""
+    rows = np.atleast_2d(values)
+    m = rows.shape[1]
+    table = np.zeros((len(rows), 3 * m + 1), rows.dtype)
+    table[:, m + 1 : 2 * m + 1] = rows
+    return table
+
+
+def row_prefix(values) -> np.ndarray:
+    """Prefix sums P along the rows of ``row_table``: P[i, m + k] sums the first clip(k, 0, m) cells of
+    row i for every k in [-m, 2m], so the cells within w < m of cell c sum to P[i, m + c + w + 1] -
+    P[i, m + c - w].  Rows are accumulated in cell order, bit for bit as ``np.cumsum`` of their cells."""
+    rows = np.atleast_2d(values)
+    m = rows.shape[1]
+    # not np.pad and no cumsum over the zero slots: the root-finds build it at every step
+    prefix = np.zeros((len(rows), 3 * m + 1), int if rows.dtype == bool else rows.dtype)
+    np.cumsum(rows, axis=1, out=prefix[:, m + 1 : 2 * m + 1])
+    prefix[:, 2 * m + 1 :] = prefix[:, 2 * m : 2 * m + 1]  # past a row's cells, its total
+    return prefix
 
 
 def window_values(values: np.ndarray, windows) -> np.ndarray:
     """Per ball of ``windows``, the values of the cells it covers, row by row, padded with zeros."""
     start, stop = windows
     k = np.arange(max((stop - start).max(), 1))
-    v = _row_table(values).ravel()[np.minimum(start[..., None] + 1 + k, stop[..., None])]
+    v = row_table(values).ravel()[np.minimum(start[..., None] + 1 + k, stop[..., None])]
     return np.where(k < (stop - start)[..., None], v, 0.0).reshape(len(start), -1)
 
 
 def window_key(cells: np.ndarray, windows) -> np.ndarray:
     """Per ball of ``windows``, ints equal for two balls iff they cover the same ``cells`` (boolean); 0 if none."""
-    count = np.cumsum(_row_table(cells), axis=1).ravel()
+    count = row_prefix(cells).ravel()
     a, z = count[windows[0]], count[windows[1]]
-    return np.concatenate([a, z], axis=1) * np.tile(a != z, 2)
+    return np.concatenate([a, z], axis=-1) * np.tile(a != z, 2)
 
 
 def ball_sums(values: np.ndarray, windows):
     """Sums of per-cell ``values`` >= 0 over the balls of ``windows`` and a bound on their rounding.
 
-    One row-prefix table serves every ball.  A window holding an infinite cell sums to inf (by
+    One ``row_prefix`` table serves every ball.  A window holding an infinite cell sums to inf (by
     ``window_key``, so no inf - inf).  A finite sum differs from the sum of
     the same cells in any other order by at most the bound, 4 * cells * eps * (finite total):
     the prefix, difference, row and other-order roundings each stay below cells * eps * total.
@@ -231,12 +251,12 @@ def ball_sums(values: np.ndarray, windows):
     start, stop = windows
     inf = np.isinf(values)
     finite = np.where(inf, 0.0, values)
-    prefix = np.cumsum(_row_table(finite), axis=1).ravel()
-    sums = (prefix[stop] - prefix[start]).sum(axis=1)
+    prefix = row_prefix(finite).ravel()
+    sums = (prefix[stop] - prefix[start]).sum(axis=-1)
     if inf.any():
-        sums[window_key(inf, windows).any(axis=1)] = np.inf
+        sums[window_key(inf, windows).any(axis=-1)] = np.inf
     sums[np.isnan(sums)] = np.inf  # the table overflowed
-    return sums, 4 * values.size * np.finfo(float).eps * finite.sum()
+    return sums, 4 * values.size * _EPS * finite.sum()
 
 
 class SampledFunction:
@@ -282,7 +302,6 @@ class SampledFunction:
     def value_at(self, point) -> float:
         """Value of the cell containing the point (edge points go to the upper cell)."""
         pt = np.atleast_1d(np.asarray(point, dtype=float))
-        ax = self.grid.axis_centers()
         m = self.grid.cells_per_axis
         idx = np.clip(
             np.floor((pt + self.grid.extent) / self.grid.h).astype(int), 0, m - 1

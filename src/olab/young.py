@@ -435,6 +435,8 @@ def _nabla2_constant(phi, window):
     return np.inf, np.nan
 
 def _delta_prime_constant(phi, window):
+    if window.size**2 > 2**22:  # pairs of the outer products below: 2,048 nodes (the default grid's 321 make 1e5)
+        raise DomainError(f"delta' over {window.size} nodes takes {window.size**2} pairs, past {2**22}")
     t = window[:, None]
     r = window[None, :]
     with np.errstate(invalid="ignore", over="ignore"):

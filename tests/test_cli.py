@@ -89,6 +89,14 @@ def test_domain_error_is_status_3(capsys):
     assert "alpha" in err
 
 
+def test_overflowing_ball_measure_is_status_3(capsys):
+    setup = '{"young":{"kind":"power","p":2},"lambda":0.5,"alpha":0.5,"beta":0.5,"n":2}'
+    code, out, err = run(capsys, "check", "--condition", "supremal-maximal", "--setup", setup,
+                         "--rmax-schedule", "16,1e200")
+    assert code == 3 and out == ""
+    assert "finite" in err
+
+
 # two finite weights whose sum overflows to inf near the gaussian's center
 INF_GAUSS = ('{"type":"sum","terms":[{"type":"gaussian","scale":1,"weight":1e308},'
              '{"type":"gaussian","scale":1,"weight":1e308}]}')
@@ -329,3 +337,24 @@ def test_cli_loads_no_scipy_but_the_fft_of_the_2d_riesz_potential():
                              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     assert "scipy.fft" in seen["riesz-2d"]
     assert set(seen["riesz-2d"]) <= set(fft_deps)
+
+
+_CAPPED_DELTA_PRIME = """
+import contextlib, io, json, resource
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+import olab.cli
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = olab.cli.main(["classify", "--young", '{"kind":"power","p":2}', "--class", "delta_prime",
+                          "--range", "1e-3:1e3:1000"])
+print(json.dumps([code, err.getvalue()]))
+"""
+
+
+def test_delta_prime_past_its_pair_bound_is_status_3():
+    # about 20k nodes, 8,000 in the first window: 488 MiB per array of the outer product, so under a
+    # 1 GiB address-space cap a missing guard fails at once with a MemoryError
+    code, err = _fresh_python(_CAPPED_DELTA_PRIME)
+    assert code == 3
+    assert "pairs" in err

@@ -286,6 +286,20 @@ def test_ball_cells_agree_between_closed_forms_and_ball_values(grid64):
             assert norm(f, phi, ball).value == pytest.approx(closed, rel=NORM_REL_TOL)
 
 
+def test_strong_closed_form_reads_no_nan_past_an_overflowing_power():
+    # f**2 overflows at one cell: no ball reads nan, and every ball off that cell keeps its gauge
+    g = GridSpec(1, 1 / 8, 2.0)
+    vals = np.ones(g.shape())
+    vals[5] = 1e200
+    f = SampledFunction(g, vals)
+    centers, radii = [(float(c),) for c in g.axis_centers()[::4]], np.array([0.2, 1.0, 3.0])
+    with np.errstate(over="ignore"):
+        fast, _ = _ball_gauge_matrix(f, P2, centers, radii, weak=False)
+    over = np.array([[f.ball_mask(Ball(c, r))[5] for r in radii] for c in centers])
+    assert not np.isnan(fast).any() and 0 < np.count_nonzero(over) < over.size
+    assert np.allclose(fast[~over], per_ball_gauges(f, P2, centers, radii, False)[~over], rtol=1e-8, atol=0)
+
+
 def per_ball_weak_power_gauges(f, phi, centers, radii):
     """Weak power gauges ball by ball: sort each ball's positive values of f**p (reference)."""
     p, scale = _power_form(phi)

@@ -135,6 +135,15 @@ def test_radii_past_the_covering_radius_change_nothing(grid, centered):
         assert np.array_equal(out, ref)
 
 
+@pytest.mark.parametrize("grid", [PIN_GRIDS[0], PIN_GRIDS_2D[2]])
+@pytest.mark.parametrize("centered", [True, False])
+def test_radius_whose_measure_overflows_changes_nothing(grid, centered):
+    # no overflow warning: its ball has coef 0, and the row rule clips its radius before squaring it
+    f = SampledFunction(grid, np.random.default_rng(28).uniform(0.0, 2.0, grid.shape()))
+    out = maximal(f, alpha=0.5, centered=centered, radii=[1.0]).values
+    assert np.array_equal(maximal(f, alpha=0.5, centered=centered, radii=[1.0, 1e200]).values, out)
+
+
 def check_maximal_matches_sweeps(f, alpha, radii=None):
     fast = maximal(f, alpha=alpha, radii=radii).values
     assert np.array_equal(fast, sweep_maximal(f, alpha, radii))

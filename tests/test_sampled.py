@@ -13,7 +13,8 @@ from olab import (
     ball_measure,
     sample_function,
 )
-from olab.sampled import ball_mask, ball_sums, ball_windows, cell_window, window_key, window_values
+from olab.sampled import (ball_mask, ball_sums, ball_windows, cell_window, half_width, row_prefix, window_key,
+                          window_values)
 from olab.errors import ConfigError
 
 from conftest import random_indicator_sum
@@ -30,6 +31,9 @@ def test_ball_measure_errors():
         ball_measure(1, 0.0)
     with pytest.raises(DomainError):
         ball_measure(3, 1.0)
+    for n, r in [(2, 1e200), (1, np.inf), (2, np.nan)]:  # measures that are no finite float
+        with pytest.raises(DomainError, match="finite"):
+            ball_measure(n, r)
 
 
 def test_grid_validation():
@@ -281,16 +285,70 @@ def window_cells(grid, windows, i):
     return np.isin(np.arange(grid.cells_per_axis**grid.n), numbers).reshape(grid.shape())
 
 
+def slack_ball_mask(grid, ball):
+    """Oracle: the rule of the ``olab.sampled`` docstring, restated cell by cell (no windows, no tables)."""
+    def bounds(center, radius):
+        return ((center - radius + grid.extent) / grid.h - 0.5 - 1e-9,
+                (center + radius + grid.extent) / grid.h - 0.5 + 1e-9)
+
+    k = np.arange(grid.cells_per_axis)
+    t = ball.radius
+    a, b = bounds(ball.center[0], t)
+    if grid.n == 1:
+        return (k >= a) & (k <= b)
+    d = grid.axis_centers() - ball.center[0]
+    lo, hi = bounds(ball.center[1], np.sqrt(np.maximum(t * t - d**2, 0.0)))
+    hi = np.where((k >= a) & (k <= b), hi, -1.0)  # rows outside the window cover no column
+    return (k >= lo[:, None]) & (k <= hi[:, None])
+
+
+def half_width_mask(grid, cell, radius):
+    """Cells of the ball of ``radius`` around the center of ``cell``, row by row from ``half_width``."""
+    mask = np.zeros(grid.shape(), bool)
+    top = half_width(grid, radius)
+    for dy in range(-top, top + 1) if grid.n == 2 else [0]:
+        if 0 <= cell[0] + dy < grid.cells_per_axis:
+            w = half_width(grid, radius, dy)
+            (mask[cell[0] + dy] if grid.n == 2 else mask)[max(cell[-1] - w, 0) : cell[-1] + w + 1] = True
+    return mask
+
+
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 8, 2.0), GridSpec(2, 1 / 8, 1.0)], ids=["1d", "2d"])
-def test_ball_windows_follow_ball_mask(grid):
+def test_ball_geometry_follows_the_slack_rule(grid):
     rng = np.random.default_rng(41)
-    # centers on cells, between them and off the grid; radii from below h/2 past the grid
-    centers = [tuple(c) for c in rng.uniform(-1.5, 1.5, (30, grid.n)) * grid.extent]
-    centers += [tuple(c) for c in rng.choice(grid.axis_centers(), (10, grid.n))]
-    for r in np.concatenate([rng.uniform(0.1, 4, 8) * grid.h, [3 * grid.h * (1 - 1e-12), 3 * grid.extent]]):
+    # centers on cells, between them and off the grid; radii from below h/2 past the grid, and one
+    # just below 3h, inside the 1e-9-cell slack
+    cells = rng.integers(0, grid.cells_per_axis, (10, grid.n))
+    on_cells = [tuple(grid.axis_centers()[c]) for c in cells]
+    centers = [tuple(c) for c in rng.uniform(-1.5, 1.5, (30, grid.n)) * grid.extent] + on_cells
+    radii = np.concatenate([rng.uniform(0.1, 4, 8) * grid.h, [3 * grid.h * (1 - 1e-12), 3 * grid.extent]])
+    for r in radii:
         windows = ball_windows(grid, centers, r)
         for i, c in enumerate(centers):
-            assert np.array_equal(window_cells(grid, windows, i), ball_mask(grid, Ball(c, r)))
+            oracle = slack_ball_mask(grid, Ball(c, r))
+            assert np.array_equal(window_cells(grid, windows, i), oracle)
+            assert np.array_equal(ball_mask(grid, Ball(c, r)), oracle)
+        for cell, c in zip(cells, on_cells):
+            assert np.array_equal(half_width_mask(grid, cell, r), slack_ball_mask(grid, Ball(c, r)))
+    # an array of radii gives the windows of each radius on its own
+    start, stop = ball_windows(grid, centers, radii)
+    for j, r in enumerate(radii):
+        assert all(np.array_equal(a[:, j], b) for a, b in zip((start, stop), ball_windows(grid, centers, r)))
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (6, 6)])
+def test_row_prefix_reads_every_clipped_window(shape):
+    rng = np.random.default_rng(44)
+    values = rng.uniform(0, 1, shape) * 10.0 ** rng.integers(-8, 8, shape)  # rounding that shows any reordering
+    m = shape[1]
+    prefix = row_prefix(values)
+    direct = np.concatenate([np.zeros((shape[0], 1)), np.cumsum(values, axis=1)], axis=1)
+    for k in range(-m, 2 * m + 1):  # every slot: the sum of the first clip(k, 0, m) cells, bit for bit
+        assert np.array_equal(prefix[:, m + k], direct[:, min(max(k, 0), m)])
+    for c in range(m):
+        for w in range(m):
+            window = prefix[:, m + c + w + 1] - prefix[:, m + c - w]
+            assert np.array_equal(window, direct[:, min(c + w + 1, m)] - direct[:, max(c - w, 0)])
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 8, 2.0), GridSpec(2, 1 / 8, 1.0)], ids=["1d", "2d"])
