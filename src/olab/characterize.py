@@ -84,10 +84,19 @@ class AdamsSetup:
         }
 
 
+# Nodes of the largest log grid built; past it a range would take minutes or exhaust memory.
+_MAX_LOG_NODES = 2**22
+
+
 def _log_grid(t_min: float, t_max: float, per_octave: int = 32) -> np.ndarray:
     if t_min <= 0 or t_max <= t_min:
         raise ConfigError("need 0 < t_min < t_max")
-    k = np.arange(0, np.log2(t_max / t_min) * per_octave + 0.5)
+    with np.errstate(over="ignore"):
+        end = np.log2(t_max / t_min) * per_octave + 0.5
+    if not end <= _MAX_LOG_NODES:  # inf where t_max / t_min overflows
+        raise ConfigError(f"invalid range: {per_octave} nodes per octave from {t_min} to {t_max} "
+                          f"make more than {_MAX_LOG_NODES} nodes")
+    k = np.arange(0, end)
     return t_min * 2.0 ** (k / per_octave)
 
 

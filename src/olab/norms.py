@@ -6,8 +6,18 @@ the distribution function.  Generalized Orlicz-Morrey norms are suprema of
 phi_inv(|B|^{-1}) * ||f||_{L^Phi(B)} / varphi(r) over a sampled family of
 balls; the attaining ball is returned as a witness.
 
-Ball gauges take one of two paths.  Power kinds on 1-D grids have closed
-forms.  Every other case finds, per radius (and chunk of weak centers), one
+Ball gauges take one of two paths.  Power kinds scale * t**p on 1-D grids
+have closed forms, unless f**p or its sum overflows: window sums of f**p
+(strong), and for the weak gauge g = max_k v_(k)**p * cellvol * k over each
+ball's sorted window, v_(k) its k-th largest value.  For a fixed center g is
+nondecreasing in the radius bit for bit (the windows are nested, so each
+v_(k) can only grow, and rounding is monotone in each factor).  So each
+center is bisected over its sorted radii: a run between two equal exact
+values holds that value throughout, and a run is skipped when the gauge of
+its upper end times the run's largest prefactor, times (1 + 1e-12) for the
+rounding of the p-th root, falls below the best exact entry: none of its
+entries can win or tie.  Skipped entries read 0; with no prefactor none is
+skipped.  Every other case finds, per radius (and chunk of weak centers), one
 root lam* = min{lam : max_c U_c(lam) <= 1} of bounds U_c >= F_c of the balls'
 constraints, which fall in lam; each step evaluates every ball at once, by
 ``sampled.ball_sums`` plus its rounding bound (strong) or on windows sorted
@@ -27,6 +37,7 @@ infinite cells zeroed, and need no work once one inf entry decides the sup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +67,7 @@ NORM_REL_TOL = 1e-9
 _BRACKET_LO, _BRACKET_HI = 1e-12, 1e12
 # Relative margin below a column's root within which balls are re-bisected.
 _MARGIN = 1e-7
+_FLOAT_TINY, _FLOAT_MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 @dataclass
@@ -91,7 +103,7 @@ def _power_form(phi: YoungFunction) -> tuple[float, float] | None:
 def _gauge_bisect(constraint, maxv: float) -> float:
     """Smallest lam with constraint(lam) <= 1, by bisection in log space."""
     lo = _BRACKET_LO * maxv
-    hi = _BRACKET_HI * maxv + 1e-300
+    hi = min(_BRACKET_HI * maxv + 1e-300, _FLOAT_MAX)
     if constraint(hi) > 1.0:
         return np.inf
     if constraint(lo) <= 1.0:
@@ -99,7 +111,9 @@ def _gauge_bisect(constraint, maxv: float) -> float:
     for _ in range(120):
         if hi - lo <= NORM_REL_TOL * hi:
             break
-        mid = np.sqrt(lo * hi)
+        mid = lo * hi  # floats: past the range it reads inf or a subnormal, with no warning
+        # two roots only where lo * hi overflows or loses bits, so every other gauge keeps its bits
+        mid = math.sqrt(mid) if _FLOAT_TINY <= mid <= _FLOAT_MAX else math.sqrt(lo) * math.sqrt(hi)
         if constraint(mid) <= 1.0:
             hi = mid
         else:
@@ -216,75 +230,128 @@ class MorreySampling:
         return cs
 
 
-# Centers whose sorted window rows are merged together; the work arrays are
+# Fewest centers whose windows the weak root-find sorts together; the work arrays are
 # _CENTER_CHUNK x (window width) floats.
 _CENTER_CHUNK = 32
+# Entries of one array of gathered ball windows in the weak 1-D power closed form.
+_BATCH = 2**16
+# Relative margin by which the bound on a skipped run of weak entries stays below the best exact
+# entry; it covers any p-th root that rounds out of order.
+_RUN_MARGIN = 1e-12
 
 
-def _weak_power_sups(vp, cellvol, windows):
-    """max_k v_(k)**p * cellvol * k over each 1-D ball of ``windows``, v_(k) the k-th largest.
+def _weak_power_batch(table, rank_vol, start, stop):
+    """max_k v_(k) * cellvol * k over the 1-D windows (start, stop] of ``table``, v_(k) the k-th largest.
 
-    ``vp`` holds the per-cell values v**p, ``windows`` the (N, radii, 1)
-    ``ball_windows`` of N centers at nondecreasing radii.  For a fixed center
-    the windows are nested as the radius grows (empty ones first), so each
-    row of ``rows`` keeps the window's values sorted ascending and every
-    radius appends only the newly covered cells and re-sorts with a stable
-    sort, which timsort finishes as a linear merge of the two runs.  Rows
-    are padded at the front with zeros (slot 0 of the row table): zeros sort
-    first, are taken as ranks beyond the positive values and contribute 0
-    terms, so the products of the positive entries are exactly those of
-    sorting each ball's positive values on its own.  Leading columns that
-    are zero in every row are trimmed after each sort.
+    ``rank_vol[-k]`` holds cellvol * k.  Each distinct window is read anew: the cells after its end
+    are zeroed, and zeros sort first, are taken as ranks beyond the positive values and add 0 terms.
+    Windows are batched by width, within a factor 2."""
+    _, first, inverse = np.unique(start * len(table) + stop, return_index=True, return_inverse=True)
+    start, width = start[first], stop[first] - start[first]
+    out = np.zeros(len(width))
+    order = np.argsort(width, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(np.frexp(width[order])[1])) + 1):
+        w, top = width[group], width[group[-1]] if len(group) else 0
+        if top == 0:
+            continue
+        view = np.lib.stride_tricks.sliding_window_view(table, top)
+        for batch in np.array_split(np.arange(len(group)), -(-len(group) * top // _BATCH)):
+            rows = view[start[group[batch]] + 1]
+            rows[np.arange(top) >= w[batch, None]] = 0.0
+            rows.sort(axis=1)
+            out[group[batch]] = np.max(rows * rank_vol[len(rank_vol) - top :], axis=1)
+    return out[inverse]
+
+
+def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
+    """g = max_k v_(k)**p * cellvol * k over each 1-D ball of ``windows``, v_(k) the k-th largest.
+
+    ``vp`` holds the per-cell values v**p, ``windows`` the (N, radii, 1) ``ball_windows`` of N centers at
+    nondecreasing radii, so g(c, j) is nondecreasing in j (module docstring).  All centers are bisected
+    over their radius indices together, a level at a time: the first and last radius are evaluated
+    exactly, and a run lo < j < hi between two exact entries takes g(c, lo) if g(c, lo) == g(c, hi),
+    else is split at its middle.  Given a ``prefactor`` per radius, a run is skipped (its entries read 0)
+    when to_gauge(g(c, hi)) * max(prefactor over the run) * (1 + _RUN_MARGIN) falls below the best
+    to_gauge(g) * prefactor of an exact entry.
     """
-    table, n_pos = row_table(vp)[0], ball_sums(np.where(vp > 0, 1.0, 0.0), windows)[0].astype(int)
+    table = row_table(vp)[0]
     start, stop = windows[0][..., 0], windows[1][..., 0]
-    # cells added by each radius: the slots (start, prev_start] on the left and (prev_stop, stop]
-    # on the right; after an empty window both parts name the slots (start, stop]
-    n_left = np.concatenate([start[:, :1], start[:, :-1]], axis=1) - start
-    prev_stop = np.concatenate([start[:, :1], stop[:, :-1]], axis=1)
-    n_new = n_left + stop - prev_stop
     rank_vol = cellvol * np.arange(len(vp), 0, -1)  # cellvol * rank, ranks counted from the end
     out = np.zeros(start.shape)
-    for c0 in range(0, len(start), _CENTER_CHUNK):
-        chunk = slice(c0, c0 + _CENTER_CHUNK)
-        rows = np.zeros((len(start[chunk]), 0))
-        for j in range(start.shape[1]):
-            width = n_new[chunk, j].max()
-            if width:
-                pos = np.arange(width)
-                left = n_left[chunk, j, None]
-                slot = np.where(pos < left, start[chunk, j, None] + pos, prev_stop[chunk, j, None] + pos - left)
-                new = table[np.where(pos < n_new[chunk, j, None], slot + 1, 0)]
-                rows = np.concatenate([new, rows], axis=1)
-                rows.sort(axis=1, kind="stable")
-                rows = rows[:, rows.shape[1] - n_pos[chunk, j].max() :]
-            if rows.shape[1]:
-                out[chunk, j] = np.max(rows * rank_vol[len(vp) - rows.shape[1] :], axis=1)
+    last = start.shape[1] - 1
+    ends = np.arange(len(start)).repeat(2), np.tile([0, last], len(start))
+    out[ends] = _weak_power_batch(table, rank_vol, start[ends], stop[ends])
+    if prefactor is not None:
+        # runs[k, a] = max(prefactor[a : a + 2**k]); a run a..b is two such blocks that overlap
+        runs = np.full((int(last + 1).bit_length(), last + 1), np.nan)
+        runs[0] = prefactor
+        for k in range(1, len(runs)):
+            n, half = last + 2 - 2**k, 2 ** (k - 1)  # blocks of 2**k radii
+            runs[k, :n] = np.maximum(runs[k - 1, :n], runs[k - 1, half : half + n])
+
+        def run_max(a, b):  # max(prefactor[a : b + 1]), a <= b
+            k = np.frexp(b - a + 1)[1] - 1
+            return np.maximum(runs[k, a], runs[k, b + 1 - 2**k])
+
+        best = np.nanmax(to_gauge(out[ends]) * prefactor[ends[1]], initial=-np.inf)
+    c, lo, hi = np.arange(len(start)), np.zeros(len(start), int), np.full(len(start), last)
+    while len(c := c[(live := hi - lo > 1)]):
+        lo, hi = lo[live], hi[live]
+        flat = out[c, lo] == out[c, hi]
+        n_in = np.where(flat, hi - lo - 1, 0)
+        fill = np.arange(n_in.sum()) - np.repeat(np.cumsum(n_in) - n_in, n_in)
+        out[np.repeat(c, n_in), np.repeat(lo + 1, n_in) + fill] = np.repeat(out[c, lo], n_in)
+        split = ~flat
+        if prefactor is not None:
+            # exact entries only: a run's best is its largest prefactor times its one gauge
+            best = np.nanmax(to_gauge(out[c, lo][flat]) * run_max(lo[flat] + 1, hi[flat] - 1), initial=best)
+            split &= ~(to_gauge(out[c, hi]) * run_max(lo + 1, hi - 1) * (1 + _RUN_MARGIN) < best)
+        c, lo, hi, mid = c[split], lo[split], hi[split], (lo[split] + hi[split]) // 2
+        out[c, mid] = _weak_power_batch(table, rank_vol, start[c, mid], stop[c, mid])
+        if prefactor is not None:
+            best = np.nanmax(to_gauge(out[c, mid]) * prefactor[mid], initial=best)
+        c, lo, hi = np.concatenate([c, c]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
     return out
 
 
 def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
     """Ball Orlicz gauges per (center, radius) pair, and the per-ball bisections (None: closed form).
 
-    Power kinds scale * t**p on 1-D grids go through closed forms: window
-    sums of f**p for the strong gauge, and for the weak one the order
-    statistics sup_k v_(k)**p * |{f >= v_(k)}| of each ball, merged across
-    the nested windows of one center (``_weak_power_sups``).  Else the column
-    root-find gives the entries that can attain the sup of gauge * prefactor
-    (with no prefactor, each column's maximum); the rest read 0.
+    Power kinds scale * t**p on 1-D grids go through closed forms while f**p
+    and its sum stay finite: window sums of f**p for the strong gauge, and for
+    the weak one the order statistics sup_k v_(k)**p * |{f >= v_(k)}| of each
+    ball, bisected over the nested windows of one center
+    (``_weak_power_sups``).  That sup never falls as the radius grows, bit
+    for bit, so a run of radii between two equal values takes that value,
+    and given a prefactor a run whose upper gauge times its largest
+    prefactor, times 1 + 1e-12, stays below the best exact entry reads 0.
+    Else the column root-find gives the entries that can attain the sup of
+    gauge * prefactor (with no prefactor, each column's maximum); the rest
+    read 0.  Both skip only entries strictly below the sup, so the sup and
+    its witness are those of the whole matrix.
     """
     cellvol = f.grid.cell_volume
     radii = np.asarray(radii, dtype=float)
-    power = _power_form(phi)
-    if power is None or f.grid.n != 1 or not np.all(np.isfinite(f.values)):
+    power = _power_form(phi) if f.grid.n == 1 else None
+    if power is not None:
+        p, scale = power
+        with np.errstate(over="ignore"):
+            vp = f.values**p
+            if not np.isfinite(2 * scale * cellvol * vp.sum()):  # f**p or a ball's sup of it may overflow
+                power = None  # the root-find divides by lam first
+    if power is None:
         return _root_find_gauges(f, phi, centers, radii, weak, prefactor)
-    p, scale = power
     if not weak:
-        sums = ball_sums(f.values**p, ball_windows(f.grid, centers, radii))[0]
+        sums = ball_sums(vp, ball_windows(f.grid, centers, radii))[0]
         return (scale * cellvol * sums) ** (1.0 / p), None
     order = np.argsort(radii, kind="stable")
-    sups = _weak_power_sups(f.values**p, cellvol, ball_windows(f.grid, centers, radii[order]))
-    return (scale * sups[:, np.argsort(order)]) ** (1.0 / p), None
+
+    def to_gauge(sups):
+        return (scale * sups) ** (1.0 / p)
+
+    sups = _weak_power_sups(vp, cellvol, ball_windows(f.grid, centers, radii[order]), to_gauge,
+                            None if prefactor is None else prefactor[order])
+    return to_gauge(sups[:, np.argsort(order)]), None
 
 
 def _root_find_gauges(f, phi, centers, radii, weak, prefactor):

@@ -8,6 +8,7 @@ from scipy.signal import convolve2d
 from olab import Ball, GridSpec, SampledFunction, ball_measure, sample_function
 from olab.norms import _argmax_witness, _lux_gauge, _weak_gauge
 from olab.operators import _radius_set_2d
+from olab.sampled import ball_sums, row_table
 
 
 @pytest.fixture(scope="session")
@@ -139,3 +140,38 @@ def per_ball_morrey(f, phi, varphi, centers, radii, weak=False, gauges=None):
     vals = gauges * (phi.inverse(1.0 / measures) / varphi(radii))[None, :]
     best, witness = _argmax_witness(vals, centers, radii)
     return vals, best, witness if np.isfinite(best) else None
+
+
+def merged_weak_power_sups(vp, cellvol, windows):
+    """Reference weak 1-D power sups, every ball exact: max_k v_(k)**p * cellvol * k per ball of ``windows``.
+
+    For a fixed center the windows are nested as the radius grows, so each row keeps the window's values
+    sorted ascending, and every radius appends only the newly covered cells and re-sorts with a stable
+    sort (a linear merge of the two runs).  Rows are padded at the front with zeros, which sort first and
+    add 0 terms; leading columns zero in every row are trimmed after each sort.
+    """
+    table, n_pos = row_table(vp)[0], ball_sums(np.where(vp > 0, 1.0, 0.0), windows)[0].astype(int)
+    start, stop = windows[0][..., 0], windows[1][..., 0]
+    # cells added by each radius: the slots (start, prev_start] on the left and (prev_stop, stop]
+    # on the right; after an empty window both parts name the slots (start, stop]
+    n_left = np.concatenate([start[:, :1], start[:, :-1]], axis=1) - start
+    prev_stop = np.concatenate([start[:, :1], stop[:, :-1]], axis=1)
+    n_new = n_left + stop - prev_stop
+    rank_vol = cellvol * np.arange(len(vp), 0, -1)  # cellvol * rank, ranks counted from the end
+    out = np.zeros(start.shape)
+    for c0 in range(0, len(start), 32):
+        chunk = slice(c0, c0 + 32)
+        rows = np.zeros((len(start[chunk]), 0))
+        for j in range(start.shape[1]):
+            width = n_new[chunk, j].max()
+            if width:
+                pos = np.arange(width)
+                left = n_left[chunk, j, None]
+                slot = np.where(pos < left, start[chunk, j, None] + pos, prev_stop[chunk, j, None] + pos - left)
+                new = table[np.where(pos < n_new[chunk, j, None], slot + 1, 0)]
+                rows = np.concatenate([new, rows], axis=1)
+                rows.sort(axis=1, kind="stable")
+                rows = rows[:, rows.shape[1] - n_pos[chunk, j].max() :]
+            if rows.shape[1]:
+                out[chunk, j] = np.max(rows * rank_vol[len(vp) - rows.shape[1] :], axis=1)
+    return out

@@ -153,6 +153,28 @@ def test_non_finite_range_or_schedule_is_status_2(capsys, tmp_path, argv):
     assert "invalid" in err
 
 
+@pytest.mark.parametrize("command", ["classify", "check"])
+@pytest.mark.parametrize("spec", ["1e-300:1e300:64", "1:2:4194304"], ids=["ratio-overflows", "2^22+1-nodes"])
+def test_oversized_range_is_status_2(capsys, tmp_path, monkeypatch, command, spec):
+    arange = np.arange
+
+    def bounded_arange(*args, **kwargs):  # a missing guard fails here, before it allocates the grid
+        assert np.isfinite(args).all() and max(args, default=0) <= 2**22
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", bounded_arange)
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps(
+        {"young": {"kind": "power", "p": 2.0}, "lambda": 0.0, "alpha": 0.25, "beta": 0.5, "n": 1}))
+    if command == "check":
+        argv = ["check", "--condition", "adams-necessary", "--setup", str(setup), "--range", spec]
+    else:
+        argv = ["classify", "--young", P2, "--class", "delta2", "--range", spec]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "invalid range" in err and "4194304 nodes" in err
+
+
 @pytest.mark.parametrize("term", [
     '{"type":"gaussian","scale":NaN}',
     '{"type":"gaussian","center":[NaN]}',

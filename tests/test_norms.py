@@ -34,11 +34,12 @@ from olab.norms import (
     _power_form,
     _weak_gauge,
 )
-from olab.sampled import cell_window
+from olab.sampled import ball_windows, cell_window
 
 from conftest import (
     PIN_GRIDS,
     PIN_GRIDS_2D,
+    merged_weak_power_sups,
     per_ball_gauges,
     per_ball_morrey,
     random_cells_2d,
@@ -286,18 +287,55 @@ def test_ball_cells_agree_between_closed_forms_and_ball_values(grid64):
             assert norm(f, phi, ball).value == pytest.approx(closed, rel=NORM_REL_TOL)
 
 
-def test_strong_closed_form_reads_no_nan_past_an_overflowing_power():
-    # f**2 overflows at one cell: no ball reads nan, and every ball off that cell keeps its gauge
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+def test_overflowing_power_takes_the_root_find(weak):
+    # f**2 overflows at one cell, so the closed forms would read inf over it: the sample takes the
+    # root-find, which divides by lam first, and every column maximum, value and witness is per-ball
     g = GridSpec(1, 1 / 8, 2.0)
     vals = np.ones(g.shape())
     vals[5] = 1e200
     f = SampledFunction(g, vals)
-    centers, radii = [(float(c),) for c in g.axis_centers()[::4]], np.array([0.2, 1.0, 3.0])
-    with np.errstate(over="ignore"):
-        fast, _ = _ball_gauge_matrix(f, P2, centers, radii, weak=False)
-    over = np.array([[f.ball_mask(Ball(c, r))[5] for r in radii] for c in centers])
-    assert not np.isnan(fast).any() and 0 < np.count_nonzero(over) < over.size
-    assert np.allclose(fast[~over], per_ball_gauges(f, P2, centers, radii, False)[~over], rtol=1e-8, atol=0)
+    sampling = oracle_sampling(g)
+    centers, radii = sampling.centers(f), sampling.radii()
+    fast, bisections = _ball_gauge_matrix(f, P2, centers, radii, weak)
+    slow = per_ball_gauges(f, P2, centers, radii, weak)
+    assert bisections is not None and np.isfinite(slow).all() and slow.max() > 1e199
+    assert np.array_equal(fast.max(axis=0), slow.max(axis=0))
+    assert check_root_find(f, P2, (0.0, 0.5), weak, sampling).path == "column-root-find"
+
+
+@pytest.mark.parametrize("top", [1e200, 1e300])
+def test_gauges_of_huge_values_are_finite(top):
+    # lo * hi of the bisection bracket overflows: the midpoint is taken by two square roots
+    vals, cellvol = np.array([1.0, top, 1.0]), 0.125
+    lux, weak = _lux_gauge(vals, cellvol, P2), _weak_gauge(vals, cellvol, P2)
+    assert np.isfinite(lux) and cellvol * np.sum(P2(vals / lux)) <= 1.0
+    assert np.isfinite(weak) and np.max(P2(np.sort(vals)[::-1] / weak) * cellvol * np.arange(1, 4)) <= 1.0
+
+
+def test_gauges_of_ordinary_values_keep_their_bits():
+    # where lo * hi is a normal float the midpoint is its one square root, as it always was
+    def one_root_bisect(constraint, maxv):
+        lo, hi = 1e-12 * maxv, 1e12 * maxv + 1e-300
+        while hi - lo > NORM_REL_TOL * hi:
+            mid = np.sqrt(lo * hi)
+            lo, hi = (lo, mid) if constraint(mid) <= 1.0 else (mid, hi)
+        return hi
+
+    cellvol = 0.125
+    for top in (1e-100, 3.0, 1e100):
+        vals = np.array([1.0, 3.0, 2.0]) * top
+        expected = one_root_bisect(lambda lam: cellvol * float(np.sum(P2(vals / lam))), float(vals.max()))
+        assert _lux_gauge(vals, cellvol, P2) == expected
+
+
+@pytest.mark.parametrize("tiny", [1e-160, 1e-300])
+def test_gauges_of_tiny_values_hold_their_tolerance(tiny):
+    # lo * hi of the bracket is subnormal (or 0): the square roots keep the midpoints exact
+    vals, cellvol = np.full(3, tiny), 0.125
+    for gauge in (_lux_gauge, _weak_gauge):
+        # three cells of value v, of measure 3/8 together: both gauges are v * sqrt(3/8)
+        assert gauge(vals, cellvol, P2) == pytest.approx(tiny * np.sqrt(3 * cellvol), rel=2 * NORM_REL_TOL)
 
 
 def per_ball_weak_power_gauges(f, phi, centers, radii):
@@ -354,6 +392,63 @@ def test_weak_power_gauges_property(seed, grid, phi):
     centers = [(float(c),) for c in rng.uniform(-1.5 * grid.extent, 1.5 * grid.extent, rng.integers(1, 40))]
     radii = rng.uniform(0.1 * grid.h, 3 * grid.extent, rng.integers(1, 30))
     check_weak_gauges_match_per_ball(f, phi, centers, radii)
+
+
+def merged_weak_power_gauges(f, phi, centers, radii):
+    """Weak power gauges of every ball from the merged-window reference ``merged_weak_power_sups``."""
+    p, scale = _power_form(phi)
+    order = np.argsort(radii, kind="stable")
+    windows = ball_windows(f.grid, centers, np.asarray(radii)[order])
+    sups = merged_weak_power_sups(f.values**p, f.grid.cell_volume, windows)
+    return (scale * sups[:, np.argsort(order)]) ** (1.0 / p)
+
+
+def weak_oracle_samples(grid, rng):
+    """An indicator sum, a stepped function and its maximal function, and cells of 0, 1 and 2 (ties)."""
+    stepped = stepped_function(grid, rng)
+    ties = SampledFunction(grid, rng.integers(0, 3, grid.shape()).astype(float))
+    return [random_indicator_sum(grid, rng), stepped, maximal(stepped, alpha=0.25), ties]
+
+
+@pytest.mark.parametrize("grid", PIN_GRIDS)
+def test_weak_power_sups_equal_the_merged_windows(grid):
+    # with no prefactor nothing is skipped: every entry, flat runs included, is the reference's
+    rng = np.random.default_rng(41)
+    sampling = pin_sampling(grid)
+    for f in weak_oracle_samples(grid, rng):
+        centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
+        for phi in WEAK_PHIS:
+            fast, _ = _ball_gauge_matrix(f, phi, centers, radii, weak=True)
+            assert np.array_equal(fast, merged_weak_power_gauges(f, phi, centers, radii))
+
+
+PREFACTORS = {
+    "constant": lambda radii, rng: np.ones(len(radii)),
+    "increasing": lambda radii, rng: np.sqrt(radii),
+    "decreasing": lambda radii, rng: 1 / np.sqrt(radii),
+    "random": lambda radii, rng: rng.uniform(0.1, 10.0, len(radii)),
+}
+
+
+@pytest.mark.parametrize("shape", PREFACTORS)
+@pytest.mark.parametrize("grid", PIN_GRIDS)
+def test_weak_power_sups_skip_only_balls_below_the_sup(grid, shape):
+    # every kept entry is the reference's; a skipped one reads 0 and lies strictly below the sup, so
+    # the value and the witness are the reference's
+    rng = np.random.default_rng(43)
+    sampling = pin_sampling(grid)
+    skipped = 0
+    for f in weak_oracle_samples(grid, rng):
+        centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
+        prefactor = PREFACTORS[shape](radii, rng)
+        for phi in WEAK_PHIS:
+            fast = _ball_gauge_matrix(f, phi, centers, radii, True, prefactor)[0] * prefactor
+            slow = merged_weak_power_gauges(f, phi, centers, radii) * prefactor
+            assert _argmax_witness(fast, centers, radii) == _argmax_witness(slow, centers, radii)
+            kept = fast == slow
+            assert np.all(kept | ((fast == 0) & (slow < slow.max())))
+            skipped += np.count_nonzero(~kept)
+    assert skipped > 0
 
 
 @pytest.mark.parametrize("phi", [P2, P2.compose_power(1 / 3)])
