@@ -17,11 +17,24 @@ values holds that value throughout, and a run is skipped when the gauge of
 its upper end times the run's largest prefactor, times (1 + 1e-12) for the
 rounding of the p-th root, falls below the best exact entry: none of its
 entries can win or tie.  Skipped entries read 0; with no prefactor none is
-skipped.  Every other case finds, per radius (and chunk of weak centers), one
-root lam* = min{lam : max_c U_c(lam) <= 1} of bounds U_c >= F_c of the balls'
-constraints, which fall in lam; each step evaluates every ball at once, by
-``sampled.ball_sums`` plus its rounding bound (strong) or on windows sorted
-once (weak: the very products of ``_weak_gauge``).  The values stay those of
+skipped.  Every other case finds, per column block (a radius, and for the weak
+gauge a chunk of centers), one root lam* = min{lam : max_c U_c(lam) <= 1} of
+bounds U_c >= F_c of the balls' constraints, which fall in lam.  One batched
+Illinois iteration finds the roots of all blocks: each keeps its own bracket
+and halving, and each step evaluates the unfinished blocks at once.  Strong:
+U_c is ``sampled.ball_sums`` of phi(f/lam) plus its rounding bound, the
+columns of a chunk stacked in one table; a block's root does not depend on
+its chunk.  Weak: levels s_0 < ... < s_L over f's positive values, t_i the
+largest value of the bin [s_i, s_(i+1)), N_i(c) = #{x in B_c : f(x) >= s_i}
+and U_c(lam) = max_i phi(t_i/lam) * cellvol * N_i(c): a ball's k-th largest
+value v lies in some bin i, with k <= N_i(c) and phi(v/lam) <= phi(t_i/lam).
+Its maximum over a block is max_i phi(t_i/lam) * cellvol * max_c N_i(c), one
+row of counts per block.  With a level at every distinct value U_c is term
+for term the bound on windows sorted once (the very products of
+``_weak_gauge``), and so are the roots.  Binned levels (more distinct values
+than the level budget) give roots above those, which only order the blocks:
+a block taken in their order finds the root of its sorted windows, and the
+margin test below waits until that root tops the rest.  The values stay those of
 the per-ball bisections (``_lux_gauge``, ``_weak_gauge``, tolerance 1e-9):
 where U_c(lam) <= 1 that bisection ends below lam (1 + 2e-9), bracket ends
 permitting (checked).  So a ball with U_c(mu) <= 1, mu = lam* (1 - 1e-7),
@@ -30,13 +43,16 @@ positive cells and per positive content), and if one reaches mu (1 + 3e-9)
 it strictly tops every skipped ball, else the whole column is re-bisected.
 A column stays below lam* (1 + 2e-9), so columns are taken by decreasing
 lam* * prefactor until that times (1 + 4e-9) falls below the best exact
-entry: no later entry can win or tie.  Skipped entries read 0.  Balls over
+entry: no later entry can win or tie (a phi that rounds a few ulps out of
+order moves a binned root by far less).  Skipped entries read 0.  Balls over
 an infinite cell of f have gauge inf; the rest are those of f with its
 infinite cells zeroed, and need no work once one inf entry decides the sup.
+Gauge brackets keep their lower end at or above the least positive float.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -46,7 +62,8 @@ from .errors import ConfigError
 from .growth import GrowthFunction
 from .report import ConditionReport, combine_legs, node_max, track
 from .sampled import (Ball, GridSpec, SampledFunction, ball_measure, ball_sums, ball_windows, default_grid,
-                      row_table, sample_function, window_key, window_values)
+                      row_prefix, row_table, sample_function, stacked_ball_sums, stacked_ball_windows, window_key,
+                      window_values)
 from .young import ComposedPowerYoung, PowerYoung, YoungFunction
 
 __all__ = [
@@ -68,6 +85,7 @@ _BRACKET_LO, _BRACKET_HI = 1e-12, 1e12
 # Relative margin below a column's root within which balls are re-bisected.
 _MARGIN = 1e-7
 _FLOAT_TINY, _FLOAT_MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
+_FLOAT_MIN, _EPS = float(np.nextafter(0.0, 1.0)), float(np.finfo(float).eps)  # least positive float
 
 
 @dataclass
@@ -80,6 +98,7 @@ class NormEvaluation:
     kind: str = "orlicz"
     path: str | None = None  # Morrey sups: "closed-form" or "column-root-find"
     bisections: int = 0  # per-ball gauge bisections made
+    root_find: dict | None = None  # the root-find's blocks, visited, steps, levels, binned
 
     def __float__(self):
         return float(self.value)
@@ -100,10 +119,15 @@ def _power_form(phi: YoungFunction) -> tuple[float, float] | None:
     return None
 
 
+def _bracket(maxv: float) -> tuple[float, float]:
+    """The gauge bracket [1e-12, 1e12] * maxv within the positive finite floats (for a subnormal maxv the
+    lower end would round to 0)."""
+    return max(_BRACKET_LO * maxv, _FLOAT_MIN), min(_BRACKET_HI * maxv + 1e-300, _FLOAT_MAX)
+
+
 def _gauge_bisect(constraint, maxv: float) -> float:
     """Smallest lam with constraint(lam) <= 1, by bisection in log space."""
-    lo = _BRACKET_LO * maxv
-    hi = min(_BRACKET_HI * maxv + 1e-300, _FLOAT_MAX)
+    lo, hi = _bracket(maxv)
     if constraint(hi) > 1.0:
         return np.inf
     if constraint(lo) <= 1.0:
@@ -121,22 +145,38 @@ def _gauge_bisect(constraint, maxv: float) -> float:
     return hi
 
 
-def _column_root(constraint, maxv: float) -> float:
-    """Column roots, which only steer the margin: Illinois regula falsi, far fewer steps than ``_gauge_bisect``'s 36.
+def _illinois(evaluate, lo: float, hi: float, n: int) -> tuple[np.ndarray, int]:
+    """Roots min{lam : U_b(lam) <= 1} of n column blocks b at once, and the number of ``evaluate`` calls.
 
-    Log constraint against log lam; where the constraint is 0 or inf at a bracket end the step halves instead.
+    ``evaluate(lam, live)`` gives the column maxima U_b(lam), nonincreasing in lam, of the blocks ``live``,
+    each at its own lam.  Every block runs its own Illinois regula falsi on log U against log lam from the
+    bracket [lo, hi], where 0 or inf at an end halves the step instead, and ends at the feasible end of a
+    bracket of relative width NORM_REL_TOL.  The roots only steer the margin: far fewer steps than
+    ``_gauge_bisect``'s 36.
     """
-    lo, hi, side = _BRACKET_LO * maxv, _BRACKET_HI * maxv + 1e-300, 0
-    y_lo, y_hi = np.log(constraint(lo)), np.log(constraint(hi))
-    if y_hi > 0 or y_lo <= 0:
-        return np.inf if y_hi > 0 else lo
-    while hi - lo > NORM_REL_TOL * hi:
-        mid = lo * (hi / lo) ** (np.clip(y_lo / (y_lo - y_hi), 0.01, 0.99) if np.isfinite(y_lo - y_hi) else 0.5)
-        if (y := np.log(constraint(mid))) <= 0:
-            hi, y_hi, y_lo, side = mid, y, y_lo / (2 if side == 1 else 1), 1
-        else:
-            lo, y_lo, y_hi, side = mid, y, y_hi / (2 if side == -1 else 1), -1
-    return hi
+    every = np.arange(n)
+    a, b = np.full(n, lo), np.full(n, hi)
+    ya, yb = np.log(evaluate(a, every)), np.log(evaluate(b, every))
+    roots = np.where(yb > 0, np.inf, lo)
+    # the state of the unfinished blocks ``live`` only; side: 1 (-1) where the last step moved hi (lo)
+    keep = ~(yb > 0) & ~(ya <= 0)
+    live, a, b, ya, yb, side = every[keep], a[keep], b[keep], ya[keep], yb[keep], np.zeros(keep.sum())
+    steps = 2
+    for _ in range(120):  # as many as ``_gauge_bisect``: among subnormals a bracket may not narrow
+        if not (keep := b - a > NORM_REL_TOL * b).all():
+            roots[live[~keep]] = b[~keep]
+            live, a, b, ya, yb, side = live[keep], a[keep], b[keep], ya[keep], yb[keep], side[keep]
+        if not len(live):
+            break
+        mid = a * (b / a) ** np.where(np.isfinite(ya - yb), np.clip(ya / (ya - yb), 0.01, 0.99), 0.5)
+        y, steps = np.log(evaluate(mid, live)), steps + 1
+        below = y <= 0
+        # the end that stays put a second time in a row has its log U halved
+        ya = np.where(below, np.where(side == 1, ya / 2, ya), y)
+        yb = np.where(below, y, np.where(side == -1, yb / 2, yb))
+        a, b, side = np.where(below, a, mid), np.where(below, mid, b), np.where(below, 1, -1)
+    roots[live] = b
+    return roots, steps
 
 
 def _lux_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction) -> float:
@@ -233,8 +273,16 @@ class MorreySampling:
 # Fewest centers whose windows the weak root-find sorts together; the work arrays are
 # _CENTER_CHUNK x (window width) floats.
 _CENTER_CHUNK = 32
-# Entries of one array of gathered ball windows in the weak 1-D power closed form.
+# Entries of one array of gathered ball windows: the weak 1-D power closed form, the weak level counts.
 _BATCH = 2**16
+# The strong root-find: the ball windows it holds at once, in index bytes (larger sets of radii are split
+# into groups, each with its own batched root-find), and the row_prefix slots plus windows of the columns
+# that one step stacks into one table (one column on large grids, where a wider table falls out of cache).
+_WINDOW_BYTES, _STACK_SLOTS = 2**24, 2**15
+# The weak root-find's level count, at least 1, keeps levels x balls within _LEVEL_BALLS and levels x balls x
+# rows (the row windows that its counts read) within _LEVEL_ROWS.  Provisional: set by single runs on 128x128
+# and 256x256 grids; no benchmarked op has more distinct positive values than the budget.
+_LEVEL_BALLS, _LEVEL_ROWS = 2**21, 2**28
 # Relative margin by which the bound on a skipped run of weak entries stays below the best exact
 # entry; it covers any p-th root that rounds out of order.
 _RUN_MARGIN = 1e-12
@@ -315,7 +363,7 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
 
 
 def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
-    """Ball Orlicz gauges per (center, radius) pair, and the per-ball bisections (None: closed form).
+    """Ball Orlicz gauges per (center, radius) pair, and the root-find's ``_work`` record (None: closed form).
 
     Power kinds scale * t**p on 1-D grids go through closed forms while f**p
     and its sum stay finite: window sums of f**p for the strong gauge, and for
@@ -354,29 +402,108 @@ def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
     return to_gauge(sups[:, np.argsort(order)]), None
 
 
+def _work(**counts) -> dict:
+    """The root-find's work record: column blocks, blocks visited, batched steps (evaluations of column
+    bounds), the weak bound's level count (None: strong) and whether its levels bin the values, and the
+    per-ball bisections."""
+    return {"blocks": 0, "visited": 0, "steps": 0, "levels": None, "binned": False, "bisections": 0} | counts
+
+
+def _strong_bound(f, phi, centers, radii):
+    """(lam, cols) -> U_c(lam) = cellvol * (ball sums of phi(f / lam) + their rounding bound) >= F_c(lam),
+    one per column, for the balls of ``centers`` at the radii ``radii[cols]`` (ascending), each at its lam.
+
+    phi(f / lam) of a chunk of columns goes into one stacked ``row_prefix`` table, read by windows made
+    once; a chunk with a column in ``cols`` is evaluated whole."""
+    rows = f.grid.cells_per_axis ** (f.grid.n - 1)
+    chunk = max(1, _STACK_SLOTS // ((3 * f.grid.cells_per_axis + 1 + len(centers)) * rows))
+    windows = [stacked_ball_windows(f.grid, centers, radii[k : k + chunk]) for k in range(0, len(radii), chunk)]
+    lams, out, shape = np.ones(len(radii)), np.zeros((len(radii), len(centers))), (-1,) + (1,) * f.grid.n
+
+    def bound(lam, cols):
+        lams[cols] = lam
+        for k in np.flatnonzero(np.bincount(cols // chunk)):  # the chunks holding a column of cols
+            part = slice(k * chunk, (k + 1) * chunk)
+            sums = stacked_ball_sums(phi(f.values / lams[part].reshape(shape)), windows[k])
+            out[part] = f.grid.cell_volume * np.add(*sums)
+        return out[cols]
+
+    return bound
+
+
+def _sorted_bound(f, phi, windows):
+    """lam -> U_c(lam) >= F_c(lam), a row per lam, for the balls of ``windows``: the weak terms of each
+    window sorted once, the very products of ``_weak_gauge``, times 1 + 4 eps."""
+    (v := window_values(f.values, windows)).sort(axis=1)  # in place: a sorted copy costs page faults
+    v, meas = v[:, ::-1], f.grid.cell_volume * np.arange(1, v.shape[1] + 1)
+    return lambda lam: np.max(phi(v / lam.reshape(-1, 1, 1)) * meas, axis=2) * (1 + 4 * _EPS)
+
+
+def _levels(values, budget):
+    """Levels s_0 < ... < s_L over the distinct positive values, and the largest value t_i of each bin
+    [s_i, s_(i+1)): every distinct value (t = s) when at most ``budget``, else ``budget`` bins of about
+    equally many distinct values."""
+    distinct = np.sort(values[values > 0], axis=None)  # not np.unique, which imports numpy.ma
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    if len(distinct) <= budget:
+        return distinct, distinct
+    first = np.arange(budget) * len(distinct) // budget
+    return distinct[first], distinct[np.append(first[1:], len(distinct)) - 1]
+
+
+def _level_counts(f, levels, centers, radii, step):
+    """Per radius and chunk of ``step`` centers, the chunk's largest N_i(c) = #{x in B_c : f(x) >= s_i},
+    for each level s_i: (radii, chunks, levels).  The ``row_prefix`` tables of the level sets are
+    interleaved, so that a window reads the counts of every level from one slot."""
+    m, rows = f.grid.cells_per_axis, f.grid.cells_per_axis ** (f.grid.n - 1)
+    # in the least signed type that holds a row's count, m (np.min_scalar_type(-m) is int8 at m = 128)
+    level_sets = (f.values >= levels.reshape((-1,) + (1,) * f.grid.n)).astype(np.min_scalar_type(-m - 1))
+    # (slots, levels)
+    table = np.ascontiguousarray(row_prefix(level_sets).reshape(len(levels), -1).T)
+    per = max(1, _BATCH // (len(levels) * len(centers) * rows))
+    out = []
+    for r in np.array_split(radii, -(-len(radii) // per)):  # ``per`` radii at a time
+        start, stop = ball_windows(f.grid, centers, r)
+        counts = (table[stop] - table[start]).sum(axis=-2)  # (centers, radii, levels)
+        out.append(np.maximum.reduceat(counts, np.arange(0, len(centers), step), axis=0))
+    return np.concatenate(out, axis=1).transpose(1, 0, 2)
+
+
+def _level_bound(phi, tops, meas, lam):
+    """U(lam) = max_i phi(t_i / lam) * meas_i, times 1 + 4 eps, per row of ``meas`` (rows, levels) at the
+    lam of its row (or one lam); meas_i = cellvol * N_i.  Terms of no cell read 0, even where phi is inf."""
+    terms = phi(tops / np.reshape(lam, (-1, 1))) * meas
+    return np.fmax.reduce(terms, axis=1, initial=0.0) * (1 + 4 * _EPS)
+
+
 def _root_find_gauges(f, phi, centers, radii, weak, prefactor):
-    """The column root-find of the module docstring: (gauges, per-ball bisections)."""
+    """The column root-find of the module docstring: (gauges, ``_work`` record)."""
     inf = np.isinf(f.values)
     if inf.any():  # balls over an infinite cell have gauge inf; zeroing those cells changes no other ball
         hit = np.stack([window_key(inf, ball_windows(f.grid, centers, r)).any(axis=1) for r in radii], axis=1)
-        out, bisections = (0.0, 0) if prefactor is not None and hit.any() else _root_find_gauges(
+        out, work = (0.0, _work()) if prefactor is not None and hit.any() else _root_find_gauges(
             SampledFunction(f.grid, np.where(inf, 0.0, f.values)), phi, centers, radii, weak, prefactor)
-        return np.where(hit, np.inf, out), bisections
+        return np.where(hit, np.inf, out), work
     out, cache = np.zeros((len(centers), len(radii))), {}
     cellvol, fmax, gauge = f.grid.cell_volume, f.values.max(), _weak_gauge if weak else _lux_gauge
     if fmax == 0:
-        return out, 0
+        return out, _work()
     # weak: the centers whose windows are sorted together, 2**16 cells' worth or _CENTER_CHUNK
     step = max(_CENTER_CHUNK, 2**16 // f.values.size) if weak else len(centers)
     blocks = [(j, c0) for j in range(len(radii)) for c0 in range(0, len(centers), step)]
+    lo, hi = _bracket(fmax)
+    work = _work(blocks=len(blocks))
 
-    def upper(j, c0):  # lam -> U_c(lam) >= F_c(lam) for the balls of one block
-        w = ball_windows(f.grid, centers[c0 : c0 + step], radii[j])
-        if not weak:
-            return lambda lam: cellvol * np.add(*ball_sums(phi(f.values / lam), w))
-        (v := window_values(f.values, w)).sort(axis=1)  # in place: a sorted copy costs page faults
-        v, meas = v[:, ::-1], cellvol * np.arange(1, v.shape[1] + 1)
-        return lambda lam: np.max(phi(v / lam) * meas, axis=1) * (1 + 4 * np.finfo(float).eps)
+    def roots(evaluate, n):
+        found, steps = _illinois(evaluate, lo, hi, n)
+        work["steps"] += steps
+        return found
+
+    def upper(j, c0):  # lam -> U_c(lam) >= F_c(lam), a row per lam, for the balls of one block
+        if weak:
+            return _sorted_bound(f, phi, ball_windows(f.grid, centers[c0 : c0 + step], radii[j]))
+        bound = _strong_bound(f, phi, centers, radii[j : j + 1])
+        return lambda lam: bound(lam, np.zeros(1, int))
 
     def exact(j, balls):  # balls over the same positive cells, or of equal content, share one bisection
         key = window_key(f.values > 0, ball_windows(f.grid, [centers[i] for i in balls], radii[j]))
@@ -389,21 +516,48 @@ def _root_find_gauges(f, phi, centers, radii, weak, prefactor):
         return out[balls, j]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stars = np.array([_column_root(lambda lam: u(lam).max(), fmax) for u in (upper(*b) for b in blocks)])
+        balls, rows = len(centers) * len(radii), f.grid.cells_per_axis ** (f.grid.n - 1)
+        if weak:  # coarse roots of the level bound: they order the blocks and drive the break rule
+            levels, tops = _levels(f.values, max(1, min(_LEVEL_BALLS // balls, _LEVEL_ROWS // (balls * rows))))
+            meas = cellvol * _level_counts(f, levels, centers, radii, step).reshape(len(blocks), -1)
+            stars = roots(lambda lam, live: _level_bound(phi, tops, meas[live], lam), len(blocks))
+            work.update(levels=len(levels), binned=bool(np.any(levels != tops)))
+        else:  # the radii in groups whose windows take _WINDOW_BYTES (two int64 per row of a ball)
+            stars = []
+            for part in np.array_split(radii, -(-balls * rows * 16 // _WINDOW_BYTES)):
+                bound = _strong_bound(f, phi, centers, part)
+                stars.append(roots(lambda lam, live: bound(lam, live).max(axis=1), len(part)))
+            stars = np.concatenate(stars)
         # no per-ball bisection can end at its upper bracket end, inf
         sane, every_column = cellvol * f.values.size * phi(2 * _BRACKET_LO) < 0.5, prefactor is None
         pref, best = np.ones(len(radii)) if every_column else prefactor, -np.inf
-        for b in np.argsort(-stars * pref[[j for j, _ in blocks]], kind="stable"):
-            (j, c0), lam = blocks[b], stars[b]
-            if sane and not every_column and lam * pref[j] * (1 + 4e-9) < best:
+        # blocks by decreasing root * prefactor: coarse roots in ``order`` (popped from its end), and in the
+        # heap ``tight`` visited blocks by their own root, with their balls whose bound tops 1 at mu
+        keys = stars * pref[[j for j, _ in blocks]]
+        order, tight = list(np.argsort(-keys, kind="stable")[::-1]), []
+        while order or tight:
+            if tight and (not order or -tight[0][0] >= keys[order[-1]]):
+                key, b, mu, over = heapq.heappop(tight)
+                j, c0 = blocks[b]
+                if sane and not every_column and -key * (1 + 4e-9) < best:
+                    break
+                brackets = sane and lo < mu  # no per-ball bracket end binds below mu
+                if not (brackets and np.any(exact(j, over) >= mu * (1 + 3e-9))):
+                    exact(j, c0 + np.arange(min(step, len(centers) - c0)))
+                best = max(best, out[c0 : c0 + step, j].max() * pref[j])
+                continue
+            b = order.pop()
+            j, c0 = blocks[b]
+            if sane and not every_column and keys[b] * (1 + 4e-9) < best:
                 break
+            u, lam = upper(j, c0), stars[b]
+            work["visited"] += 1
+            if work["binned"]:  # binned levels bound the block's root from above: find its own
+                lam = roots(lambda lam, live: u(lam).max(axis=1), 1)[0]
             mu = lam * (1 - _MARGIN)
-            u = upper(j, c0)(mu)
-            brackets = sane and _BRACKET_LO * fmax < mu  # no per-ball bracket end binds below mu
-            if not (brackets and np.any(exact(j, c0 + np.nonzero(u > 1)[0]) >= mu * (1 + 3e-9))):
-                exact(j, c0 + np.arange(len(u)))
-            best = max(best, out[c0 : c0 + step, j].max() * pref[j])
-    return out, len(cache)
+            heapq.heappush(tight, (-lam * pref[j], b, mu, c0 + np.nonzero(u(np.array([mu]))[0] > 1)[0]))
+    work["bisections"] = len(cache)
+    return out, work
 
 
 def _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=False):
@@ -411,8 +565,8 @@ def _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=False):
     radii = np.asarray(radii, dtype=float)
     measures = np.array([ball_measure(f.grid.n, r) for r in radii])
     prefactor = phi.inverse(1.0 / measures) / varphi(radii)
-    gauges, bisections = _ball_gauge_matrix(f, phi, centers, radii, weak, None if every_column else prefactor)
-    return gauges * prefactor[None, :], bisections
+    gauges, work = _ball_gauge_matrix(f, phi, centers, radii, weak, None if every_column else prefactor)
+    return gauges * prefactor[None, :], work
 
 
 def _argmax_witness(vals: np.ndarray, centers, radii):
@@ -434,9 +588,9 @@ def generalized_orlicz_morrey_norm(
     sampling = sampling or MorreySampling.default(f.grid)
     radii = sampling.radii()
     centers = sampling.centers(f)
-    vals, bisections = _morrey_matrix(f, phi, varphi, centers, radii, weak)
+    vals, work = _morrey_matrix(f, phi, varphi, centers, radii, weak)
     kind = "weak-morrey" if weak else "morrey"
-    path = "closed-form" if bisections is None else "column-root-find"
+    path, bisections = ("closed-form", 0) if work is None else ("column-root-find", work.pop("bisections"))
     trunc = {
         "r_min": float(sampling.r_min),
         "r_max": float(sampling.r_max),
@@ -444,7 +598,7 @@ def generalized_orlicz_morrey_norm(
         + ("+centroid" if sampling.include_centroid else ""),
     }
     best, witness = _argmax_witness(vals, centers, radii)
-    return NormEvaluation(float(best), witness if np.isfinite(best) else None, trunc, kind, path, bisections or 0)
+    return NormEvaluation(float(best), witness if np.isfinite(best) else None, trunc, kind, path, bisections, work)
 
 
 def triviality_probe(

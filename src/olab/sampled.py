@@ -39,6 +39,8 @@ __all__ = [
     "row_prefix",
     "row_table",
     "sample_function",
+    "stacked_ball_sums",
+    "stacked_ball_windows",
     "window_key",
     "window_values",
 ]
@@ -215,14 +217,26 @@ def row_table(values) -> np.ndarray:
 def row_prefix(values) -> np.ndarray:
     """Prefix sums P along the rows of ``row_table``: P[i, m + k] sums the first clip(k, 0, m) cells of
     row i for every k in [-m, 2m], so the cells within w < m of cell c sum to P[i, m + c + w + 1] -
-    P[i, m + c - w].  Rows are accumulated in cell order, bit for bit as ``np.cumsum`` of their cells."""
-    rows = np.atleast_2d(values)
+    P[i, m + c - w].  Rows are accumulated in cell order, bit for bit as ``np.cumsum`` of their cells.
+    Grids stacked along leading axes give one table of their rows in order."""
+    rows = np.reshape(values, (-1, np.shape(values)[-1]))
     m = rows.shape[1]
     # not np.pad and no cumsum over the zero slots: the root-finds build it at every step
     prefix = np.zeros((len(rows), 3 * m + 1), int if rows.dtype == bool else rows.dtype)
     np.cumsum(rows, axis=1, out=prefix[:, m + 1 : 2 * m + 1])
     prefix[:, 2 * m + 1 :] = prefix[:, 2 * m : 2 * m + 1]  # past a row's cells, its total
     return prefix
+
+
+def stacked_ball_windows(grid: GridSpec, centers, radii):
+    """Windows (start, stop), each (G, N, rows), of N centers at each of G radii, the k-th radius read
+    from the k-th grid of a stack of G grids along a first axis (one ``row_prefix`` table of the stack)."""
+    m = grid.cells_per_axis
+    shift = (3 * m + 1) * m ** (grid.n - 1) * np.arange(len(radii)).reshape(-1, 1, 1)
+    start, stop = (np.ascontiguousarray(np.moveaxis(w, 1, 0)) for w in ball_windows(grid, centers, radii))
+    start[1:] += shift[1:]  # in place: ball_windows' arrays are fresh, and large on large grids
+    stop[1:] += shift[1:]
+    return start, stop
 
 
 def window_values(values: np.ndarray, windows) -> np.ndarray:
@@ -248,6 +262,13 @@ def ball_sums(values: np.ndarray, windows):
     the same cells in any other order by at most the bound, 4 * cells * eps * (finite total):
     the prefix, difference, row and other-order roundings each stay below cells * eps * total.
     """
+    sums, bound = stacked_ball_sums(np.asarray(values)[None], windows)
+    return sums, float(bound.flat[0])
+
+
+def stacked_ball_sums(values: np.ndarray, windows):
+    """``ball_sums`` of G grids stacked along a first axis, read through ``stacked_ball_windows``: the sums,
+    and each grid's own rounding bound, shaped (G, 1, ...) to broadcast against them."""
     start, stop = windows
     inf = np.isinf(values)
     finite = np.where(inf, 0.0, values)
@@ -256,7 +277,8 @@ def ball_sums(values: np.ndarray, windows):
     if inf.any():
         sums[window_key(inf, windows).any(axis=-1)] = np.inf
     sums[np.isnan(sums)] = np.inf  # the table overflowed
-    return sums, 4 * values.size * _EPS * finite.sum()
+    totals = finite.reshape(len(values), -1).sum(axis=1)
+    return sums, (4 * values[0].size * _EPS * totals).reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
 class SampledFunction:

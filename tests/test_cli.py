@@ -55,6 +55,18 @@ def test_norm_summary_records_path(capsys, tmp_path, young, path, bisections):
     assert "root" not in out_path.read_text() and "closed" not in out_path.read_text()
 
 
+def test_norm_summary_records_root_find_work(capsys, tmp_path):
+    out_path = tmp_path / "norm.csv"
+    code, _, _ = run(capsys, "norm", "--input", BALL, "--young", '{"kind":"exp_minus_one"}', "--lambda", "0.5",
+                     "--weak", "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
+    assert code == 0
+    work = json.loads((tmp_path / "norm.json").read_text())["root_find"]
+    assert sorted(work) == ["binned", "blocks", "levels", "steps", "visited"]
+    assert 1 <= work["visited"] <= work["blocks"] and work["steps"] >= 2
+    assert (work["levels"], work["binned"]) == (1, False)  # an indicator has one positive value
+    assert "blocks" not in out_path.read_text()
+
+
 def test_shrinking_schedule_is_status_2(capsys, tmp_path):
     # a window that does not contain the one before it is not a widening probe;
     # increasing, this schedule reads "diverges"

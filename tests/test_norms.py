@@ -29,9 +29,16 @@ from olab.norms import (
     NORM_REL_TOL,
     _argmax_witness,
     _ball_gauge_matrix,
+    _bracket,
+    _illinois,
+    _level_bound,
+    _level_counts,
+    _levels,
     _lux_gauge,
     _morrey_matrix,
     _power_form,
+    _sorted_bound,
+    _strong_bound,
     _weak_gauge,
 )
 from olab.sampled import ball_windows, cell_window
@@ -620,6 +627,139 @@ def test_root_find_property(seed, grid, name, weak, lam):
                               center_stride=int(rng.integers(2, 6)), include_centroid=bool(seed % 3),
                               extra_centers=extra)
     check_root_find(f, ROOT_FIND_PHIS.get(name, P2), [lam], weak, sampling)
+
+
+def root_find_sample(grid, seed):
+    rng = np.random.default_rng(seed)
+    return stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)
+
+
+@pytest.mark.parametrize("name", ["exp_minus_one", "power_log", "tabulated"])
+@pytest.mark.parametrize("grid", PIN_GRIDS + PIN_GRIDS_2D)
+def test_batched_strong_roots_equal_single_columns(grid, name):
+    # one Illinois iteration over every column of a stacked table finds the
+    # roots that each column finds alone, bit for bit, and each is feasible
+    f, phi = root_find_sample(grid, 35), ROOT_FIND_PHIS[name]
+    sampling = oracle_sampling(grid)
+    centers, radii = sampling.centers(f), sampling.radii()
+    lo, hi = _bracket(f.values.max())
+
+    def roots(cols):
+        bound = _strong_bound(f, phi, centers, radii[cols])
+        return _illinois(lambda lam, live: bound(lam, live).max(axis=1), lo, hi, len(cols))[0], bound
+
+    with np.errstate(all="ignore"):
+        together, bound = roots(np.arange(len(radii)))
+        alone = np.concatenate([roots(np.array([j]))[0] for j in range(len(radii))])
+        assert np.array_equal(together, alone)
+        finite = np.isfinite(together)
+        assert finite.any() and np.all(bound(together[finite], np.flatnonzero(finite)).max(axis=1) <= 1)
+
+
+@pytest.mark.parametrize("name", ["exp_minus_one", "power_log"])
+@pytest.mark.parametrize("grid", PIN_GRIDS[:2] + PIN_GRIDS_2D[:2])
+def test_exact_level_roots_equal_the_sorted_window_roots(grid, name):
+    # with a level at every distinct value, a chunk's level root is the root
+    # of its sorted windows, which the root-find then need not find again
+    f, phi = root_find_sample(grid, 36), ROOT_FIND_PHIS[name]
+    sampling = oracle_sampling(grid)
+    centers, radii, step = sampling.centers(f), sampling.radii(), 5
+    levels, tops = _levels(f.values, f.values.size)
+    assert np.array_equal(levels, tops)
+    meas = f.grid.cell_volume * _level_counts(f, levels, centers, radii, step)
+    lo, hi = _bracket(f.values.max())
+    with np.errstate(all="ignore"):
+        coarse = _illinois(lambda lam, live: _level_bound(phi, tops, meas.reshape(-1, len(levels))[live], lam),
+                           lo, hi, meas.shape[0] * meas.shape[1])[0].reshape(meas.shape[:2])
+        for j, r in enumerate(radii):
+            for k, c0 in enumerate(range(0, len(centers), step)):
+                u = _sorted_bound(f, phi, ball_windows(grid, centers[c0 : c0 + step], r))
+                assert _illinois(lambda lam, live: u(lam).max(axis=1), lo, hi, 1)[0][0] == coarse[j, k]
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS[:2] + PIN_GRIDS_2D[:1]),
+       st.sampled_from(sorted(ROOT_FIND_PHIS)), st.integers(min_value=1, max_value=6),
+       st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=40, deadline=None)
+def test_level_bound_covers_the_sorted_windows(seed, grid, name, budget, scale):
+    # U_c(lam) = max_i phi(t_i / lam) cellvol N_i(c) >= the sorted-window bound
+    # of every ball, and == it when every distinct value is a level
+    rng = np.random.default_rng(seed)
+    f = random_cells_2d(grid, rng) if grid.n == 2 else (
+        stepped_function(grid, rng) if seed % 2 else random_indicator_sum(grid, rng))
+    phi, radius = ROOT_FIND_PHIS[name], float(rng.uniform(0.2, 3)) * grid.h
+    assume(f.values.max() > 0)
+    centers = MorreySampling(r_min=grid.h, r_max=grid.h, center_stride=int(rng.integers(1, 4))).centers(f)
+    lam = scale * f.values.max()
+    sorted_bound = _sorted_bound(f, phi, ball_windows(grid, centers, radius))(np.array([lam]))[0]
+    for levels, tops in (_levels(f.values, budget), _levels(f.values, f.values.size)):
+        meas = grid.cell_volume * _level_counts(f, levels, centers, [radius], 1)[0, :, :]
+        with np.errstate(all="ignore"):
+            level_bound = _level_bound(phi, tops, meas, lam)
+        assert np.all(level_bound >= sorted_bound)
+        if np.array_equal(levels, tops):
+            assert np.array_equal(level_bound, sorted_bound)
+
+
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+@pytest.mark.parametrize("grid", [PIN_GRIDS[1], PIN_GRIDS_2D[0]], ids=["1d", "2d"])
+def test_binned_levels_match_per_ball(grid, weak, monkeypatch):
+    # more distinct values than the level budget: the weak root-find bins them
+    # and finds each visited block's own root; values and witnesses stay exact
+    rng, sampling = np.random.default_rng(37), oracle_sampling(grid)
+    f = SampledFunction(grid, rng.uniform(0, 2, grid.shape()) * (rng.random(grid.shape()) < 0.7))
+    monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * len(sampling.centers(f)) * sampling.n_radii)  # 3 levels
+    for phi in (ExpMinusOneYoung(), PowerLogYoung(2, 1)):
+        ev = check_root_find(f, phi, (0.0, 0.5), weak, sampling)
+        assert ev.root_find["levels"] == (3 if weak else None)
+        assert ev.root_find["binned"] == weak
+
+
+@pytest.mark.parametrize("binned", [False, True], ids=["exact", "binned"])
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 4.0), GridSpec(2, 1 / 16, 4.0)], ids=["1d", "2d"])
+def test_weak_levels_count_whole_rows_of_128_cells(grid, binned, monkeypatch):
+    # a ball over a whole row of 128 cells >= a level counts 128 of them, one
+    # past int8; growth r^-n lets the balls over the whole grid hold the sup
+    x = np.meshgrid(*[grid.axis_centers()] * grid.n, indexing="ij")
+    sampling = MorreySampling(r_min=grid.h, r_max=3 * grid.extent, n_radii=6, center_stride=4 if grid.n == 1 else 32)
+    centers, radii = sampling.centers(SampledFunction(grid, np.ones(grid.shape()))), sampling.radii()
+    if binned:
+        monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * len(centers) * len(radii))  # 3 levels
+    phi = ExpMinusOneYoung()
+    for values in (np.ones(grid.shape()), np.exp(-sum(a * a for a in x))):
+        f = SampledFunction(grid, values)
+        gauges = per_ball_gauges(f, phi, centers, radii, True)
+        for varphi in (PowerGrowth(-grid.n), growth_from_lambda(phi, 0.5, n=grid.n)):
+            ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=True, sampling=sampling)
+            assert (ev.value, ev.witness) == per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)[1:]
+            assert ev.root_find["binned"] == (binned and values.min() < values.max())
+
+
+@pytest.mark.parametrize("gauge", [_lux_gauge, _weak_gauge])
+def test_gauges_of_subnormal_values_keep_a_positive_bracket(gauge):
+    # 1e-12 * 5e-324 rounds to 0: the bracket's lower end stays at the least
+    # positive float, so no constraint divides by 0 (an error under tier-1)
+    assert gauge(np.full(3, 5e-324), 0.125, P2) == 5e-324
+
+
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+def test_subnormal_morrey_norm_through_the_root_find(weak):
+    grid = PIN_GRIDS_2D[0]
+    for values in (np.full(grid.shape(), 5e-324), random_cells_2d(grid, np.random.default_rng(38)).values * 5e-324):
+        ev = check_root_find(SampledFunction(grid, values), ExpMinusOneYoung(), (0.0, 0.5), weak, oracle_sampling(grid))
+        assert ev.path == "column-root-find" and ev.value > 0
+
+
+def test_norm_records_its_root_find_work(unit_indicator):
+    sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
+    phi = PowerLogYoung(2, 1)
+    strong = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), sampling=sampling).root_find
+    assert strong == {"blocks": 12, "visited": strong["visited"], "steps": strong["steps"], "levels": None,
+                      "binned": False}
+    assert 1 <= strong["visited"] <= 12 and strong["steps"] >= 2
+    weak = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), weak=True, sampling=sampling)
+    assert (weak.root_find["levels"], weak.root_find["binned"]) == (1, False)  # one distinct value
+    assert generalized_orlicz_morrey_norm(unit_indicator, P2, PowerGrowth(-0.25)).root_find is None
 
 
 @pytest.mark.parametrize("seed", [28, 40, 175, 196])
