@@ -19,7 +19,7 @@ from .growth import GrowthFunction
 from .norms import MorreySampling, generalized_orlicz_morrey_norm
 from .operators import maximal, riesz_potential
 from .report import ConditionReport, combine_legs, doubling_schedule, node_max, track
-from .sampled import GridSpec, SampledFunction, ball_measure, default_grid, sample_function
+from .sampled import GridSpec, SampledFunction, ball_measure, default_grid, distinct, sample_function
 from .young import YoungFunction
 
 __all__ = [
@@ -141,14 +141,15 @@ def check_condition(
         raise DomainError("t grid must be positive")
     r_final = max(max(schedule), t_grid[-1])
     # one shared log grid for outer t and inner s keeps windows nested
-    s_all = np.unique(np.concatenate([t_grid, _log_grid(t_grid[0], r_final, per_octave)]))
+    s_all = distinct(np.concatenate([t_grid, _log_grid(t_grid[0], r_final, per_octave)]))
     phi, varphi, alpha, beta, n = setup.phi, setup.varphi, setup.alpha, setup.beta, setup.n
     try:
         phi_s = varphi(s_all)
     except Exception as exc:
         raise ConfigError(f"growth function not evaluable on the range: {exc}") from exc
 
-    on_t = np.isin(s_all, t_grid)
+    on_t = np.zeros(len(s_all), bool)
+    on_t[np.searchsorted(s_all, t_grid)] = True  # not np.isin, which imports numpy.ma
 
     def measure(window):
         if not np.any(on_t[window]):

@@ -62,8 +62,8 @@ from .errors import ConfigError
 from .growth import GrowthFunction
 from .report import ConditionReport, combine_legs, node_max, track
 from .sampled import (Ball, GridSpec, SampledFunction, ball_measure, ball_sums, ball_windows, default_grid,
-                      row_prefix, row_table, sample_function, stacked_ball_sums, stacked_ball_windows, window_key,
-                      window_values)
+                      distinct, row_prefix, row_table, sample_function, stacked_ball_sums, stacked_ball_windows,
+                      window_key, window_values)
 from .young import ComposedPowerYoung, PowerYoung, YoungFunction
 
 __all__ = [
@@ -443,12 +443,11 @@ def _levels(values, budget):
     """Levels s_0 < ... < s_L over the distinct positive values, and the largest value t_i of each bin
     [s_i, s_(i+1)): every distinct value (t = s) when at most ``budget``, else ``budget`` bins of about
     equally many distinct values."""
-    distinct = np.sort(values[values > 0], axis=None)  # not np.unique, which imports numpy.ma
-    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
-    if len(distinct) <= budget:
-        return distinct, distinct
-    first = np.arange(budget) * len(distinct) // budget
-    return distinct[first], distinct[np.append(first[1:], len(distinct)) - 1]
+    v = distinct(values[values > 0])
+    if len(v) <= budget:
+        return v, v
+    first = np.arange(budget) * len(v) // budget
+    return v[first], v[np.append(first[1:], len(v)) - 1]
 
 
 def _level_counts(f, levels, centers, radii, step):
@@ -621,7 +620,7 @@ def triviality_probe(
     r_floor = grid.h / 2 ** (r_min_steps - 1)
     ladder = np.geomspace(r_floor, max(schedule), 300)
     # one shared radius ladder keeps the window suprema nested and monotone
-    ladder = np.unique(np.concatenate([ladder, [4 * grid.h, grid.h, 1.0], schedule]))
+    ladder = distinct(np.concatenate([ladder, [4 * grid.h, grid.h, 1.0], schedule]))
     sampling = MorreySampling(r_min=float(ladder[0]), r_max=float(ladder[-1]), n_radii=len(ladder))
     centers = sampling.centers(f)
     vals, _ = _morrey_matrix(f, phi, varphi, centers, ladder, weak=False, every_column=True)

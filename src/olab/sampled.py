@@ -35,6 +35,7 @@ __all__ = [
     "ball_sums",
     "ball_windows",
     "cell_window",
+    "distinct",
     "half_width",
     "row_prefix",
     "row_table",
@@ -47,6 +48,15 @@ __all__ = [
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi}
 _EPS = np.finfo(float).eps
+
+
+def distinct(values) -> np.ndarray:
+    """The sorted distinct entries of an array, flattened: ``np.unique`` without its first call's import of
+    ``numpy.ma`` (about 1 MiB of memory), which it makes unless asked for indices or counts."""
+    v = np.sort(values, axis=None)
+    first = np.ones(len(v), bool)
+    first[1:] = v[1:] != v[:-1]
+    return v[first]
 
 
 def ball_measure(n: int, r: float) -> float:

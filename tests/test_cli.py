@@ -373,6 +373,38 @@ def test_cli_loads_no_scipy_but_the_fft_of_the_2d_riesz_potential():
     assert set(seen["riesz-2d"]) <= set(fft_deps)
 
 
+_NUMPY_MA_PROBE = """
+import json, sys
+import olab
+from olab.characterize import CONDITION_KINDS
+
+p2 = olab.PowerYoung(2)
+setup = olab.AdamsSetup(p2, olab.growth_from_lambda(p2, 0.0), alpha=0.25, beta=0.5, n=1)
+small = olab.GridSpec(1, 1 / 8, 2.0)
+seen = {"import": "numpy.ma" in sys.modules}
+for n in (1, 2):
+    g = olab.GridSpec(n, 1 / 8, 1.0)
+    f = olab.sample_function(g, {"type": "ball_indicator", "center": (0.0,) * n, "radius": 0.5})
+    for centered in (True, False):
+        olab.maximal(f, 0.5, centered=centered)
+        seen[f"maximal-{n}d-{centered}"] = "numpy.ma" in sys.modules
+for kind in CONDITION_KINDS:
+    olab.check_condition(kind, setup)
+    seen[kind] = "numpy.ma" in sys.modules
+olab.triviality_probe(p2, olab.growth_from_lambda(p2, 0.5), grid=small)
+seen["triviality"] = "numpy.ma" in sys.modules
+olab.estimate_operator_norm(setup, grid=small)
+seen["adams"] = "numpy.ma" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_maximal_conditions_and_probes_load_no_numpy_ma():
+    # np.unique without return_* flags (and np.isin) import numpy.ma on first use, about 1 MiB
+    seen = _fresh_python(_NUMPY_MA_PROBE)
+    assert [name for name, loaded in seen.items() if loaded] == []
+
+
 _CAPPED_DELTA_PRIME = """
 import contextlib, io, json, resource
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)

@@ -13,6 +13,7 @@ from olab import (
     riesz_potential,
     sample_function,
 )
+from olab import operators
 from olab.operators import _widen
 
 from conftest import (
@@ -283,6 +284,30 @@ def test_branch_and_bound_property(seed, grid, alpha):
     check_maximal_matches_sweeps(f, alpha, radii)
 
 
+@pytest.mark.parametrize("seed,grid", [(78, PIN_GRIDS[2]), (175, PIN_GRIDS[0]), (434, PIN_GRIDS[1]),
+                                       (577, PIN_GRIDS[0])])
+def test_centered_bisection_keeps_one_ulp_sups(seed, grid):
+    # at one cell the sup lies an ulp or so above every value at the radii first evaluated there, so a
+    # bound with any slack (1e-15 relative) would skip it
+    f = stepped_function(grid, np.random.default_rng(seed))
+    assert np.array_equal(maximal(f, alpha=0.0).values, sweep_maximal(f, 0.0))
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS),
+       st.floats(min_value=0.0, max_value=0.999, exclude_max=True))
+@settings(max_examples=100, deadline=None)
+def test_centered_bisection_property(seed, grid, alpha):
+    # one indicator of weight 1 makes long plateaus, where the bisection's bounds tie best to the last ulp
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        f = random_indicator_sum(grid, rng)
+    else:
+        f = sample_function(grid, {"type": "ball_indicator", "center": (float(rng.uniform(-1, 1)) * grid.extent / 2,),
+                                   "radius": float(rng.uniform(grid.h / 4, grid.extent / 2))})
+    radii = None if seed % 3 else rng.permutation(rng.uniform(0.05 * grid.h, 3 * grid.extent, rng.integers(1, 90)))
+    assert np.array_equal(maximal(f, alpha=alpha, radii=radii).values, sweep_maximal(f, alpha, radii))
+
+
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
 @pytest.mark.parametrize("centered", [True, False])
 def test_maximal_rejects_non_finite_samples(grid, centered):
@@ -297,6 +322,14 @@ def test_maximal_rejects_non_finite_samples(grid, centered):
 def test_maximal_rejects_bad_radii(grid, radius):
     with pytest.raises(DomainError, match="radii"):
         maximal(SampledFunction(grid, np.ones(grid.shape())), alpha=0.25, radii=[0.5, radius])
+
+
+@pytest.mark.parametrize("grid,radius", [(GridSpec(1, 1 / 16, 2.0), 1e-310), (GridSpec(2, 1 / 8, 1.0), 1e-160),
+                                         (GridSpec(2, 1 / 8, 1.0), 1e-200)])
+def test_maximal_rejects_radii_whose_coefficient_overflows(grid, radius):
+    # |B(x, t)|^(alpha/n - 1) past the largest float, or t * t rounding to 0
+    with pytest.raises(DomainError, match="radii"):
+        maximal(SampledFunction(grid, np.ones(grid.shape())), alpha=0.0, radii=[0.5, radius])
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
@@ -341,21 +374,27 @@ def test_2d_uncentered_comparison():
     assert np.all(u <= 2 ** (2 - 0.5) * c * 1.01 + 1e-300)
 
 
-def check_maximal_2d_matches_sweep(f, alphas, radii=None):
-    for alpha, (centered, uncentered) in sweep_maximal_2d(f, alphas, radii).items():
-        assert np.array_equal(maximal(f, alpha=alpha, radii=radii).values, centered)
-        assert np.array_equal(maximal(f, alpha=alpha, centered=False, radii=radii).values, uncentered)
+def check_maximal_2d_matches_sweep(f, alphas, radii=None, monkeypatch=None):
+    """With ``monkeypatch``, at three row-table budgets: no table, one (the most used half-width's) and one
+    for every half-width."""
+    ref = sweep_maximal_2d(f, alphas, radii)
+    for budget in [operators._TABLE_BYTES] if monkeypatch is None else [0, 8 * f.values.size, 2**62]:
+        if monkeypatch is not None:
+            monkeypatch.setattr(operators, "_TABLE_BYTES", budget)
+        for alpha, (centered, uncentered) in ref.items():
+            assert np.array_equal(maximal(f, alpha=alpha, radii=radii).values, centered)
+            assert np.array_equal(maximal(f, alpha=alpha, centered=False, radii=radii).values, uncentered)
 
 
 @pytest.mark.parametrize("grid", PIN_GRIDS_2D)
-def test_2d_maximal_matches_sweep(grid):
+def test_2d_maximal_matches_sweep(grid, monkeypatch):
     rng = np.random.default_rng(31)
-    check_maximal_2d_matches_sweep(random_cells_2d(grid, rng), [0.0, 0.5, 1.9])
+    check_maximal_2d_matches_sweep(random_cells_2d(grid, rng), [0.0, 0.5, 1.9], monkeypatch=monkeypatch)
     # unsorted radii, some below h/2 and some reaching beyond the grid
     radii = rng.permutation(np.concatenate([rng.uniform(0.1 * grid.h, 0.5 * grid.h, 3),
                                             rng.uniform(0.5 * grid.h, 4 * grid.extent, 12),
                                             [10 * grid.extent]]))
-    check_maximal_2d_matches_sweep(random_cells_2d(grid, rng), [0.0, 0.5, 1.9], radii)
+    check_maximal_2d_matches_sweep(random_cells_2d(grid, rng), [0.0, 0.5, 1.9], radii, monkeypatch)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS_2D),

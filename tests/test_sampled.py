@@ -13,8 +13,8 @@ from olab import (
     ball_measure,
     sample_function,
 )
-from olab.sampled import (ball_mask, ball_sums, ball_windows, cell_window, half_width, row_prefix, window_key,
-                          window_values)
+from olab.sampled import (ball_mask, ball_sums, ball_windows, cell_window, distinct, half_width, row_prefix,
+                          window_key, window_values)
 from olab.errors import ConfigError
 
 from conftest import random_indicator_sum
@@ -386,3 +386,10 @@ def test_ball_sums_infinite_cells():
     direct = np.array([values[ball_mask(grid, Ball(c, grid.h))].sum() for c in centers])
     assert np.array_equal(sums, direct)
     assert np.count_nonzero(np.isinf(sums)) == 6 and np.isfinite(bound)
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 40])
+def test_distinct_is_np_unique(size):
+    rng = np.random.default_rng(size)
+    for values in (rng.integers(0, 5, size), rng.choice([0.5, 1 / 3, 2.0, 1e-300], (size, 2))):
+        assert np.array_equal(distinct(values), np.unique(values))
