@@ -88,6 +88,15 @@ class AdamsSetup:
 _MAX_LOG_NODES = 2**22
 
 
+def _positive_grid(t_grid) -> np.ndarray:
+    """A caller's t grid, sorted; DomainError unless it has nodes and every one is finite and positive
+    (NaN fails every comparison, so ``t <= 0`` alone lets it through)."""
+    t = np.sort(np.asarray(t_grid, dtype=float).ravel())
+    if not t.size or not np.all(np.isfinite(t) & (t > 0)):
+        raise DomainError("t grid needs at least one node, each finite and positive")
+    return t
+
+
 def _log_grid(t_min: float, t_max: float, per_octave: int = 32) -> np.ndarray:
     if t_min <= 0 or t_max <= t_min:
         raise ConfigError("need 0 < t_min < t_max")
@@ -136,9 +145,7 @@ def check_condition(
         schedule = doubling_schedule()
     if t_grid is None:
         t_grid = _log_grid(2.0**-10, 2.0**10, per_octave)
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid <= 0):
-        raise DomainError("t grid must be positive")
+    t_grid = _positive_grid(t_grid)
     r_final = max(max(schedule), t_grid[-1])
     # one shared log grid for outer t and inner s keeps windows nested
     s_all = distinct(np.concatenate([t_grid, _log_grid(t_grid[0], r_final, per_octave)]))
@@ -216,7 +223,7 @@ def check_membership(
         schedule = doubling_schedule()
     if t_grid is None:
         t_grid = _log_grid(2.0**-10, 2.0**10, 16)
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    t_grid = _positive_grid(t_grid)
     pv = varphi(t_grid)
     params = {"young": phi.config(), "growth": varphi.config(), "class": membership, "n": n}
 

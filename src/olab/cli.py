@@ -176,7 +176,8 @@ def _cmd_norm(args):
     if ev.witness is not None:
         summary["witness"] = {"center": list(ev.witness.center), "radius": ev.witness.radius}
     if ev.truncation is not None:
-        summary.update(truncation=ev.truncation, path=ev.path, bisections=ev.bisections, root_find=ev.root_find)
+        summary.update(truncation=ev.truncation, path=ev.path, bisections=ev.bisections, root_find=ev.root_find,
+                       sorted_windows=ev.sorted_windows, certified=ev.certified)
     _write_summary(args.out, summary, started)
     return 0
 

@@ -17,7 +17,15 @@ values holds that value throughout, and a run is skipped when the gauge of
 its upper end times the run's largest prefactor, times (1 + 1e-12) for the
 rounding of the p-th root, falls below the best exact entry: none of its
 entries can win or tie.  Skipped entries read 0; with no prefactor none is
-skipped.  Every other case finds, per column block (a radius, and for the weak
+skipped.  A run up to the last radius that is neither, over which the
+prefactor does not rise (a flat lambda = 0 prefactor ties every center's
+largest balls, so nothing is skipped there), is certified from one level
+count: with v* the value of a term attaining g at the last radius and
+N(j) = #{x in B_j : v**p >= v*}, nondecreasing in j, every j with
+N(j) = N(last) has g(j) >= fl(v* * cellvol * N) = g(last) >= g(j).  The run
+from the first such j0 on takes g(last) unsorted, and the radius j0 - 1 is
+evaluated next, in place of the middle, so that the skip rule can prune the
+rest.  Every other case finds, per column block (a radius, and for the weak
 gauge a chunk of centers), one root lam* = min{lam : max_c U_c(lam) <= 1} of
 bounds U_c >= F_c of the balls' constraints, which fall in lam.  One batched
 Illinois iteration finds the roots of all blocks: each keeps its own bracket
@@ -99,6 +107,8 @@ class NormEvaluation:
     path: str | None = None  # Morrey sups: "closed-form" or "column-root-find"
     bisections: int = 0  # per-ball gauge bisections made
     root_find: dict | None = None  # the root-find's blocks, visited, steps, levels, binned
+    sorted_windows: int = 0  # windows the weak 1-D power closed form sorted
+    certified: int = 0  # entries it took from a level count instead (``_weak_power_sups``)
 
     def __float__(self):
         return float(self.value)
@@ -229,6 +239,11 @@ def weak_orlicz_norm(f: SampledFunction, phi: YoungFunction, ball: Ball | None =
 # -- Orlicz-Morrey suprema ---------------------------------------------------
 
 
+def _require_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"MorreySampling.{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MorreySampling:
     """Sampled (center, radius) family over which the Morrey sup is taken.
@@ -250,11 +265,13 @@ class MorreySampling:
         return cls(r_min=4 * grid.h, r_max=2 * grid.extent)
 
     def radii(self) -> np.ndarray:
-        if self.n_radii < 1 or not 0 < self.r_min <= self.r_max < np.inf:
+        _require_count("n_radii", self.n_radii)
+        if not 0 < self.r_min <= self.r_max < np.inf:
             raise ConfigError(f"radius sampling needs 0 < r_min <= r_max < inf, got [{self.r_min}, {self.r_max}]")
         return np.geomspace(self.r_min, self.r_max, self.n_radii)
 
     def centers(self, f: SampledFunction) -> list[tuple]:
+        _require_count("center_stride", self.center_stride)
         ax = f.grid.axis_centers()[:: self.center_stride]
         if f.grid.n == 1:
             cs = [(float(x),) for x in ax]
@@ -286,17 +303,21 @@ _LEVEL_BALLS, _LEVEL_ROWS = 2**21, 2**28
 # Relative margin by which the bound on a skipped run of weak entries stays below the best exact
 # entry; it covers any p-th root that rounds out of order.
 _RUN_MARGIN = 1e-12
+# Relative rise of the prefactor over a run below the last radius up to which the weak power sups certify
+# the run's tie with the last radius; far above the few ulps by which a flat (lambda = 0) prefactor wobbles.
+_FLAT_PREFACTOR = 1e-9
 
 
-def _weak_power_batch(table, rank_vol, start, stop):
-    """max_k v_(k) * cellvol * k over the 1-D windows (start, stop] of ``table``, v_(k) the k-th largest.
+def _weak_power_batch(table, rank_vol, start, stop, levels=False):
+    """max_k v_(k) * cellvol * k over the 1-D windows (start, stop] of ``table``, v_(k) the k-th largest; with
+    ``levels`` the value v_(k) of one k that attains it (else zeros); and the number of windows sorted.
 
     ``rank_vol[-k]`` holds cellvol * k.  Each distinct window is read anew: the cells after its end
     are zeroed, and zeros sort first, are taken as ranks beyond the positive values and add 0 terms.
     Windows are batched by width, within a factor 2."""
     _, first, inverse = np.unique(start * len(table) + stop, return_index=True, return_inverse=True)
     start, width = start[first], stop[first] - start[first]
-    out = np.zeros(len(width))
+    out, level = np.zeros(len(width)), np.zeros(len(width))
     order = np.argsort(width, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(np.frexp(width[order])[1])) + 1):
         w, top = width[group], width[group[-1]] if len(group) else 0
@@ -307,11 +328,31 @@ def _weak_power_batch(table, rank_vol, start, stop):
             rows = view[start[group[batch]] + 1]
             rows[np.arange(top) >= w[batch, None]] = 0.0
             rows.sort(axis=1)
-            out[group[batch]] = np.max(rows * rank_vol[len(rank_vol) - top :], axis=1)
-    return out[inverse]
+            if levels:
+                terms = rows * rank_vol[len(rank_vol) - top :]
+                k = (np.arange(len(batch)), np.argmax(terms, axis=1))
+                out[group[batch]], level[group[batch]] = terms[k], rows[k]
+            else:
+                out[group[batch]] = np.max(rows * rank_vol[len(rank_vol) - top :], axis=1)
+    return out[inverse], level[inverse], int(np.count_nonzero(width))
 
 
-def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
+def _tie_starts(vp, start, stop, level):
+    """Per row of 1-D windows (start, stop], nested as the row goes on, the first index j with N(j) = N(last),
+    N(j) the cells of window j with vp >= that row's ``level``: exact int counts, from one ``row_prefix``
+    table per distinct level (as many at a time as fit in _BATCH slots)."""
+    levels, which = np.unique(level, return_inverse=True)
+    counts, slots = np.empty(start.shape, int), 3 * len(vp) + 1
+    per = max(1, _BATCH // slots)
+    for a in range(0, len(levels), per):
+        prefix = row_prefix(vp >= levels[a : a + per, None]).ravel()
+        rows = np.flatnonzero((which >= a) & (which < a + per))
+        base = ((which[rows] - a) * slots)[:, None]
+        counts[rows] = prefix[base + stop[rows]] - prefix[base + start[rows]]
+    return np.count_nonzero(counts < counts[:, -1:], axis=1)  # N never falls as j grows
+
+
+def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None, closed=None):
     """g = max_k v_(k)**p * cellvol * k over each 1-D ball of ``windows``, v_(k) the k-th largest.
 
     ``vp`` holds the per-cell values v**p, ``windows`` the (N, radii, 1) ``ball_windows`` of N centers at
@@ -321,14 +362,28 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
     else is split at its middle.  Given a ``prefactor`` per radius, a run is skipped (its entries read 0)
     when to_gauge(g(c, hi)) * max(prefactor over the run) * (1 + _RUN_MARGIN) falls below the best
     to_gauge(g) * prefactor of an exact entry.
+
+    Tied runs are certified: the last radius gives v*, the value of one term that attains g(c, last),
+    and N(c, j) = #{x in B(c, r_j) : v**p >= v*}, which never falls as j grows.  Where N(c, j) = N(c, last),
+    the N-th largest value is >= v*, so g(c, j) >= fl(v* * cellvol * N) = g(c, last) >= g(c, j): the run
+    from the first such j0 to the last radius holds g(c, last) bit for bit, unsorted.  A run (lo, last)
+    that is neither flat nor skipped takes the certificate where the prefactor does not rise over
+    lo < j < last (by more than _FLAT_PREFACTOR, far above rounding; no prefactor is flat), and becomes
+    (lo, j0), evaluated at j0 - 1 instead of its middle so that the skip rule can prune the rest.
+    ``closed`` (a dict, if given) adds the windows sorted and the entries certified.
     """
     table = row_table(vp)[0]
     start, stop = windows[0][..., 0], windows[1][..., 0]
     rank_vol = cellvol * np.arange(len(vp), 0, -1)  # cellvol * rank, ranks counted from the end
-    out = np.zeros(start.shape)
+    out, certified = np.zeros(start.shape), 0
     last = start.shape[1] - 1
     ends = np.arange(len(start)).repeat(2), np.tile([0, last], len(start))
-    out[ends] = _weak_power_batch(table, rank_vol, start[ends], stop[ends])
+    pref = np.ones(last + 1) if prefactor is None else prefactor
+    # flat_to_last[lo]: max(prefactor[lo + 1 : last]) stays within _FLAT_PREFACTOR of prefactor[last]
+    flat_to_last = np.maximum.accumulate(pref[last - 1 : 0 : -1])[::-1] <= pref[last] * (1 + _FLAT_PREFACTOR)
+    certify = flat_to_last.any()  # else the bisection runs alone
+    out[ends], tops, windows_sorted = _weak_power_batch(table, rank_vol, start[ends], stop[ends], certify)
+    tops = tops[1::2]  # v* of each center's last radius
     if prefactor is not None:
         # runs[k, a] = max(prefactor[a : a + 2**k]); a run a..b is two such blocks that overlap
         runs = np.full((int(last + 1).bit_length(), last + 1), np.nan)
@@ -342,27 +397,41 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
             return np.maximum(runs[k, a], runs[k, b + 1 - 2**k])
 
         best = np.nanmax(to_gauge(out[ends]) * prefactor[ends[1]], initial=-np.inf)
+
+    def fill(c, a, n_in, value):  # out[c, a : a + n_in] = value, per run
+        at = np.arange(n_in.sum()) - np.repeat(np.cumsum(n_in) - n_in, n_in)
+        out[np.repeat(c, n_in), np.repeat(a, n_in) + at] = np.repeat(value, n_in)
+
     c, lo, hi = np.arange(len(start)), np.zeros(len(start), int), np.full(len(start), last)
     while len(c := c[(live := hi - lo > 1)]):
         lo, hi = lo[live], hi[live]
         flat = out[c, lo] == out[c, hi]
-        n_in = np.where(flat, hi - lo - 1, 0)
-        fill = np.arange(n_in.sum()) - np.repeat(np.cumsum(n_in) - n_in, n_in)
-        out[np.repeat(c, n_in), np.repeat(lo + 1, n_in) + fill] = np.repeat(out[c, lo], n_in)
+        fill(c, lo + 1, np.where(flat, hi - lo - 1, 0), out[c, lo])
         split = ~flat
         if prefactor is not None:
             # exact entries only: a run's best is its largest prefactor times its one gauge
             best = np.nanmax(to_gauge(out[c, lo][flat]) * run_max(lo[flat] + 1, hi[flat] - 1), initial=best)
             split &= ~(to_gauge(out[c, hi]) * run_max(lo + 1, hi - 1) * (1 + _RUN_MARGIN) < best)
         c, lo, hi, mid = c[split], lo[split], hi[split], (lo[split] + hi[split]) // 2
-        out[c, mid] = _weak_power_batch(table, rank_vol, start[c, mid], stop[c, mid])
+        if certify and (tied := (hi == last) & flat_to_last[lo]).any():
+            ct = c[tied]
+            j0 = _tie_starts(vp, start[ct], stop[ct], tops[ct])
+            fill(ct, j0, last - j0, out[ct, last])
+            certified += int((last - j0).sum())
+            hi[tied], mid[tied] = j0, j0 - 1
+            c, lo, hi, mid = c[keep := mid > lo], lo[keep], hi[keep], mid[keep]
+        out[c, mid], _, n = _weak_power_batch(table, rank_vol, start[c, mid], stop[c, mid])
+        windows_sorted += n
         if prefactor is not None:
             best = np.nanmax(to_gauge(out[c, mid]) * prefactor[mid], initial=best)
         c, lo, hi = np.concatenate([c, c]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    if closed is not None:
+        closed["sorted_windows"] += windows_sorted
+        closed["certified"] += certified
     return out
 
 
-def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
+def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None, closed=None):
     """Ball Orlicz gauges per (center, radius) pair, and the root-find's ``_work`` record (None: closed form).
 
     Power kinds scale * t**p on 1-D grids go through closed forms while f**p
@@ -373,6 +442,12 @@ def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
     for bit, so a run of radii between two equal values takes that value,
     and given a prefactor a run whose upper gauge times its largest
     prefactor, times 1 + 1e-12, stays below the best exact entry reads 0.
+    A run up to the last radius over which the prefactor does not rise
+    takes the last value from the first radius whose ball holds as many
+    cells at or above the last ball's attaining level: an exact level
+    count certifies the tie without sorting, and the radius just before it
+    is evaluated next.  The weak closed form adds the windows it sorted and
+    the entries it certified to ``closed`` (a dict), if given.
     Else the column root-find gives the entries that can attain the sup of
     gauge * prefactor (with no prefactor, each column's maximum); the rest
     read 0.  Both skip only entries strictly below the sup, so the sup and
@@ -398,7 +473,7 @@ def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
         return (scale * sups) ** (1.0 / p)
 
     sups = _weak_power_sups(vp, cellvol, ball_windows(f.grid, centers, radii[order]), to_gauge,
-                            None if prefactor is None else prefactor[order])
+                            None if prefactor is None else prefactor[order], closed)
     return to_gauge(sups[:, np.argsort(order)]), None
 
 
@@ -559,12 +634,12 @@ def _root_find_gauges(f, phi, centers, radii, weak, prefactor):
     return out, work
 
 
-def _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=False):
+def _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=False, closed=None):
     """varphi(r)^{-1} phi^{-1}(|B(x,r)|^{-1}) ||f||_{L^Phi(B(x,r))} per pair (see ``_ball_gauge_matrix``)."""
     radii = np.asarray(radii, dtype=float)
     measures = np.array([ball_measure(f.grid.n, r) for r in radii])
     prefactor = phi.inverse(1.0 / measures) / varphi(radii)
-    gauges, work = _ball_gauge_matrix(f, phi, centers, radii, weak, None if every_column else prefactor)
+    gauges, work = _ball_gauge_matrix(f, phi, centers, radii, weak, None if every_column else prefactor, closed)
     return gauges * prefactor[None, :], work
 
 
@@ -587,7 +662,8 @@ def generalized_orlicz_morrey_norm(
     sampling = sampling or MorreySampling.default(f.grid)
     radii = sampling.radii()
     centers = sampling.centers(f)
-    vals, work = _morrey_matrix(f, phi, varphi, centers, radii, weak)
+    closed = {"sorted_windows": 0, "certified": 0}
+    vals, work = _morrey_matrix(f, phi, varphi, centers, radii, weak, closed=closed)
     kind = "weak-morrey" if weak else "morrey"
     path, bisections = ("closed-form", 0) if work is None else ("column-root-find", work.pop("bisections"))
     trunc = {
@@ -597,7 +673,8 @@ def generalized_orlicz_morrey_norm(
         + ("+centroid" if sampling.include_centroid else ""),
     }
     best, witness = _argmax_witness(vals, centers, radii)
-    return NormEvaluation(float(best), witness if np.isfinite(best) else None, trunc, kind, path, bisections, work)
+    return NormEvaluation(float(best), witness if np.isfinite(best) else None, trunc, kind, path, bisections, work,
+                          **closed)
 
 
 def triviality_probe(

@@ -147,6 +147,24 @@ def test_unknown_condition_rejected():
         check_condition("adams-magic", balanced_setup(4))
 
 
+BAD_T_GRIDS = [[0.5, np.nan, 2.0], [0.5, np.inf], [-1.0, 0.5], [0.0, 1.0], []]
+
+
+@pytest.mark.parametrize("t_grid", BAD_T_GRIDS)
+@pytest.mark.parametrize("kind", ["supremal-maximal", "adams-sufficient"])
+def test_condition_rejects_bad_t_grid(kind, t_grid):
+    # a NaN node fails t <= 0 as well as t > 0, and once read as the grid's end it made t_max NaN
+    with pytest.raises(DomainError, match="t grid"):
+        check_condition(kind, balanced_setup(4), t_grid=np.array(t_grid), schedule=[4.0])
+
+
+@pytest.mark.parametrize("t_grid", BAD_T_GRIDS)
+@pytest.mark.parametrize("membership", ["g", "omega"])
+def test_membership_rejects_bad_t_grid(membership, t_grid):
+    with pytest.raises(DomainError, match="t grid"):
+        check_membership(PHI_L0, P2, membership, t_grid=np.array(t_grid), schedule=[4.0])
+
+
 def test_estimate_operator_norm_balanced_family():
     rows = estimate_operator_norm(balanced_setup(4), family="indicators")
     ratios = np.array([r.ratio for r in rows])

@@ -67,6 +67,18 @@ def test_norm_summary_records_root_find_work(capsys, tmp_path):
     assert "blocks" not in out_path.read_text()
 
 
+def test_norm_summary_records_weak_closed_form_work(capsys, tmp_path):
+    # lambda = 0: every center's largest balls tie the sup, and a level count certifies them unsorted
+    out_path = tmp_path / "norm.csv"
+    code, _, _ = run(capsys, "norm", "--input", BALL, "--young", P2, "--lambda", "0", "--weak",
+                     "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
+    assert code == 0
+    summary = json.loads((tmp_path / "norm.json").read_text())
+    assert (summary["path"], summary["root_find"]) == ("closed-form", None)
+    assert summary["sorted_windows"] > 0 and summary["certified"] > 0
+    assert "certified" not in out_path.read_text() and "sorted" not in out_path.read_text()
+
+
 def test_shrinking_schedule_is_status_2(capsys, tmp_path):
     # a window that does not contain the one before it is not a widening probe;
     # increasing, this schedule reads "diverges"

@@ -235,6 +235,15 @@ def test_morrey_non_finite_sampling_rejected(r_min, r_max):
         generalized_orlicz_morrey_norm(f, P2, PowerGrowth(-0.5), sampling=MorreySampling(r_min=r_min, r_max=r_max))
 
 
+@pytest.mark.parametrize("field, value", [("center_stride", 0), ("center_stride", -4), ("center_stride", 2.5),
+                                          ("center_stride", True), ("n_radii", 0), ("n_radii", -1), ("n_radii", 3.0)])
+def test_morrey_bad_counts_rejected(unit_indicator, field, value):
+    # a stride of 0 was a slice step (ValueError), 2.5 a TypeError and a negative one reversed the centers
+    sampling = MorreySampling(r_min=0.5, r_max=1.0, **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        generalized_orlicz_morrey_norm(unit_indicator, P2, PowerGrowth(-0.25), sampling=sampling)
+
+
 @pytest.mark.parametrize("center", [np.nan, np.inf])
 @pytest.mark.parametrize("phi", [P2, PowerLogYoung(2, 1)], ids=["closed-form", "root-find"])
 def test_morrey_non_finite_center_rejected(center, phi):
@@ -429,8 +438,14 @@ def test_weak_power_sups_equal_the_merged_windows(grid):
             assert np.array_equal(fast, merged_weak_power_gauges(f, phi, centers, radii))
 
 
+def lambda_zero_prefactor(radii, rng):
+    # the Morrey prefactor phi_inv(1/|B|) / varphi(r) at lambda = 0: flat up to an ulp or two
+    return P2.inverse(1.0 / (2 * radii)) / growth_from_lambda(P2, 0.0)(radii)
+
+
 PREFACTORS = {
     "constant": lambda radii, rng: np.ones(len(radii)),
+    "flat to rounding": lambda_zero_prefactor,
     "increasing": lambda radii, rng: np.sqrt(radii),
     "decreasing": lambda radii, rng: 1 / np.sqrt(radii),
     "random": lambda radii, rng: rng.uniform(0.1, 10.0, len(radii)),
@@ -444,18 +459,47 @@ def test_weak_power_sups_skip_only_balls_below_the_sup(grid, shape):
     # the value and the witness are the reference's
     rng = np.random.default_rng(43)
     sampling = pin_sampling(grid)
-    skipped = 0
+    skipped, closed = 0, {"sorted_windows": 0, "certified": 0}
     for f in weak_oracle_samples(grid, rng):
         centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
         prefactor = PREFACTORS[shape](radii, rng)
         for phi in WEAK_PHIS:
-            fast = _ball_gauge_matrix(f, phi, centers, radii, True, prefactor)[0] * prefactor
+            fast = _ball_gauge_matrix(f, phi, centers, radii, True, prefactor, closed)[0] * prefactor
             slow = merged_weak_power_gauges(f, phi, centers, radii) * prefactor
             assert _argmax_witness(fast, centers, radii) == _argmax_witness(slow, centers, radii)
             kept = fast == slow
             assert np.all(kept | ((fast == 0) & (slow < slow.max())))
             skipped += np.count_nonzero(~kept)
     assert skipped > 0
+    # flat prefactors take the level-count certificate; one that rises below the last radius never does
+    if shape in ("constant", "flat to rounding", "decreasing"):
+        assert (closed["certified"] > 0) == (shape != "decreasing")
+    assert closed["sorted_windows"] > 0
+
+
+def test_weak_power_sups_certify_ties_of_distinct_values():
+    # v**p of 2 at rank 1 and of 1 at rank 2 give the same term, 2 * cellvol, exactly; the runs from the
+    # first count of either level to the last radius hold the last sup, and so does the closed form
+    g = GridSpec(1, 1 / 8, 2.0)
+    vp = np.zeros(g.shape())
+    vp[[9, 20, 26]] = 2.0, 1.0, 0.5
+    centers = [(float(x),) for x in g.axis_centers()]
+    windows = ball_windows(g, centers, np.geomspace(0.05, 5.0, 30))
+    reference = merged_weak_power_sups(vp, g.cell_volume, windows)
+    assert np.all(reference[:, -1] == 2 * g.cell_volume)
+    start, stop = windows[0][..., 0], windows[1][..., 0]
+    firsts = []
+    for level in (1.0, 2.0):
+        j0 = norms._tie_starts(vp, start, stop, np.full(len(centers), level))
+        firsts.append(j0)
+        for c, j in enumerate(j0):
+            assert np.all(reference[c, j:] == reference[c, -1])
+    assert np.any(firsts[0] != firsts[1])
+    for prefactor in (None, np.ones(30)):
+        closed = {"sorted_windows": 0, "certified": 0}
+        sups = norms._weak_power_sups(vp, g.cell_volume, windows, np.sqrt, prefactor, closed)
+        assert np.array_equal(sups, reference) if prefactor is None else np.all((sups == reference) | (sups == 0))
+        assert closed["certified"] > 0
 
 
 @pytest.mark.parametrize("phi", [P2, P2.compose_power(1 / 3)])
@@ -801,6 +845,18 @@ def test_norm_reports_its_path(unit_indicator):
     generic = generalized_orlicz_morrey_norm(unit_indicator, PowerLogYoung(2, 1), PowerGrowth(-0.25), sampling=sampling)
     assert generic.path == "column-root-find" and generic.bisections >= 1
     assert luxemburg_norm(unit_indicator, P2).path is None
+
+
+def test_norm_records_its_weak_closed_form_work(unit_indicator):
+    # only the weak 1-D power closed form sorts windows; at lambda = 0 it certifies the tied runs
+    sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
+    weak = generalized_orlicz_morrey_norm(unit_indicator, P2, growth_from_lambda(P2, 0.0), weak=True, sampling=sampling)
+    assert weak.path == "closed-form" and weak.sorted_windows > 0 and weak.certified > 0
+    strong = generalized_orlicz_morrey_norm(unit_indicator, P2, growth_from_lambda(P2, 0.0), sampling=sampling)
+    generic = generalized_orlicz_morrey_norm(unit_indicator, PowerLogYoung(2, 1), PowerGrowth(-0.25), weak=True,
+                                             sampling=sampling)
+    for ev in (strong, generic):
+        assert (ev.sorted_windows, ev.certified) == (0, 0)
 
 
 def test_weak_gauge_needs_no_jump_terms():
