@@ -18,7 +18,8 @@ from .errors import ConfigError, DomainError, ParameterError, UnrepresentableBal
 from .growth import GrowthFunction
 from .norms import MorreySampling, generalized_orlicz_morrey_norm
 from .operators import maximal, riesz_potential
-from .report import ConditionReport, combine_legs, doubling_schedule, node_max, track
+from .report import (ConditionReport, checked_schedule, checked_t_grid, combine_legs, node_max, symmetric_report,
+                     track)
 from .sampled import GridSpec, SampledFunction, ball_measure, default_grid, distinct, sample_function
 from .young import YoungFunction
 
@@ -88,15 +89,6 @@ class AdamsSetup:
 _MAX_LOG_NODES = 2**22
 
 
-def _positive_grid(t_grid) -> np.ndarray:
-    """A caller's t grid, sorted; DomainError unless it has nodes and every one is finite and positive
-    (NaN fails every comparison, so ``t <= 0`` alone lets it through)."""
-    t = np.sort(np.asarray(t_grid, dtype=float).ravel())
-    if not t.size or not np.all(np.isfinite(t) & (t > 0)):
-        raise DomainError("t grid needs at least one node, each finite and positive")
-    return t
-
-
 def _log_grid(t_min: float, t_max: float, per_octave: int = 32) -> np.ndarray:
     if t_min <= 0 or t_max <= t_min:
         raise ConfigError("need 0 < t_min < t_max")
@@ -141,11 +133,10 @@ def check_condition(
     """
     if kind not in CONDITION_KINDS:
         raise ConfigError(f"unknown condition kind {kind!r}; choose from {CONDITION_KINDS}")
-    if schedule is None:
-        schedule = doubling_schedule()
+    schedule = checked_schedule(schedule)
     if t_grid is None:
         t_grid = _log_grid(2.0**-10, 2.0**10, per_octave)
-    t_grid = _positive_grid(t_grid)
+    t_grid = checked_t_grid(t_grid)
     r_final = max(max(schedule), t_grid[-1])
     # one shared log grid for outer t and inner s keeps windows nested
     s_all = distinct(np.concatenate([t_grid, _log_grid(t_grid[0], r_final, per_octave)]))
@@ -168,15 +159,8 @@ def check_condition(
         i = int(np.argmax(vals))
         return float(vals[i]), float(s[window][i])
 
-    constants, witnesses, verdict = track(s_all, [(1.0 / r_max, r_max) for r_max in schedule], measure)
-    return ConditionReport(
-        condition=kind,
-        params=setup.config() | {"t_min": float(t_grid[0]), "t_max": float(t_grid[-1])},
-        schedule=list(schedule),
-        constants=constants,
-        verdict=verdict,
-        witness=witnesses[-1] if witnesses else None,
-    )
+    params = setup.config() | {"t_min": float(t_grid[0]), "t_max": float(t_grid[-1])}
+    return symmetric_report(kind, params, s_all, schedule, measure)
 
 
 def _condition_ratio(kind, s, pv, phi, alpha, beta, n):
@@ -219,11 +203,10 @@ def check_membership(
     """
     if membership not in ("omega", "g"):
         raise ConfigError(f"membership class must be 'omega' or 'g', got {membership!r}")
-    if schedule is None:
-        schedule = doubling_schedule()
+    schedule = checked_schedule(schedule)
     if t_grid is None:
         t_grid = _log_grid(2.0**-10, 2.0**10, 16)
-    t_grid = _positive_grid(t_grid)
+    t_grid = checked_t_grid(t_grid)
     pv = varphi(t_grid)
     params = {"young": phi.config(), "growth": varphi.config(), "class": membership, "n": n}
 
@@ -259,15 +242,7 @@ def check_membership(
         c_inc = float(np.max(np.maximum.accumulate(qw) / qw))
         return max(c_dec, c_inc, 1.0), float(t_grid[window][-1])
 
-    constants, witnesses, verdict = track(t_grid, [(1.0 / r_max, r_max) for r_max in schedule], measure)
-    return ConditionReport(
-        condition="membership-g",
-        params=params,
-        schedule=list(schedule),
-        constants=constants,
-        verdict=verdict,
-        witness=witnesses[-1],
-    )
+    return symmetric_report("membership-g", params, t_grid, schedule, measure)
 
 
 # -- test families -----------------------------------------------------------
@@ -389,6 +364,8 @@ def necessity_witness(
                 f"ball not representable: t0={t0} exceeds half-extent {grid.extent}"
             )
         f = sample_function(grid, {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": float(t0)})
+        if not f.values.any():  # its source norm is 0
+            raise DomainError(f"ball not sampled: t0={t0} covers no cell center of a grid with h={grid.h}")
         lower = float(t0**setup.alpha * setup.varphi(t0) ** (1.0 - setup.beta))
         src = generalized_orlicz_morrey_norm(f, setup.phi, setup.varphi, sampling=sampling)
         mapped = maximal(f, alpha=setup.alpha, centered=True)

@@ -68,9 +68,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .growth import GrowthFunction
-from .report import ConditionReport, combine_legs, node_max, track
+from .report import ConditionReport, checked_schedule, combine_legs, node_max, track
 from .sampled import (Ball, GridSpec, SampledFunction, ball_measure, ball_sums, ball_windows, default_grid,
-                      distinct, row_prefix, row_table, sample_function, stacked_ball_sums, stacked_ball_windows,
+                      distinct, level_counts, row_table, sample_function, stacked_ball_sums, stacked_ball_windows,
                       window_key, window_values)
 from .young import ComposedPowerYoung, PowerYoung, YoungFunction
 
@@ -98,17 +98,15 @@ _FLOAT_MIN, _EPS = float(np.nextafter(0.0, 1.0)), float(np.finfo(float).eps)  # 
 
 @dataclass
 class NormEvaluation:
-    """A norm value plus where and how it was computed."""
+    """A norm value plus where and how it was computed: ``work`` is a Morrey sup's one work record (None for
+    a plain Orlicz gauge), its ``path`` and per-ball ``bisections`` plus the counts of that path (see
+    ``_ball_gauge_matrix``)."""
 
     value: float
     witness: Ball | None = None
     truncation: dict | None = None
     kind: str = "orlicz"
-    path: str | None = None  # Morrey sups: "closed-form" or "column-root-find"
-    bisections: int = 0  # per-ball gauge bisections made
-    root_find: dict | None = None  # the root-find's blocks, visited, steps, levels, binned
-    sorted_windows: int = 0  # windows the weak 1-D power closed form sorted
-    certified: int = 0  # entries it took from a level count instead (``_weak_power_sups``)
+    work: dict | None = None
 
     def __float__(self):
         return float(self.value)
@@ -339,21 +337,20 @@ def _weak_power_batch(table, rank_vol, start, stop, levels=False):
 
 def _tie_starts(vp, start, stop, level):
     """Per row of 1-D windows (start, stop], nested as the row goes on, the first index j with N(j) = N(last),
-    N(j) the cells of window j with vp >= that row's ``level``: exact int counts, from one ``row_prefix``
-    table per distinct level (as many at a time as fit in _BATCH slots)."""
-    levels, which = np.unique(level, return_inverse=True)
-    counts, slots = np.empty(start.shape, int), 3 * len(vp) + 1
-    per = max(1, _BATCH // slots)
+    N(j) the cells of window j with vp >= that row's ``level``: exact int counts, each row read at its own
+    level through ``level_counts`` (of as many distinct levels at a time as keep their sets in _BATCH cells)."""
+    levels = distinct(level)
+    which, counts, per = np.searchsorted(levels, level), np.empty(start.shape, int), max(1, _BATCH // len(vp))
     for a in range(0, len(levels), per):
-        prefix = row_prefix(vp >= levels[a : a + per, None]).ravel()
         rows = np.flatnonzero((which >= a) & (which < a + per))
-        base = ((which[rows] - a) * slots)[:, None]
-        counts[rows] = prefix[base + stop[rows]] - prefix[base + start[rows]]
-    return np.count_nonzero(counts < counts[:, -1:], axis=1)  # N never falls as j grows
+        count = level_counts(vp, levels[a : a + per])
+        counts[rows] = count((start[rows][..., None], stop[rows][..., None]), (which[rows] - a)[:, None])
+    return np.argmax(counts == counts[:, -1:], axis=1)
 
 
-def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None, closed=None):
-    """g = max_k v_(k)**p * cellvol * k over each 1-D ball of ``windows``, v_(k) the k-th largest.
+def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
+    """g = max_k v_(k)**p * cellvol * k over each 1-D ball of ``windows``, v_(k) the k-th largest, and the
+    counts of the work record: the windows sorted and the entries certified.
 
     ``vp`` holds the per-cell values v**p, ``windows`` the (N, radii, 1) ``ball_windows`` of N centers at
     nondecreasing radii, so g(c, j) is nondecreasing in j (module docstring).  All centers are bisected
@@ -370,7 +367,6 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None, closed
     that is neither flat nor skipped takes the certificate where the prefactor does not rise over
     lo < j < last (by more than _FLAT_PREFACTOR, far above rounding; no prefactor is flat), and becomes
     (lo, j0), evaluated at j0 - 1 instead of its middle so that the skip rule can prune the rest.
-    ``closed`` (a dict, if given) adds the windows sorted and the entries certified.
     """
     table = row_table(vp)[0]
     start, stop = windows[0][..., 0], windows[1][..., 0]
@@ -425,14 +421,11 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None, closed
         if prefactor is not None:
             best = np.nanmax(to_gauge(out[c, mid]) * prefactor[mid], initial=best)
         c, lo, hi = np.concatenate([c, c]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    if closed is not None:
-        closed["sorted_windows"] += windows_sorted
-        closed["certified"] += certified
-    return out
+    return out, {"sorted_windows": windows_sorted, "certified": certified}
 
 
-def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None, closed=None):
-    """Ball Orlicz gauges per (center, radius) pair, and the root-find's ``_work`` record (None: closed form).
+def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
+    """Ball Orlicz gauges per (center, radius) pair, and the work record of the path that computed them.
 
     Power kinds scale * t**p on 1-D grids go through closed forms while f**p
     and its sum stay finite: window sums of f**p for the strong gauge, and for
@@ -446,12 +439,16 @@ def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None, closed=None
     takes the last value from the first radius whose ball holds as many
     cells at or above the last ball's attaining level: an exact level
     count certifies the tie without sorting, and the radius just before it
-    is evaluated next.  The weak closed form adds the windows it sorted and
-    the entries it certified to ``closed`` (a dict), if given.
+    is evaluated next.
     Else the column root-find gives the entries that can attain the sup of
     gauge * prefactor (with no prefactor, each column's maximum); the rest
     read 0.  Both skip only entries strictly below the sup, so the sup and
     its witness are those of the whole matrix.
+
+    The work record is one dict on every path: its ``path`` ("closed-form"
+    or "column-root-find") and the per-ball ``bisections``; the weak closed
+    form adds ``sorted_windows`` and ``certified``, the root-find the counts
+    of ``_work``.
     """
     cellvol = f.grid.cell_volume
     radii = np.asarray(radii, dtype=float)
@@ -464,24 +461,26 @@ def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None, closed=None
                 power = None  # the root-find divides by lam first
     if power is None:
         return _root_find_gauges(f, phi, centers, radii, weak, prefactor)
+    closed = {"path": "closed-form", "bisections": 0}
     if not weak:
         sums = ball_sums(vp, ball_windows(f.grid, centers, radii))[0]
-        return (scale * cellvol * sums) ** (1.0 / p), None
+        return (scale * cellvol * sums) ** (1.0 / p), closed
     order = np.argsort(radii, kind="stable")
 
     def to_gauge(sups):
         return (scale * sups) ** (1.0 / p)
 
-    sups = _weak_power_sups(vp, cellvol, ball_windows(f.grid, centers, radii[order]), to_gauge,
-                            None if prefactor is None else prefactor[order], closed)
-    return to_gauge(sups[:, np.argsort(order)]), None
+    sups, counts = _weak_power_sups(vp, cellvol, ball_windows(f.grid, centers, radii[order]), to_gauge,
+                                    None if prefactor is None else prefactor[order])
+    return to_gauge(sups[:, np.argsort(order)]), closed | counts
 
 
 def _work(**counts) -> dict:
-    """The root-find's work record: column blocks, blocks visited, batched steps (evaluations of column
-    bounds), the weak bound's level count (None: strong) and whether its levels bin the values, and the
-    per-ball bisections."""
-    return {"blocks": 0, "visited": 0, "steps": 0, "levels": None, "binned": False, "bisections": 0} | counts
+    """The root-find's work record: its path, the per-ball bisections, column blocks, blocks visited,
+    batched steps (evaluations of column bounds), and the weak bound's level count (None: strong) and
+    whether its levels bin the values."""
+    return {"path": "column-root-find", "bisections": 0, "blocks": 0, "visited": 0, "steps": 0, "levels": None,
+            "binned": False} | counts
 
 
 def _strong_bound(f, phi, centers, radii):
@@ -527,18 +526,12 @@ def _levels(values, budget):
 
 def _level_counts(f, levels, centers, radii, step):
     """Per radius and chunk of ``step`` centers, the chunk's largest N_i(c) = #{x in B_c : f(x) >= s_i},
-    for each level s_i: (radii, chunks, levels).  The ``row_prefix`` tables of the level sets are
-    interleaved, so that a window reads the counts of every level from one slot."""
-    m, rows = f.grid.cells_per_axis, f.grid.cells_per_axis ** (f.grid.n - 1)
-    # in the least signed type that holds a row's count, m (np.min_scalar_type(-m) is int8 at m = 128)
-    level_sets = (f.values >= levels.reshape((-1,) + (1,) * f.grid.n)).astype(np.min_scalar_type(-m - 1))
-    # (slots, levels)
-    table = np.ascontiguousarray(row_prefix(level_sets).reshape(len(levels), -1).T)
+    for each level s_i: (radii, chunks, levels), read through ``level_counts``."""
+    rows, count = f.grid.cells_per_axis ** (f.grid.n - 1), level_counts(f.values, levels)
     per = max(1, _BATCH // (len(levels) * len(centers) * rows))
     out = []
     for r in np.array_split(radii, -(-len(radii) // per)):  # ``per`` radii at a time
-        start, stop = ball_windows(f.grid, centers, r)
-        counts = (table[stop] - table[start]).sum(axis=-2)  # (centers, radii, levels)
+        counts = count(ball_windows(f.grid, centers, r))  # (centers, radii, levels)
         out.append(np.maximum.reduceat(counts, np.arange(0, len(centers), step), axis=0))
     return np.concatenate(out, axis=1).transpose(1, 0, 2)
 
@@ -634,12 +627,12 @@ def _root_find_gauges(f, phi, centers, radii, weak, prefactor):
     return out, work
 
 
-def _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=False, closed=None):
+def _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=False):
     """varphi(r)^{-1} phi^{-1}(|B(x,r)|^{-1}) ||f||_{L^Phi(B(x,r))} per pair (see ``_ball_gauge_matrix``)."""
     radii = np.asarray(radii, dtype=float)
     measures = np.array([ball_measure(f.grid.n, r) for r in radii])
     prefactor = phi.inverse(1.0 / measures) / varphi(radii)
-    gauges, work = _ball_gauge_matrix(f, phi, centers, radii, weak, None if every_column else prefactor, closed)
+    gauges, work = _ball_gauge_matrix(f, phi, centers, radii, weak, None if every_column else prefactor)
     return gauges * prefactor[None, :], work
 
 
@@ -662,10 +655,8 @@ def generalized_orlicz_morrey_norm(
     sampling = sampling or MorreySampling.default(f.grid)
     radii = sampling.radii()
     centers = sampling.centers(f)
-    closed = {"sorted_windows": 0, "certified": 0}
-    vals, work = _morrey_matrix(f, phi, varphi, centers, radii, weak, closed=closed)
+    vals, work = _morrey_matrix(f, phi, varphi, centers, radii, weak)
     kind = "weak-morrey" if weak else "morrey"
-    path, bisections = ("closed-form", 0) if work is None else ("column-root-find", work.pop("bisections"))
     trunc = {
         "r_min": float(sampling.r_min),
         "r_max": float(sampling.r_max),
@@ -673,8 +664,7 @@ def generalized_orlicz_morrey_norm(
         + ("+centroid" if sampling.include_centroid else ""),
     }
     best, witness = _argmax_witness(vals, centers, radii)
-    return NormEvaluation(float(best), witness if np.isfinite(best) else None, trunc, kind, path, bisections, work,
-                          **closed)
+    return NormEvaluation(float(best), witness if np.isfinite(best) else None, trunc, kind, work)
 
 
 def triviality_probe(
@@ -691,8 +681,7 @@ def triviality_probe(
     the space contains only functions equivalent to zero in that direction.
     """
     grid = grid or default_grid(1)
-    if schedule is None:
-        schedule = [2.0**k for k in range(4, 11)]
+    schedule = checked_schedule(schedule)
     f = sample_function(grid, {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": 1.0})
     r_floor = grid.h / 2 ** (r_min_steps - 1)
     ladder = np.geomspace(r_floor, max(schedule), 300)

@@ -9,7 +9,10 @@ condition plateaus.
 Every verdict asks ``track`` which nodes of a sorted grid a probed range
 covers: node t lies in the window (lo, hi) iff lo(1 - 1e-12) <= t <=
 hi(1 + 1e-12), so edge nodes stay inside whatever the rounding.  A probe
-with a strict edge gives the nodes it excludes the value -inf.
+with a strict edge gives the nodes it excludes the value -inf.  Every report
+reads its schedule through ``checked_schedule`` and a caller's t grid
+through ``checked_t_grid``; a report over the windows (1/r, r) is built by
+``symmetric_report``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 HOLDS_STABLE = "holds-stable"
 DIVERGES = "diverges"
@@ -105,6 +108,33 @@ def track(nodes, windows, measure):
              for lo, hi in windows]
     constants = np.maximum.accumulate(np.array([c for c, _ in found], dtype=float)).tolist()
     return constants, [w for _, w in found], assess(constants)
+
+
+def checked_schedule(schedule) -> list:
+    """A report's truncation schedule: ``doubling_schedule()`` if None, else the caller's, which must be
+    nonempty with every entry finite and positive (ConfigError otherwise)."""
+    if schedule is None:
+        return doubling_schedule()
+    r = np.asarray(schedule, dtype=float)
+    if not r.size or not np.all(np.isfinite(r) & (r > 0)):
+        raise ConfigError(f"invalid schedule {list(schedule)}: needs at least one entry, each finite and positive")
+    return list(schedule)
+
+
+def checked_t_grid(t_grid) -> np.ndarray:
+    """A caller's t grid, sorted; DomainError unless it has nodes and every one is finite and positive
+    (NaN fails every comparison, so ``t <= 0`` alone lets it through)."""
+    t = np.sort(np.asarray(t_grid, dtype=float).ravel())
+    if not t.size or not np.all(np.isfinite(t) & (t > 0)):
+        raise DomainError("t grid needs at least one node, each finite and positive")
+    return t
+
+
+def symmetric_report(condition: str, params: dict, nodes, schedule: list, measure) -> ConditionReport:
+    """The report of ``track`` over the windows (1/r, r) of ``nodes``, r in a checked ``schedule``; its
+    witness is the one of the widest window."""
+    constants, witnesses, verdict = track(nodes, [(1.0 / r, r) for r in schedule], measure)
+    return ConditionReport(condition, params, list(schedule), constants, verdict, witnesses[-1])
 
 
 def node_max(nodes, values):

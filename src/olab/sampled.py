@@ -37,6 +37,7 @@ __all__ = [
     "cell_window",
     "distinct",
     "half_width",
+    "level_counts",
     "row_prefix",
     "row_table",
     "sample_function",
@@ -236,6 +237,29 @@ def row_prefix(values) -> np.ndarray:
     np.cumsum(rows, axis=1, out=prefix[:, m + 1 : 2 * m + 1])
     prefix[:, 2 * m + 1 :] = prefix[:, 2 * m : 2 * m + 1]  # past a row's cells, its total
     return prefix
+
+
+def level_counts(values, levels):
+    """A reader of level-set counts: ``count(windows, level=None)`` gives, per ball of ``windows``,
+    #{x in ball : values(x) >= s} for every s of ``levels`` (a last axis), or given ``level`` (indices into
+    ``levels`` that broadcast against the balls) for each ball's own level s only.
+
+    Each level set has one ``row_prefix`` table, in the least signed type that holds a row's count.  Read
+    for every level, the tables are interleaved, so that one slot holds the count of every level."""
+    m = np.shape(values)[-1]
+    sets = (values >= np.reshape(levels, (-1,) + (1,) * np.ndim(values))).astype(np.min_scalar_type(-m - 1))
+    tables = row_prefix(sets).reshape(len(levels), -1)
+    interleaved = np.ascontiguousarray(tables.T)  # (slots, levels)
+
+    def count(windows, level=None):
+        start, stop = windows
+        if level is None:
+            return (interleaved[stop] - interleaved[start]).sum(axis=-2)
+        first = np.expand_dims(level, -1) * tables.shape[1]  # the first slot of each ball's table, in every row
+        rows = tables.ravel()[stop + first] - tables.ravel()[start + first]
+        return rows.sum(axis=-1) if rows.shape[-1] > 1 else rows[..., 0]  # a 1-D ball's one row needs no sum
+
+    return count
 
 
 def stacked_ball_windows(grid: GridSpec, centers, radii):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DomainError, ParameterError
-from .report import ConditionReport, doubling_schedule, track
+from .report import ConditionReport, checked_schedule, checked_t_grid, symmetric_report
 
 __all__ = [
     "YoungFunction",
@@ -264,27 +264,18 @@ class TabulatedYoung(YoungFunction):
         s = np.asarray(s, dtype=float)
         nodes = self.nodes[: self._n_finite]
         vals = self.values[: self._n_finite]
-        out = np.empty_like(s)
         r_inf = self._first_inf_node
-        for i, si in enumerate(s):
-            if np.isinf(si):
-                out[i] = np.inf
-                continue
-            j = np.searchsorted(vals, si, side="right")
-            if j == 0:
-                # below the first node the graph is the chord through (0, 0)
-                out[i] = 0.0 if vals[0] == 0 else si * nodes[0] / vals[0]
-            elif j < len(vals):
-                dv = vals[j] - vals[j - 1]
-                out[i] = nodes[j - 1] + (si - vals[j - 1]) / dv * (nodes[j] - nodes[j - 1])
-            else:
-                # past the last finite value: continue with the tail slope,
-                # clipped at the first infinite node
-                if self._tail_slope > 0:
-                    out[i] = min(nodes[-1] + (si - vals[-1]) / self._tail_slope, r_inf)
-                else:
-                    out[i] = r_inf
-        return out
+        j = np.searchsorted(vals, s, side="right")
+        k = np.clip(j, 1, len(vals) - 1)  # the segment (k - 1, k) that holds s, where one does
+        # every branch is evaluated everywhere; those that do not apply may divide by 0 or overflow
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # below the first node the graph is the chord through (0, 0)
+            below = 0.0 if vals[0] == 0 else s * nodes[0] / vals[0]
+            inner = nodes[k - 1] + (s - vals[k - 1]) / (vals[k] - vals[k - 1]) * (nodes[k] - nodes[k - 1])
+            # past the last finite value: continue with the tail slope, clipped at the first infinite node
+            tail = np.minimum(nodes[-1] + (s - vals[-1]) / self._tail_slope, r_inf) if self._tail_slope > 0 else r_inf
+        out = np.where(j == 0, below, np.where(j < len(vals), inner, tail))
+        return np.where(np.isinf(s), np.inf, out)
 
     def config(self):
         return {"kind": "tabulated", "nodes": self.nodes.tolist(), "values": self.values.tolist()}
@@ -384,11 +375,8 @@ def classify_growth(phi: YoungFunction, growth_class: str, t_grid=None, schedule
     """
     if t_grid is None:
         t_grid = np.geomspace(2.0**-10, 2.0**10, 321)
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid <= 0):
-        raise DomainError("t grid must be positive")
-    if schedule is None:
-        schedule = doubling_schedule()
+    t_grid = checked_t_grid(t_grid)
+    schedule = checked_schedule(schedule)
     if growth_class not in _GROWTH_CLASSES:
         raise ConfigError(f"unknown growth class {growth_class!r}")
     constant = _GROWTH_CLASSES[growth_class]
@@ -397,15 +385,8 @@ def classify_growth(phi: YoungFunction, growth_class: str, t_grid=None, schedule
         nodes = t_grid[window]
         return constant(phi, nodes) if nodes.size else (0.0, np.nan)
 
-    constants, witnesses, verdict = track(t_grid, [(1.0 / r_max, r_max) for r_max in schedule], measure)
-    return ConditionReport(
-        condition=f"young-{growth_class}",
-        params={"young": phi.config(), "t_min": float(t_grid[0]), "t_max": float(t_grid[-1])},
-        schedule=list(schedule),
-        constants=constants,
-        verdict=verdict,
-        witness=witnesses[-1] if witnesses else None,
-    )
+    params = {"young": phi.config(), "t_min": float(t_grid[0]), "t_max": float(t_grid[-1])}
+    return symmetric_report(f"young-{growth_class}", params, t_grid, schedule, measure)
 
 
 def _delta2_constant(phi, window):

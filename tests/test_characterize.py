@@ -4,6 +4,7 @@ import pytest
 from olab import (
     AdamsSetup,
     DomainError,
+    GridSpec,
     ParameterError,
     PowerGrowth,
     PowerYoung,
@@ -11,11 +12,13 @@ from olab import (
     check_condition,
     check_membership,
     check_pointwise_inequalities,
+    classify_growth,
     estimate_operator_norm,
     growth_from_lambda,
     necessity_witness,
     sample_function,
     function_family,
+    triviality_probe,
 )
 from olab.characterize import CONDITION_KINDS
 from olab.errors import ConfigError
@@ -165,6 +168,31 @@ def test_membership_rejects_bad_t_grid(membership, t_grid):
         check_membership(PHI_L0, P2, membership, t_grid=np.array(t_grid), schedule=[4.0])
 
 
+@pytest.mark.parametrize("t_grid", BAD_T_GRIDS)
+def test_classify_growth_rejects_bad_t_grid(t_grid):
+    # a NaN or inf node once gave holds-stable with t_max = nan or inf, and an empty grid an IndexError
+    with pytest.raises(DomainError, match="t grid"):
+        classify_growth(P2, "delta2", t_grid=np.array(t_grid), schedule=[4.0])
+
+
+BAD_SCHEDULES = [[], [np.nan, 32.0], [0.0, 16.0], [16.0, np.inf]]
+CHECKERS = {
+    "condition": lambda schedule: check_condition("adams-necessary", balanced_setup(4), schedule=schedule),
+    "membership-g": lambda schedule: check_membership(PHI_L0, P2, "g", schedule=schedule),
+    "membership-omega": lambda schedule: check_membership(PHI_L0, P2, "omega", schedule=schedule),
+    "classify": lambda schedule: classify_growth(P2, "delta2", schedule=schedule),
+    "probe": lambda schedule: triviality_probe(P2, PHI_L0, grid=GridSpec(1, 0.25, 2.0), schedule=schedule),
+}
+
+
+@pytest.mark.parametrize("schedule", BAD_SCHEDULES)
+@pytest.mark.parametrize("checker", CHECKERS)
+def test_checkers_reject_bad_schedule(checker, schedule):
+    # each once raised ValueError, IndexError or ZeroDivisionError, or returned a verdict
+    with pytest.raises(ConfigError, match="invalid schedule"):
+        CHECKERS[checker](schedule)
+
+
 def test_estimate_operator_norm_balanced_family():
     rows = estimate_operator_norm(balanced_setup(4), family="indicators")
     ratios = np.array([r.ratio for r in rows])
@@ -206,6 +234,12 @@ def test_necessity_witness_unbalanced_direction():
 def test_necessity_witness_unrepresentable_ball():
     with pytest.raises(UnrepresentableBallError):
         necessity_witness(balanced_setup(4), [32.0])
+
+
+def test_necessity_witness_ball_of_no_cell():
+    # B(0, 1e-3) covers no cell center of the default grid (h = 1/64): its source norm is 0
+    with pytest.raises(DomainError, match="t0=0.001"):
+        necessity_witness(balanced_setup(4), [1e-3, 0.5])
 
 
 def test_pointwise_inequality_bounded_over_family(grid64):

@@ -50,8 +50,8 @@ def test_norm_summary_records_path(capsys, tmp_path, young, path, bisections):
     code, _, _ = run(capsys, "norm", "--input", BALL, "--young", young, "--lambda", "0.5",
                      "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
     assert code == 0
-    summary = json.loads((tmp_path / "norm.json").read_text())
-    assert (summary["path"], summary["bisections"]) == (path, bisections)
+    work = json.loads((tmp_path / "norm.json").read_text())["work"]
+    assert (work["path"], work["bisections"]) == (path, bisections)
     assert "root" not in out_path.read_text() and "closed" not in out_path.read_text()
 
 
@@ -60,8 +60,8 @@ def test_norm_summary_records_root_find_work(capsys, tmp_path):
     code, _, _ = run(capsys, "norm", "--input", BALL, "--young", '{"kind":"exp_minus_one"}', "--lambda", "0.5",
                      "--weak", "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
     assert code == 0
-    work = json.loads((tmp_path / "norm.json").read_text())["root_find"]
-    assert sorted(work) == ["binned", "blocks", "levels", "steps", "visited"]
+    work = json.loads((tmp_path / "norm.json").read_text())["work"]
+    assert sorted(work) == ["binned", "bisections", "blocks", "levels", "path", "steps", "visited"]
     assert 1 <= work["visited"] <= work["blocks"] and work["steps"] >= 2
     assert (work["levels"], work["binned"]) == (1, False)  # an indicator has one positive value
     assert "blocks" not in out_path.read_text()
@@ -74,8 +74,9 @@ def test_norm_summary_records_weak_closed_form_work(capsys, tmp_path):
                      "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
     assert code == 0
     summary = json.loads((tmp_path / "norm.json").read_text())
-    assert (summary["path"], summary["root_find"]) == ("closed-form", None)
-    assert summary["sorted_windows"] > 0 and summary["certified"] > 0
+    assert sorted(summary["work"]) == ["bisections", "certified", "path", "sorted_windows"]
+    assert summary["work"]["path"] == "closed-form" and "root_find" not in summary
+    assert summary["work"]["sorted_windows"] > 0 and summary["work"]["certified"] > 0
     assert "certified" not in out_path.read_text() and "sorted" not in out_path.read_text()
 
 

@@ -285,8 +285,8 @@ def test_fast_paths_agree_with_bisection(grid64):
     radii = np.array([0.3, 1.0, 3.7, 9.0])
     for phi in (P2, PowerYoung(3), PowerYoung(2).compose_power(0.5)):
         for weak in (False, True):
-            fast, bisections = _ball_gauge_matrix(f, phi, centers, radii, weak)
-            assert bisections is None
+            fast, work = _ball_gauge_matrix(f, phi, centers, radii, weak)
+            assert work["path"] == "closed-form"
             assert np.allclose(fast, per_ball_gauges(f, phi, centers, radii, weak), rtol=1e-8, atol=1e-12)
 
 
@@ -313,11 +313,11 @@ def test_overflowing_power_takes_the_root_find(weak):
     f = SampledFunction(g, vals)
     sampling = oracle_sampling(g)
     centers, radii = sampling.centers(f), sampling.radii()
-    fast, bisections = _ball_gauge_matrix(f, P2, centers, radii, weak)
+    fast, work = _ball_gauge_matrix(f, P2, centers, radii, weak)
     slow = per_ball_gauges(f, P2, centers, radii, weak)
-    assert bisections is not None and np.isfinite(slow).all() and slow.max() > 1e199
+    assert work["path"] == "column-root-find" and np.isfinite(slow).all() and slow.max() > 1e199
     assert np.array_equal(fast.max(axis=0), slow.max(axis=0))
-    assert check_root_find(f, P2, (0.0, 0.5), weak, sampling).path == "column-root-find"
+    assert check_root_find(f, P2, (0.0, 0.5), weak, sampling).work["path"] == "column-root-find"
 
 
 @pytest.mark.parametrize("top", [1e200, 1e300])
@@ -464,7 +464,10 @@ def test_weak_power_sups_skip_only_balls_below_the_sup(grid, shape):
         centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
         prefactor = PREFACTORS[shape](radii, rng)
         for phi in WEAK_PHIS:
-            fast = _ball_gauge_matrix(f, phi, centers, radii, True, prefactor, closed)[0] * prefactor
+            fast, work = _ball_gauge_matrix(f, phi, centers, radii, True, prefactor)
+            fast = fast * prefactor
+            for key in closed:
+                closed[key] += work[key]
             slow = merged_weak_power_gauges(f, phi, centers, radii) * prefactor
             assert _argmax_witness(fast, centers, radii) == _argmax_witness(slow, centers, radii)
             kept = fast == slow
@@ -496,10 +499,9 @@ def test_weak_power_sups_certify_ties_of_distinct_values():
             assert np.all(reference[c, j:] == reference[c, -1])
     assert np.any(firsts[0] != firsts[1])
     for prefactor in (None, np.ones(30)):
-        closed = {"sorted_windows": 0, "certified": 0}
-        sups = norms._weak_power_sups(vp, g.cell_volume, windows, np.sqrt, prefactor, closed)
+        sups, counts = norms._weak_power_sups(vp, g.cell_volume, windows, np.sqrt, prefactor)
         assert np.array_equal(sups, reference) if prefactor is None else np.all((sups == reference) | (sups == 0))
-        assert closed["certified"] > 0
+        assert counts["certified"] > 0
 
 
 @pytest.mark.parametrize("phi", [P2, P2.compose_power(1 / 3)])
@@ -603,7 +605,7 @@ def test_root_find_matches_per_ball(grid, name, weak):
     f = stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)
     phi = ROOT_FIND_PHIS.get(name, P2)
     # lambda = 0 makes the prefactor tie many balls exactly
-    assert check_root_find(f, phi, (0.0, 0.5), weak, oracle_sampling(grid)).path == "column-root-find"
+    assert check_root_find(f, phi, (0.0, 0.5), weak, oracle_sampling(grid)).work["path"] == "column-root-find"
 
 
 @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
@@ -615,7 +617,8 @@ def test_root_find_bisects_only_near_the_sup(weak):
         f = random_indicator_sum(g, np.random.default_rng(seed))
         for phi in (PowerLogYoung(2, 1), ExpMinusOneYoung()):
             for lam in (0.0, 0.5):
-                assert generalized_orlicz_morrey_norm(f, phi, growth_from_lambda(phi, lam), weak=weak).bisections <= 2
+                ev = generalized_orlicz_morrey_norm(f, phi, growth_from_lambda(phi, lam), weak=weak)
+                assert ev.work["bisections"] <= 2
 
 
 @pytest.mark.parametrize("grid", [PIN_GRIDS[0], PIN_GRIDS_2D[0]], ids=["1d", "2d"])
@@ -623,7 +626,7 @@ def test_root_find_bisects_only_near_the_sup(weak):
 def test_root_find_extreme_inputs(grid, weak):
     zero = SampledFunction(grid, np.zeros(grid.shape()))
     ev = check_root_find(zero, ExpMinusOneYoung(), [0.5], weak, oracle_sampling(grid))
-    assert ev.value == 0.0 and ev.bisections == 0
+    assert ev.value == 0.0 and ev.work["bisections"] == 0
     # values of 200 and more: exp(f/lam) - 1 overflows to inf over most of the search
     rng = np.random.default_rng(33)
     tall = (stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)).scaled(400.0)
@@ -631,7 +634,7 @@ def test_root_find_extreme_inputs(grid, weak):
     inf = np.zeros(grid.shape())
     inf.flat[5] = np.inf
     ev = check_root_find(SampledFunction(grid, inf), PowerLogYoung(2, 1), [0.5], weak, oracle_sampling(grid))
-    assert ev.value == np.inf and ev.witness is None and ev.bisections == 0
+    assert ev.value == np.inf and ev.witness is None and ev.work["bisections"] == 0
 
 
 @pytest.mark.parametrize("grid", [PIN_GRIDS[0], PIN_GRIDS_2D[0]], ids=["1d", "2d"])
@@ -644,7 +647,7 @@ def test_infinite_cell_beside_finite_ones(grid, weak):
     v = (stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)).values.copy()
     v.flat[5] = np.inf
     f, phi = SampledFunction(grid, v), PowerLogYoung(2, 1)
-    assert check_root_find(f, phi, [0.5], weak, oracle_sampling(grid)).bisections == 0
+    assert check_root_find(f, phi, [0.5], weak, oracle_sampling(grid)).work["bisections"] == 0
     missing = MorreySampling(r_min=0.2 * grid.h, r_max=0.9 * grid.h, n_radii=3, center_stride=4 if grid.n == 1 else 3,
                              include_centroid=False)
     assert np.isfinite(check_root_find(f, phi, [0.0, 0.5], weak, missing).value)
@@ -755,8 +758,8 @@ def test_binned_levels_match_per_ball(grid, weak, monkeypatch):
     monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * len(sampling.centers(f)) * sampling.n_radii)  # 3 levels
     for phi in (ExpMinusOneYoung(), PowerLogYoung(2, 1)):
         ev = check_root_find(f, phi, (0.0, 0.5), weak, sampling)
-        assert ev.root_find["levels"] == (3 if weak else None)
-        assert ev.root_find["binned"] == weak
+        assert ev.work["levels"] == (3 if weak else None)
+        assert ev.work["binned"] == weak
 
 
 @pytest.mark.parametrize("binned", [False, True], ids=["exact", "binned"])
@@ -776,7 +779,7 @@ def test_weak_levels_count_whole_rows_of_128_cells(grid, binned, monkeypatch):
         for varphi in (PowerGrowth(-grid.n), growth_from_lambda(phi, 0.5, n=grid.n)):
             ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=True, sampling=sampling)
             assert (ev.value, ev.witness) == per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)[1:]
-            assert ev.root_find["binned"] == (binned and values.min() < values.max())
+            assert ev.work["binned"] == (binned and values.min() < values.max())
 
 
 @pytest.mark.parametrize("gauge", [_lux_gauge, _weak_gauge])
@@ -791,19 +794,20 @@ def test_subnormal_morrey_norm_through_the_root_find(weak):
     grid = PIN_GRIDS_2D[0]
     for values in (np.full(grid.shape(), 5e-324), random_cells_2d(grid, np.random.default_rng(38)).values * 5e-324):
         ev = check_root_find(SampledFunction(grid, values), ExpMinusOneYoung(), (0.0, 0.5), weak, oracle_sampling(grid))
-        assert ev.path == "column-root-find" and ev.value > 0
+        assert ev.work["path"] == "column-root-find" and ev.value > 0
 
 
 def test_norm_records_its_root_find_work(unit_indicator):
     sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
     phi = PowerLogYoung(2, 1)
-    strong = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), sampling=sampling).root_find
-    assert strong == {"blocks": 12, "visited": strong["visited"], "steps": strong["steps"], "levels": None,
-                      "binned": False}
+    strong = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), sampling=sampling).work
+    assert strong == {"path": "column-root-find", "bisections": strong["bisections"], "blocks": 12,
+                      "visited": strong["visited"], "steps": strong["steps"], "levels": None, "binned": False}
     assert 1 <= strong["visited"] <= 12 and strong["steps"] >= 2
     weak = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), weak=True, sampling=sampling)
-    assert (weak.root_find["levels"], weak.root_find["binned"]) == (1, False)  # one distinct value
-    assert generalized_orlicz_morrey_norm(unit_indicator, P2, PowerGrowth(-0.25)).root_find is None
+    assert (weak.work["levels"], weak.work["binned"]) == (1, False)  # one distinct value
+    assert generalized_orlicz_morrey_norm(unit_indicator, P2, PowerGrowth(-0.25)).work == {"path": "closed-form",
+                                                                                           "bisections": 0}
 
 
 @pytest.mark.parametrize("seed", [28, 40, 175, 196])
@@ -840,23 +844,25 @@ def test_triviality_probe_matches_per_ball(phi, monkeypatch):
 
 def test_norm_reports_its_path(unit_indicator):
     closed = generalized_orlicz_morrey_norm(unit_indicator, P2, PowerGrowth(-0.25))
-    assert (closed.path, closed.bisections) == ("closed-form", 0)
+    assert (closed.work["path"], closed.work["bisections"]) == ("closed-form", 0)
     sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
     generic = generalized_orlicz_morrey_norm(unit_indicator, PowerLogYoung(2, 1), PowerGrowth(-0.25), sampling=sampling)
-    assert generic.path == "column-root-find" and generic.bisections >= 1
-    assert luxemburg_norm(unit_indicator, P2).path is None
+    assert generic.work["path"] == "column-root-find" and generic.work["bisections"] >= 1
+    assert luxemburg_norm(unit_indicator, P2).work is None
 
 
 def test_norm_records_its_weak_closed_form_work(unit_indicator):
     # only the weak 1-D power closed form sorts windows; at lambda = 0 it certifies the tied runs
     sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
     weak = generalized_orlicz_morrey_norm(unit_indicator, P2, growth_from_lambda(P2, 0.0), weak=True, sampling=sampling)
-    assert weak.path == "closed-form" and weak.sorted_windows > 0 and weak.certified > 0
+    work = weak.work
+    assert (work["path"], work["bisections"]) == ("closed-form", 0) and work["sorted_windows"] > 0
+    assert work["certified"] > 0
     strong = generalized_orlicz_morrey_norm(unit_indicator, P2, growth_from_lambda(P2, 0.0), sampling=sampling)
     generic = generalized_orlicz_morrey_norm(unit_indicator, PowerLogYoung(2, 1), PowerGrowth(-0.25), weak=True,
                                              sampling=sampling)
     for ev in (strong, generic):
-        assert (ev.sorted_windows, ev.certified) == (0, 0)
+        assert "sorted_windows" not in ev.work and "certified" not in ev.work
 
 
 def test_weak_gauge_needs_no_jump_terms():

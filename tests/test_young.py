@@ -11,6 +11,7 @@ from olab import (
     ParameterError,
     PowerLogYoung,
     PowerYoung,
+    TabulatedYoung,
     classify_growth,
     young_from_config,
 )
@@ -210,3 +211,40 @@ def test_config_errors():
         young_from_config("power")
     with pytest.raises(ParameterError):
         young_from_config({"kind": "power", "p": 0.5})
+
+
+def per_element_inverse(phi: TabulatedYoung, s: float) -> float:
+    """The generalized inverse of a tabulated kind at one s, branch by branch."""
+    nodes, vals = phi.nodes[: phi._n_finite], phi.values[: phi._n_finite]
+    if np.isinf(s):
+        return np.inf
+    j = np.searchsorted(vals, s, side="right")
+    if j == 0:
+        return 0.0 if vals[0] == 0 else s * nodes[0] / vals[0]
+    if j < len(vals):
+        return nodes[j - 1] + (s - vals[j - 1]) / (vals[j] - vals[j - 1]) * (nodes[j] - nodes[j - 1])
+    if phi._tail_slope > 0:
+        return min(nodes[-1] + (s - vals[-1]) / phi._tail_slope, phi._first_inf_node)
+    return phi._first_inf_node
+
+
+TABULATED_KINDS = {
+    "inner and tail slope": TabulatedYoung(np.array([0.3, 0.7, 1.9, 4.1]), np.array([0.11, 0.93, 3.7, 8.3])),
+    "zero first value": TabulatedYoung(np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.5, 3.0])),
+    "zero tail slope": TabulatedYoung(np.array([0.5, 1.0, 2.0]), np.array([0.25, 1.0, 1.0])),
+    "infinite tail": TabulatedYoung(np.array([0.5, 1.0, 2.0, 4.0]), np.array([0.25, 1.0, 4.0, np.inf])),
+    "single finite node": TabulatedYoung(np.array([0.5, 1.0]), np.array([2.0, np.inf])),
+    "conjugate": ExpMinusOneYoung().conjugate(),
+}
+
+
+@pytest.mark.parametrize("name", TABULATED_KINDS)
+def test_tabulated_inverse_matches_per_element_formula(name):
+    # below the first node, on and between nodes, along the tail (clipped at the first infinite node), inf
+    phi = TABULATED_KINDS[name]
+    finite = phi.values[np.isfinite(phi.values)]
+    s = np.concatenate([[0.0, 1e-300, np.inf, 1e300], finite, finite * (1 + 1e-9), 0.5 * finite,
+                        np.geomspace(1e-6, 1e6, 97)])
+    expected = np.array([per_element_inverse(phi, x) for x in s])
+    assert np.array_equal(phi.inverse(s), expected)
+    assert all(phi.inverse(x) == e for x, e in zip(s, expected))
