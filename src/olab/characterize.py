@@ -90,8 +90,9 @@ _MAX_LOG_NODES = 2**22
 
 
 def _log_grid(t_min: float, t_max: float, per_octave: int = 32) -> np.ndarray:
-    if t_min <= 0 or t_max <= t_min:
-        raise ConfigError("need 0 < t_min < t_max")
+    """Nodes t_min * 2^(k / per_octave) up to t_max; the one node t_min when t_max == t_min."""
+    if t_min <= 0 or t_max < t_min:
+        raise ConfigError("need 0 < t_min <= t_max")
     with np.errstate(over="ignore"):
         end = np.log2(t_max / t_min) * per_octave + 0.5
     if not end <= _MAX_LOG_NODES:  # inf where t_max / t_min overflows

@@ -672,19 +672,18 @@ def triviality_probe(
     varphi: GrowthFunction,
     grid: GridSpec | None = None,
     schedule=None,
-    r_min_steps: int = 3,
 ) -> ConditionReport:
     """Norm of the unit-ball indicator under widening radius truncation.
 
     The probe widens the sampled radius window upward (r_max doubling) and
-    downward (r_min halving, down to one cell); a diverging leg signals that
-    the space contains only functions equivalent to zero in that direction.
+    downward (r_min halving from 4h down to one cell: 4h, 2h, h); a diverging
+    leg signals that the space contains only functions equivalent to zero in
+    that direction.
     """
     grid = grid or default_grid(1)
     schedule = checked_schedule(schedule)
     f = sample_function(grid, {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": 1.0})
-    r_floor = grid.h / 2 ** (r_min_steps - 1)
-    ladder = np.geomspace(r_floor, max(schedule), 300)
+    ladder = np.geomspace(grid.h / 4, max(schedule), 300)
     # one shared radius ladder keeps the window suprema nested and monotone
     ladder = distinct(np.concatenate([ladder, [4 * grid.h, grid.h, 1.0], schedule]))
     sampling = MorreySampling(r_min=float(ladder[0]), r_max=float(ladder[-1]), n_radii=len(ladder))
@@ -692,7 +691,7 @@ def triviality_probe(
     vals, _ = _morrey_matrix(f, phi, varphi, centers, ladder, weak=False, every_column=True)
     col_max = node_max(ladder, vals.max(axis=0))
     r_min0 = 4 * grid.h
-    lower_steps = [r_min0 / 2**k for k in range(r_min_steps)]
+    lower_steps = [r_min0, 2 * grid.h, grid.h]
     upper, _, v_up = track(ladder, [(r_min0, r_max) for r_max in schedule], col_max)
     lower, _, v_low = track(ladder, [(r_min, max(schedule)) for r_min in lower_steps], col_max)
     return ConditionReport(

@@ -15,8 +15,8 @@ row windows offset by offset, read from one table per half-width for the most
 used half-widths (within a byte budget).  Both give the very floating-point
 results of a sweep over every radius.  The uncentered sup comes from running
 maxima widened by clamped shifts, the 2-D Riesz potential from an FFT
-(scipy.fft, imported on first use).  Radii whose balls cover the whole grid
-from every center give coef * (grid total); one is kept.
+(numpy.fft).  Radii whose balls cover the whole grid from every center give
+coef * (grid total); one is kept.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def _sweep(pad, g, ts, coef, centered):
 def riesz_potential(f: SampledFunction, alpha: float) -> SampledFunction:
     """Riesz potential I_alpha f: convolution with |x|^(alpha-n) h^n, whose self-cell weight
     is the kernel's integral over the cell (1-D) or the equal-area disk (2-D).  Direct in
-    1-D; FFT (scipy.fft) in 2-D, within a few 1e-14 relative of the direct sum."""
+    1-D; FFT (numpy.fft) in 2-D, within a few 1e-14 relative of the direct sum."""
     g = f.grid
     _check_alpha(alpha, g.n, strict=True)
     if not np.all(np.isfinite(f.values)):  # FFT would spread one inf as NaN over the grid
@@ -252,13 +252,11 @@ def riesz_potential(f: SampledFunction, alpha: float) -> SampledFunction:
         kernel[n_cells - 1 - m] = tail
         out = np.convolve(f.values, kernel)[n_cells - 1 : 2 * n_cells - 1]
         return SampledFunction(g, out)
-    from scipy import fft
-
     # offsets over a period of 2 n_cells: the circular convolution wraps no x - y onto another
     d = ((np.arange(2 * n_cells) + n_cells) % (2 * n_cells) - n_cells) * h
     dist = np.hypot(d[:, None], d[None, :])
     with np.errstate(divide="ignore"):
         kernel = dist ** (alpha - 2.0) * g.cell_volume
     kernel[0, 0] = 2.0 * math.pi * (h / math.sqrt(math.pi)) ** alpha / alpha  # equal-area disk
-    out = fft.irfft2(fft.rfft2(f.values, kernel.shape) * fft.rfft2(kernel), kernel.shape)
+    out = np.fft.irfft2(np.fft.rfft2(f.values, kernel.shape) * np.fft.rfft2(kernel), kernel.shape)
     return SampledFunction(g, out[:n_cells, :n_cells])

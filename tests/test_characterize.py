@@ -14,6 +14,7 @@ from olab import (
     check_pointwise_inequalities,
     classify_growth,
     estimate_operator_norm,
+    growth_from_config,
     growth_from_lambda,
     necessity_witness,
     sample_function,
@@ -45,6 +46,30 @@ def test_growth_from_lambda_edge_cases():
     assert np.allclose(lam0(ts), P2.inverse(ts**-1.0) / P2.inverse(1.0))
     lam_n = growth_from_lambda(P2, 1.0, n=1)
     assert np.allclose(lam_n(ts), 1.0)
+
+
+GROWTH_CONFIGS = {
+    "power": ({"kind": "power", "exponent": -0.5}, lambda t: t**-0.5),
+    "power_log": ({"kind": "power_log", "exponent": -0.5, "log_exponent": 2.0},
+                  lambda t: t**-0.5 * np.log(np.e + t) ** 2),
+    # p = 2, n = 1: phi^-1(t^-1) / phi^-1(t^-lambda) = t^((lambda - 1) / 2), and |B| = 2t measure-based
+    "lambda_flavored": ({"kind": "lambda_flavored", "lambda": 0.5, "n": 1}, lambda t: t**-0.25),
+    "lambda_flavored-measure": ({"kind": "lambda_flavored", "lambda": 0.5, "n": 1, "measure_based": True},
+                                lambda t: (2 * t) ** -0.25),
+    "power_of": ({"kind": "power_of", "base": {"kind": "power_log", "exponent": -0.5, "log_exponent": 2.0},
+                  "beta": 0.5}, lambda t: (t**-0.5 * np.log(np.e + t) ** 2) ** 0.5),
+}
+
+
+@pytest.mark.parametrize("name", GROWTH_CONFIGS)
+def test_growth_config_round_trip(name):
+    cfg, expected = GROWTH_CONFIGS[name]
+    varphi = growth_from_config(cfg, phi=P2)
+    assert varphi.config() == cfg
+    again = growth_from_config(varphi.config(), phi=P2)
+    ts = np.array([0.25, 1.0, 4.0])
+    assert np.array_equal(again(ts), varphi(ts))
+    assert np.allclose(varphi(ts), expected(ts), rtol=1e-12)
 
 
 def test_adams_setup_validation():
@@ -173,6 +198,13 @@ def test_classify_growth_rejects_bad_t_grid(t_grid):
     # a NaN or inf node once gave holds-stable with t_max = nan or inf, and an empty grid an IndexError
     with pytest.raises(DomainError, match="t grid"):
         classify_growth(P2, "delta2", t_grid=np.array(t_grid), schedule=[4.0])
+
+
+def test_one_node_t_grid_at_the_schedule_top():
+    # the inner grid then runs from the node to the node: it is the node itself
+    rep = check_condition("adams-necessary", balanced_setup(4), t_grid=np.array([4.0]), schedule=[4.0])
+    assert rep.params["t_min"] == rep.params["t_max"] == 4.0
+    assert rep.constants == [pytest.approx(1.0, rel=1e-9)]
 
 
 BAD_SCHEDULES = [[], [np.nan, 32.0], [0.0, 16.0], [16.0, np.inf]]

@@ -178,6 +178,19 @@ def test_non_finite_range_or_schedule_is_status_2(capsys, tmp_path, argv):
     assert "invalid" in err
 
 
+@pytest.mark.parametrize("spec", ["4:4.1:1", "5:5.1:1"])
+def test_one_node_range_at_the_schedule_top_is_status_0(capsys, tmp_path, spec):
+    # the one node is max(schedule, node), so the inner grid is that node alone; once exit 2, "need 0 < t_min < t_max"
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps(
+        {"young": {"kind": "power", "p": 2.0}, "lambda": 0.0, "alpha": 0.25, "beta": 0.5, "n": 1}))
+    code, out, _ = run(capsys, "check", "--condition", "adams-necessary", "--setup", str(setup),
+                       "--range", spec, "--rmax-schedule", "4")
+    node = spec.split(":")[0]
+    assert code == 0
+    assert out.splitlines()[2].endswith(f",{node},{node}")  # t_min, t_max
+
+
 @pytest.mark.parametrize("command", ["classify", "check"])
 @pytest.mark.parametrize("spec", ["1e-300:1e300:64", "1:2:4194304"], ids=["ratio-overflows", "2^22+1-nodes"])
 def test_oversized_range_is_status_2(capsys, tmp_path, monkeypatch, command, spec):
@@ -303,12 +316,15 @@ def test_adams_subcommand(capsys, tmp_path):
     setup.write_text(json.dumps(
         {"young": {"kind": "power", "p": 2.0}, "lambda": 0.0, "alpha": 0.25, "beta": 0.5, "n": 1}))
     out_path = tmp_path / "adams.csv"
-    code, out, _ = run(capsys, "adams", "--setup", str(setup), "--family", "indicators",
-                       "--grid-h", "0.03125", "--grid-extent", "8", "--out", str(out_path))
-    assert code == 0
-    lines = out_path.read_text().splitlines()
-    assert lines[1].split(",")[:4] == ["test_id", "source_norm", "target_norm", "ratio"]
-    assert len(lines) > 4
+    # indicators of B(0, 2^k) up to the extent 8, and power decays of exponent 0.25, 0.5, 0.75 < n
+    for family, ids in [("indicators", [f"indicator-2^{k}" for k in range(-4, 4)]),
+                        ("power-decay", ["power-decay-0.25", "power-decay-0.5", "power-decay-0.75"])]:
+        code, out, _ = run(capsys, "adams", "--setup", str(setup), "--family", family,
+                           "--grid-h", "0.03125", "--grid-extent", "8", "--out", str(out_path))
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert lines[1].split(",")[:4] == ["test_id", "source_norm", "target_norm", "ratio"]
+        assert [line.split(",")[0] for line in lines[2:]] == ids, family
 
 
 def test_determinism_byte_identical(capsys, tmp_path):
@@ -345,24 +361,29 @@ def test_grid_lines_match_per_value_csv(tmp_path, grid):
 
 _IMPORT_PROBE = """
 import json, sys
+sys.modules["scipy"] = None  # from here on every scipy import raises ImportError
 import olab.cli
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
 
 ball = '{"type":"ball_indicator","center":[0],"radius":1}'
 disk = '{"type":"ball_indicator","center":[0,0],"radius":0.5}'
+p2 = '{"kind":"power","p":2}'
+setup = '{"young":{"kind":"power","p":2},"lambda":0.0,"alpha":0.25,"beta":0.5,"n":1}'
 small = ["--grid-h", "0.125", "--grid-extent", "2"]
 seen = {"import": scipy_modules()}
 for name, argv in [
-    ("norm", ["norm", "--input", ball, "--young", '{"kind":"power","p":2}', "--lambda", "0.5", *small]),
+    ("norm", ["norm", "--input", ball, "--young", p2, "--lambda", "0.5", *small]),
     ("probe", ["probe", "--young", '{"kind":"exp_minus_one"}', "--lambda", "0.25", *small]),
     ("uncentered", ["operators", "--uncentered", "--alpha", "0.5", "--input", ball, *small]),
     ("uncentered-2d", ["operators", "--uncentered", "--alpha", "0.5", "--input", disk, "--grid-n", "2", *small]),
     ("riesz-2d", ["operators", "--operator", "riesz", "--alpha", "0.5", "--input", disk, "--grid-n", "2", *small]),
+    ("check", ["check", "--condition", "adams-sufficient", "--setup", setup, "--rmax-schedule", "16,64"]),
+    ("classify", ["classify", "--young", p2, "--class", "delta2", "--range", "0.5:8:4"]),
+    ("adams", ["adams", "--setup", setup, "--family", "indicators", *small]),
 ]:
-    assert olab.cli.main(argv) == 0, name
-    seen[name] = scipy_modules()
+    seen[name] = [olab.cli.main(argv), scipy_modules()]
 print(json.dumps(seen))
 """
 
@@ -375,15 +396,14 @@ def _fresh_python(code):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_cli_loads_no_scipy_but_the_fft_of_the_2d_riesz_potential():
-    # a fresh interpreter: this test process has loaded scipy for its own references
+def test_cli_runs_every_subcommand_without_scipy():
+    # a fresh interpreter where scipy cannot be imported: this test process has loaded scipy for its references
     seen = _fresh_python(_IMPORT_PROBE)
-    for name in ("import", "norm", "probe", "uncentered", "uncentered-2d"):
-        assert seen[name] == [], name
-    fft_deps = _fresh_python("import json, sys, scipy.fft\n"
-                             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
-    assert "scipy.fft" in seen["riesz-2d"]
-    assert set(seen["riesz-2d"]) <= set(fft_deps)
+    assert seen.pop("import") == []
+    assert sorted(seen) == sorted(["norm", "probe", "uncentered", "uncentered-2d", "riesz-2d",
+                                   "check", "classify", "adams"])
+    for name, (code, modules) in seen.items():
+        assert code == 0 and modules == [], name
 
 
 _NUMPY_MA_PROBE = """
