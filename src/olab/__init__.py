@@ -31,10 +31,11 @@ from .norms import (
     NormEvaluation,
     generalized_orlicz_morrey_norm,
     luxemburg_norm,
+    stacked_morrey_norms,
     triviality_probe,
     weak_orlicz_norm,
 )
-from .operators import maximal, riesz_potential
+from .operators import maximal, riesz_potential, stacked_maximal
 from .report import ConditionReport
 from .sampled import (
     Ball,
@@ -98,6 +99,8 @@ __all__ = [
     "necessity_witness",
     "riesz_potential",
     "sample_function",
+    "stacked_maximal",
+    "stacked_morrey_norms",
     "function_family",
     "triviality_probe",
     "weak_orlicz_norm",

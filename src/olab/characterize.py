@@ -5,7 +5,9 @@ probed on a log grid of t: inner suprema and tail integrals are truncated at
 R_max, the truncation follows a doubling schedule, and the best constant
 C(R_max) = sup_t LHS/RHS is tracked; the verdict comes from the trend of
 that sequence.  Operator-norm experiments compare source and target
-Orlicz-Morrey norms of mapped test families on the default grids.
+Orlicz-Morrey norms of mapped test families on the default grids; the
+members of a family on one grid are evaluated as one stack at each stage
+(``stacked_morrey_norms``, ``stacked_maximal``).
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParameterError, UnrepresentableBallError
+from .errors import ConfigError, DomainError, OlabError, ParameterError, UnrepresentableBallError
 from .growth import GrowthFunction
-from .norms import MorreySampling, generalized_orlicz_morrey_norm
-from .operators import maximal, riesz_potential
+from .norms import MorreySampling, generalized_orlicz_morrey_norm, stacked_morrey_norms
+from .operators import maximal, riesz_potential, stacked_maximal
 from .report import (ConditionReport, checked_schedule, checked_t_grid, combine_legs, node_max, symmetric_report,
-                     track)
+                     track, window)
 from .sampled import GridSpec, SampledFunction, ball_measure, default_grid, distinct, sample_function
 from .young import YoungFunction
 
@@ -138,7 +140,11 @@ def check_condition(
     if t_grid is None:
         t_grid = _log_grid(2.0**-10, 2.0**10, per_octave)
     t_grid = checked_t_grid(t_grid)
-    r_final = max(max(schedule), t_grid[-1])
+    top = max(schedule)
+    if not t_grid[window(t_grid, 1.0 / top, top)].size:  # every window would read 0, a vacuous holds-stable
+        raise ConfigError(f"no node of the t grid [{t_grid[0]:g}, {t_grid[-1]:g}] lies in the widest window "
+                          f"(1/{top:g}, {top:g}) of the schedule")
+    r_final = max(top, t_grid[-1])
     # one shared log grid for outer t and inner s keeps windows nested
     s_all = distinct(np.concatenate([t_grid, _log_grid(t_grid[0], r_final, per_octave)]))
     phi, varphi, alpha, beta, n = setup.phi, setup.varphi, setup.alpha, setup.beta, setup.n
@@ -297,11 +303,11 @@ class RatioRow:
     note: str = ""
 
 
-def _apply_operator(f: SampledFunction, setup: AdamsSetup, operator: str) -> SampledFunction:
+def _apply_operator(fs: list, setup: AdamsSetup, operator: str) -> list[SampledFunction]:
     if operator == "maximal":
-        return maximal(f, alpha=setup.alpha, centered=True)
+        return stacked_maximal(fs, alpha=setup.alpha, centered=True)
     if operator == "riesz":
-        return riesz_potential(f, setup.alpha)
+        return [riesz_potential(f, setup.alpha) for f in fs]
     raise ConfigError(f"unknown operator {operator!r}")
 
 
@@ -319,6 +325,9 @@ def estimate_operator_norm(
     The source norm is always the strong one; ``target`` picks the strong or
     weak norm on the mapped functions.  Members with zero source norm are
     skipped with a note.  The empirical operator norm is the max ratio.
+    The members on one grid are evaluated as one stack at each stage: source
+    norms, the operator on the members with a nonzero source norm, target
+    norms.
     """
     if target not in ("strong", "weak"):
         raise ConfigError(f"target must be 'strong' or 'weak', got {target!r}")
@@ -329,17 +338,19 @@ def estimate_operator_norm(
         family = function_family(family, grid, seed=seed)
     if not family:
         raise ConfigError("empty test family")
-    rows = []
-    for test_id, f in family:
-        src = generalized_orlicz_morrey_norm(f, setup.phi, setup.varphi, weak=False, sampling=sampling)
-        if src.value == 0.0:
-            rows.append(RatioRow(test_id, 0.0, np.nan, np.nan, None, "skipped: zero source norm"))
+    groups = {}
+    for i, (_, f) in enumerate(family):
+        groups.setdefault(f.grid, []).append(i)
+    rows = [RatioRow(test_id, 0.0, np.nan, np.nan, None, "skipped: zero source norm") for test_id, _ in family]
+    for members in groups.values():
+        src = stacked_morrey_norms([family[i][1] for i in members], setup.phi, setup.varphi, sampling=sampling)
+        live = [(i, s.value) for i, s in zip(members, src) if s.value != 0.0]
+        if not live:
             continue
-        mapped = _apply_operator(f, setup, operator)
-        tgt = generalized_orlicz_morrey_norm(
-            mapped, setup.psi, setup.eta, weak=(target == "weak"), sampling=sampling
-        )
-        rows.append(RatioRow(test_id, src.value, tgt.value, tgt.value / src.value, tgt.witness))
+        mapped = _apply_operator([family[i][1] for i, _ in live], setup, operator)
+        tgt = stacked_morrey_norms(mapped, setup.psi, setup.eta, weak=(target == "weak"), sampling=sampling)
+        for (i, value), t in zip(live, tgt):
+            rows[i] = RatioRow(family[i][0], value, t.value, t.value / value, t.witness)
     return rows
 
 
@@ -354,25 +365,36 @@ def necessity_witness(
     For each t0 the analytic lower-bound expression t0^alpha varphi(t0)^(1-beta)
     is compared with the measured target/source norm ratio of the maximal
     operator on the indicator of B(0, t0); K is the single constant with
-    measured >= lower / K across the grid.
+    measured >= lower / K across the grid.  The indicators are evaluated as
+    one stack at each stage; a t0 that fails is reported after the ones
+    before it are measured, as a loop over t0 would.
     """
     grid = grid or default_grid(setup.n)
     t0_grid = np.asarray(t0_grid, dtype=float)
-    rows = []
+    if not t0_grid.size:
+        raise ConfigError("the necessity witness needs at least one t0")
+    fs, lower, fault = [], [], None
     for t0 in t0_grid:
-        if t0 > grid.extent:
-            raise UnrepresentableBallError(
-                f"ball not representable: t0={t0} exceeds half-extent {grid.extent}"
-            )
-        f = sample_function(grid, {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": float(t0)})
-        if not f.values.any():  # its source norm is 0
-            raise DomainError(f"ball not sampled: t0={t0} covers no cell center of a grid with h={grid.h}")
-        lower = float(t0**setup.alpha * setup.varphi(t0) ** (1.0 - setup.beta))
-        src = generalized_orlicz_morrey_norm(f, setup.phi, setup.varphi, sampling=sampling)
-        mapped = maximal(f, alpha=setup.alpha, centered=True)
-        tgt = generalized_orlicz_morrey_norm(mapped, setup.psi, setup.eta, sampling=sampling)
-        measured = tgt.value / src.value
-        rows.append({"t0": float(t0), "lower_bound": lower, "measured_ratio": measured})
+        try:
+            if t0 > grid.extent:
+                raise UnrepresentableBallError(
+                    f"ball not representable: t0={t0} exceeds half-extent {grid.extent}"
+                )
+            f = sample_function(grid, {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": float(t0)})
+            if not f.values.any():  # its source norm is 0
+                raise DomainError(f"ball not sampled: t0={t0} covers no cell center of a grid with h={grid.h}")
+            lower.append(float(t0**setup.alpha * setup.varphi(t0) ** (1.0 - setup.beta)))
+            fs.append(f)
+        except OlabError as exc:
+            fault = exc
+            break
+    src = stacked_morrey_norms(fs, setup.phi, setup.varphi, sampling=sampling)
+    tgt = stacked_morrey_norms(stacked_maximal(fs, alpha=setup.alpha, centered=True), setup.psi, setup.eta,
+                               sampling=sampling)
+    rows = [{"t0": float(t0), "lower_bound": lo, "measured_ratio": t.value / s.value}
+            for t0, lo, s, t in zip(t0_grid, lower, src, tgt)]
+    if fault is not None:
+        raise fault
     k = max(r["lower_bound"] / r["measured_ratio"] for r in rows)
     return {"rows": rows, "K": float(k)}
 

@@ -56,6 +56,11 @@ order moves a binned root by far less).  Skipped entries read 0.  Balls over
 an infinite cell of f have gauge inf; the rest are those of f with its
 infinite cells zeroed, and need no work once one inf entry decides the sup.
 Gauge brackets keep their lower end at or above the least positive float.
+
+``stacked_morrey_norms`` takes a family on one grid: the radii, the strided
+centers, the prefactor and the windows of their balls are made once, and
+each function adds its own centroid; ``generalized_orlicz_morrey_norm`` is
+its stack of one.
 """
 
 from __future__ import annotations
@@ -69,9 +74,9 @@ import numpy as np
 from .errors import ConfigError
 from .growth import GrowthFunction
 from .report import ConditionReport, checked_schedule, combine_legs, node_max, track
-from .sampled import (Ball, GridSpec, SampledFunction, ball_measure, ball_sums, ball_windows, default_grid,
-                      distinct, level_counts, row_table, sample_function, stacked_ball_sums, stacked_ball_windows,
-                      window_key, window_values)
+from .sampled import (Ball, GridSpec, SampledFunction, ball_measure, ball_windows, common_grid, default_grid,
+                      distinct, level_counts, row_prefix, row_table, sample_function, stacked_ball_sums,
+                      stacked_ball_windows, window_key, window_values)
 from .young import ComposedPowerYoung, PowerYoung, YoungFunction
 
 __all__ = [
@@ -80,6 +85,7 @@ __all__ = [
     "luxemburg_norm",
     "weak_orlicz_norm",
     "generalized_orlicz_morrey_norm",
+    "stacked_morrey_norms",
     "triviality_probe",
 ]
 
@@ -100,7 +106,7 @@ _FLOAT_MIN, _EPS = float(np.nextafter(0.0, 1.0)), float(np.finfo(float).eps)  # 
 class NormEvaluation:
     """A norm value plus where and how it was computed: ``work`` is a Morrey sup's one work record (None for
     a plain Orlicz gauge), its ``path`` and per-ball ``bisections`` plus the counts of that path (see
-    ``_ball_gauge_matrix``)."""
+    ``_ball_gauge_matrices``)."""
 
     value: float
     witness: Ball | None = None
@@ -269,20 +275,28 @@ class MorreySampling:
         return np.geomspace(self.r_min, self.r_max, self.n_radii)
 
     def centers(self, f: SampledFunction) -> list[tuple]:
+        return [tuple(c) for c in self.center_stack([f])[0][0].tolist()]
+
+    def center_stack(self, fs) -> tuple[np.ndarray, int]:
+        """The centers of each function of a family on one grid, (functions, centers, n), and how many
+        leading ones they share: every center_stride-th cell, then each function's support centroid and
+        the extra centers."""
         _require_count("center_stride", self.center_stride)
-        ax = f.grid.axis_centers()[:: self.center_stride]
-        if f.grid.n == 1:
-            cs = [(float(x),) for x in ax]
-        else:
-            cs = [(float(x), float(y)) for x in ax for y in ax]
-        if self.include_centroid:
-            cs.append(f.support_centroid())
-        cs.extend(tuple(float(v) for v in c) for c in self.extra_centers)
-        if not cs:
+        grid = fs[0].grid
+        ax = grid.axis_centers()[:: self.center_stride]
+        shared = ax[:, None] if grid.n == 1 else np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+        extra = [tuple(float(v) for v in c) for c in self.extra_centers]
+        if any(len(c) != grid.n for c in extra):
+            raise ConfigError(f"center sampling needs centers of {grid.n} coordinates, got {extra}")
+        own = [([f.support_centroid()] if self.include_centroid else []) + extra for f in fs]
+        own = np.array(own, dtype=float).reshape(len(fs), -1, grid.n)
+        cs = np.concatenate([np.broadcast_to(shared, (len(fs),) + shared.shape), own], axis=1)
+        if not cs.shape[1]:
             raise ConfigError("empty center sampling")
-        if not np.isfinite(cs).all():
-            raise ConfigError(f"center sampling needs finite centers, got {cs}")
-        return cs
+        for c in cs:
+            if not np.isfinite(c).all():
+                raise ConfigError(f"center sampling needs finite centers, got {[tuple(x) for x in c.tolist()]}")
+        return cs, len(shared)
 
 
 # Fewest centers whose windows the weak root-find sorts together; the work arrays are
@@ -424,55 +438,80 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
     return out, {"sorted_windows": windows_sorted, "certified": certified}
 
 
-def _ball_gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
-    """Ball Orlicz gauges per (center, radius) pair, and the work record of the path that computed them.
+def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
+    """Ball Orlicz gauges per (function, center, radius) triple of a family on one grid, and each function's
+    work record from the path that computed its gauges.
 
-    Power kinds scale * t**p on 1-D grids go through closed forms while f**p
-    and its sum stay finite: window sums of f**p for the strong gauge, and for
-    the weak one the order statistics sup_k v_(k)**p * |{f >= v_(k)}| of each
-    ball, bisected over the nested windows of one center
-    (``_weak_power_sups``).  That sup never falls as the radius grows, bit
-    for bit, so a run of radii between two equal values takes that value,
-    and given a prefactor a run whose upper gauge times its largest
-    prefactor, times 1 + 1e-12, stays below the best exact entry reads 0.
-    A run up to the last radius over which the prefactor does not rise
-    takes the last value from the first radius whose ball holds as many
-    cells at or above the last ball's attaining level: an exact level
-    count certifies the tie without sorting, and the radius just before it
-    is evaluated next.
+    ``centers`` holds each function's centers, the first ``shared`` of them
+    common to every function (``MorreySampling.center_stack``); the windows
+    of those are made once.  Power kinds scale * t**p on 1-D grids go through
+    closed forms while f**p and its sum stay finite: window sums of f**p for
+    the strong gauge, read for every such function from one stacked
+    ``row_prefix`` table with the arithmetic of ``ball_sums``, and for the
+    weak one the order statistics
+    sup_k v_(k)**p * |{f >= v_(k)}| of each ball, bisected over the nested
+    windows of one center (``_weak_power_sups``).  That sup never falls as
+    the radius grows, bit for bit, so a run of radii between two equal
+    values takes that value, and given a prefactor a run whose upper gauge
+    times its largest prefactor, times 1 + 1e-12, stays below the best exact
+    entry reads 0.  A run up to the last radius over which the prefactor
+    does not rise takes the last value from the first radius whose ball
+    holds as many cells at or above the last ball's attaining level: an
+    exact level count certifies the tie without sorting, and the radius just
+    before it is evaluated next.
     Else the column root-find gives the entries that can attain the sup of
     gauge * prefactor (with no prefactor, each column's maximum); the rest
     read 0.  Both skip only entries strictly below the sup, so the sup and
-    its witness are those of the whole matrix.
+    its witness are those of the whole matrix.  The weak closed form and the
+    root-find take the functions one by one.
 
     The work record is one dict on every path: its ``path`` ("closed-form"
     or "column-root-find") and the per-ball ``bisections``; the weak closed
     form adds ``sorted_windows`` and ``certified``, the root-find the counts
     of ``_work``.
     """
-    cellvol = f.grid.cell_volume
+    grid = fs[0].grid
+    cellvol = grid.cell_volume
     radii = np.asarray(radii, dtype=float)
-    power = _power_form(phi) if f.grid.n == 1 else None
+    power, vps = _power_form(phi) if grid.n == 1 else None, {}
     if power is not None:
         p, scale = power
+
+        def to_gauge(sups):
+            return (scale * sups) ** (1.0 / p)
+
         with np.errstate(over="ignore"):
-            vp = f.values**p
-            if not np.isfinite(2 * scale * cellvol * vp.sum()):  # f**p or a ball's sup of it may overflow
-                power = None  # the root-find divides by lam first
-    if power is None:
-        return _root_find_gauges(f, phi, centers, radii, weak, prefactor)
-    closed = {"path": "closed-form", "bisections": 0}
-    if not weak:
-        sums = ball_sums(vp, ball_windows(f.grid, centers, radii))[0]
-        return (scale * cellvol * sums) ** (1.0 / p), closed
-    order = np.argsort(radii, kind="stable")
-
-    def to_gauge(sups):
-        return (scale * sups) ** (1.0 / p)
-
-    sups, counts = _weak_power_sups(vp, cellvol, ball_windows(f.grid, centers, radii[order]), to_gauge,
-                                    None if prefactor is None else prefactor[order])
-    return to_gauge(sups[:, np.argsort(order)]), closed | counts
+            for i, f in enumerate(fs):
+                vp = f.values**p
+                if np.isfinite(2 * scale * cellvol * vp.sum()):  # f**p or a ball's sup of it may overflow
+                    vps[i] = vp
+    closed, works = list(vps), [{"path": "closed-form", "bisections": 0} for _ in fs]
+    if closed:  # the windows before the output: making them takes the most memory
+        order = np.argsort(radii, kind="stable") if weak else np.arange(len(radii))
+        common = ball_windows(grid, centers[0, :shared], radii[order])
+        own = [w.reshape((len(closed), -1) + w.shape[1:])
+               for w in ball_windows(grid, centers[closed, shared:].reshape(-1, grid.n), radii[order])]
+    out = np.zeros(centers.shape[:2] + radii.shape)
+    for i, f in enumerate(fs):
+        if i not in vps:  # the root-find divides by lam first
+            out[i], works[i] = _root_find_gauges(f, phi, centers[i], radii, weak, prefactor)
+    if closed and not weak:
+        # the window sums of ``ball_sums`` (a 1-D ball has one row), function i's read from row i of one stacked
+        # table, then (scale * cellvol * sums) ** (1 / p) in place
+        table, rows = row_prefix(np.stack([vps[i] for i in closed])), np.arange(len(closed)).reshape(-1, 1, 1)
+        for (start, stop), at in ((common, slice(shared)), (own, slice(shared, None))):
+            sums = table[rows, stop[..., 0]]
+            sums -= table[rows, start[..., 0]]
+            sums *= scale * cellvol
+            sums **= 1.0 / p
+            out[closed, at] = sums
+    for row, i in enumerate(closed if weak else []):
+        windows = tuple(np.concatenate([c, o[row]]) for c, o in zip(common, own))
+        sups, counts = _weak_power_sups(vps[i], cellvol, windows, to_gauge,
+                                        None if prefactor is None else prefactor[order])
+        out[i] = to_gauge(sups[:, np.argsort(order)])
+        works[i] |= counts
+    return out, works
 
 
 def _work(**counts) -> dict:
@@ -627,13 +666,15 @@ def _root_find_gauges(f, phi, centers, radii, weak, prefactor):
     return out, work
 
 
-def _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=False):
-    """varphi(r)^{-1} phi^{-1}(|B(x,r)|^{-1}) ||f||_{L^Phi(B(x,r))} per pair (see ``_ball_gauge_matrix``)."""
+def _morrey_matrices(fs, phi, varphi, centers, shared, radii, weak, every_column=False):
+    """varphi(r)^{-1} phi^{-1}(|B(x,r)|^{-1}) ||f||_{L^Phi(B(x,r))} per (function, center, radius), the prefactor
+    made once, and each function's work record (see ``_ball_gauge_matrices``)."""
     radii = np.asarray(radii, dtype=float)
-    measures = np.array([ball_measure(f.grid.n, r) for r in radii])
+    measures = np.array([ball_measure(fs[0].grid.n, r) for r in radii])
     prefactor = phi.inverse(1.0 / measures) / varphi(radii)
-    gauges, work = _ball_gauge_matrix(f, phi, centers, radii, weak, None if every_column else prefactor)
-    return gauges * prefactor[None, :], work
+    gauges, works = _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, None if every_column else prefactor)
+    gauges *= prefactor
+    return gauges, works
 
 
 def _argmax_witness(vals: np.ndarray, centers, radii):
@@ -651,11 +692,32 @@ def generalized_orlicz_morrey_norm(
     weak: bool = False,
     sampling: MorreySampling | None = None,
 ) -> NormEvaluation:
-    """Supremum over sampled balls defining the (weak) Orlicz-Morrey norm."""
-    sampling = sampling or MorreySampling.default(f.grid)
+    """Supremum over sampled balls defining the (weak) Orlicz-Morrey norm: ``stacked_morrey_norms`` of f alone."""
+    return stacked_morrey_norms([f], phi, varphi, weak, sampling)[0]
+
+
+def stacked_morrey_norms(
+    fs,
+    phi: YoungFunction,
+    varphi: GrowthFunction,
+    weak: bool = False,
+    sampling: MorreySampling | None = None,
+) -> list[NormEvaluation]:
+    """The (weak) Orlicz-Morrey norm of each function of a family on one grid, each bit for bit the one
+    ``generalized_orlicz_morrey_norm`` gives it.
+
+    The radii, the strided centers, the prefactor and the windows of their balls are made once; each
+    function keeps its own support centroid.  The strong 1-D power gauges of every function are read from
+    one stacked table; the other paths take the functions one by one (``_ball_gauge_matrices``).
+    """
+    fs = list(fs)
+    if not fs:
+        return []
+    grid = common_grid(fs)
+    sampling = sampling or MorreySampling.default(grid)
     radii = sampling.radii()
-    centers = sampling.centers(f)
-    vals, work = _morrey_matrix(f, phi, varphi, centers, radii, weak)
+    centers, shared = sampling.center_stack(fs)
+    vals, works = _morrey_matrices(fs, phi, varphi, centers, shared, radii, weak)
     kind = "weak-morrey" if weak else "morrey"
     trunc = {
         "r_min": float(sampling.r_min),
@@ -663,8 +725,11 @@ def generalized_orlicz_morrey_norm(
         "centers": f"every-{sampling.center_stride}th-cell"
         + ("+centroid" if sampling.include_centroid else ""),
     }
-    best, witness = _argmax_witness(vals, centers, radii)
-    return NormEvaluation(float(best), witness if np.isfinite(best) else None, trunc, kind, work)
+    out = []
+    for v, c, work in zip(vals, centers, works):
+        best, witness = _argmax_witness(v, c, radii)
+        out.append(NormEvaluation(best, witness if np.isfinite(best) else None, dict(trunc), kind, work))
+    return out
 
 
 def triviality_probe(
@@ -687,9 +752,9 @@ def triviality_probe(
     # one shared radius ladder keeps the window suprema nested and monotone
     ladder = distinct(np.concatenate([ladder, [4 * grid.h, grid.h, 1.0], schedule]))
     sampling = MorreySampling(r_min=float(ladder[0]), r_max=float(ladder[-1]), n_radii=len(ladder))
-    centers = sampling.centers(f)
-    vals, _ = _morrey_matrix(f, phi, varphi, centers, ladder, weak=False, every_column=True)
-    col_max = node_max(ladder, vals.max(axis=0))
+    centers, shared = sampling.center_stack([f])
+    vals, _ = _morrey_matrices([f], phi, varphi, centers, shared, ladder, weak=False, every_column=True)
+    col_max = node_max(ladder, vals[0].max(axis=0))
     r_min0 = 4 * grid.h
     lower_steps = [r_min0, 2 * grid.h, grid.h]
     upper, _, v_up = track(ladder, [(r_min0, r_max) for r_max in schedule], col_max)

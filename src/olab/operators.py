@@ -16,7 +16,10 @@ used half-widths (within a byte budget).  Both give the very floating-point
 results of a sweep over every radius.  The uncentered sup comes from running
 maxima widened by clamped shifts, the 2-D Riesz potential from an FFT
 (numpy.fft).  Radii whose balls cover the whole grid from every center give
-coef * (grid total); one is kept.
+coef * (grid total); one is kept.  ``stacked_maximal`` maps a family on one
+grid with one radius plan and one stacked prefix table, in 1-D with one
+branch and bound over every (function, cell) pair; ``maximal`` is its stack
+of one.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .sampled import SampledFunction, distinct, half_width, row_prefix
+from .sampled import SampledFunction, common_grid, distinct, half_width, row_prefix
 
-__all__ = ["maximal", "riesz_potential"]
+__all__ = ["maximal", "riesz_potential", "stacked_maximal"]
 
 
 def _check_alpha(alpha: float, n: int, *, strict: bool) -> None:
@@ -39,16 +42,46 @@ def _check_alpha(alpha: float, n: int, *, strict: bool) -> None:
 
 
 def maximal(f: SampledFunction, alpha: float = 0.0, centered: bool = True, radii=None) -> SampledFunction:
-    """Fractional maximal function M_alpha f (alpha = 0: Hardy-Littlewood)."""
-    g = f.grid
+    """Fractional maximal function M_alpha f (alpha = 0: Hardy-Littlewood): ``stacked_maximal`` of f alone."""
+    return stacked_maximal([f], alpha, centered, radii)[0]
+
+
+def stacked_maximal(fs, alpha: float = 0.0, centered: bool = True, radii=None) -> list[SampledFunction]:
+    """M_alpha of each function of a family on one grid, each bit for bit the one ``maximal`` gives it.
+
+    The radius plan (radii, coefficients, covering cut) is made once.  In 1-D the functions go in groups
+    of at most _STACK_CELLS cells: a group's ``row_prefix`` tables are one stacked table, and one branch and
+    bound runs over all of its (function, cell) pairs.  The 2-D sweep, whose layout of offsets and tables
+    is made once too, takes the functions one by one.
+    """
+    fs = list(fs)
+    if not fs:
+        return []
+    g = common_grid(fs)
     _check_alpha(alpha, g.n, strict=False)
-    if not np.all(np.isfinite(f.values)):
+    if not all(np.all(np.isfinite(f.values)) for f in fs):
         raise DomainError("the maximal operator needs finite sample values")
+    ts, coef = _radius_plan(g, alpha, radii)
+    if g.n == 2:
+        outs = _sweep((row_prefix(f.values) for f in fs), g, ts, coef, centered)
+    else:
+        per = max(1, _STACK_CELLS // g.cells_per_axis)
+        groups = (row_prefix(np.stack([f.values for f in fs[k : k + per]])) for k in range(0, len(fs), per))
+        outs = (out for pads in groups for out in _maximal_1d(pads, g, ts, coef, centered))
+    return [SampledFunction(g, out.reshape(g.shape())) for out in outs]
+
+
+def _radius_plan(g, alpha, radii):
+    """The sorted radii t of the sup and their coefficients |B(x, t)|^(alpha/n - 1); of the radii whose balls
+    cover the grid from every center only the one of largest coefficient is kept."""
     if radii is None:
         # 1-D: anchors t = (m + 1/2) h reach across the domain
         ts = (np.arange(g.cells_per_axis) + 0.5) * g.h if g.n == 1 else _radius_set_2d(g)
     else:
-        ts = np.sort(np.asarray(radii, dtype=float))
+        ts = np.asarray(radii, dtype=float)
+        if ts.ndim != 1:
+            raise DomainError(f"radii must be a 1-D array, got one of shape {ts.shape}")
+        ts = np.sort(ts)
         if not np.all(ts > 0):  # also rejects NaN
             raise DomainError("radii must be positive")
     # coef = |B(x, t)|^(alpha/n - 1), 0 where the measure overflows; Python's float pow, as np.power can
@@ -64,14 +97,17 @@ def maximal(f: SampledFunction, alpha: float = 0.0, centered: bool = True, radii
     if (cover := np.flatnonzero(half_width(g, ts, last * (g.n - 1)) >= last)).size:
         keep = np.append(np.arange(cover[0]), cover[0] + np.argmax(coef[cover[0] :]))
         ts, coef = ts[keep], coef[keep]
-    pad = row_prefix(f.values)
-    out = _maximal_1d(pad[0], g, ts, coef, centered) if g.n == 1 else _sweep(pad, g, ts, coef, centered)
-    return SampledFunction(g, out.reshape(g.shape()))
+    return ts, coef
 
 
 # Consecutive radii bounded together by the 1-D uncentered branch and bound; the centered one starts its
 # bisections from blocks between about this many log-spaced radii.
 _RADIUS_BLOCK, _CENTERED_EDGES = 32, 16
+
+# Cells of the functions whose 1-D branch and bound runs as one stack.  Its work arrays hold about
+# _CENTERED_EDGES times as many floats; on the default grid (2,048 cells) stacks of more than two functions
+# ran slower, as their arrays fall out of cache, and took more memory.
+_STACK_CELLS = 2**12
 
 # Bytes of the row-window tables that one 2-D ``maximal`` call keeps (``_sweep``).
 _TABLE_BYTES = 2**22
@@ -99,9 +135,10 @@ def _widen(run, w, to):
     return run
 
 
-def _maximal_1d(pad, g, ts, coef, centered):
-    """Sup over the radius set of (2t)^(alpha-1) * (integral of f over [y-t, y+t]) for y = x (centered)
-    or for every cell y within the ball's half-width m(t) of x (uncentered).
+def _maximal_1d(pads, g, ts, coef, centered):
+    """Per row of ``pads`` (the 1-D ``row_prefix`` tables of a family), the sup over the radius set of
+    (2t)^(alpha-1) * (integral of f over [y-t, y+t]) for y = x (centered) or for every cell y within the
+    ball's half-width m(t) of x (uncentered).
 
     A branch and bound over blocks of consecutive (sorted) radii.  Every cell
     is evaluated exactly at each block's edges, which gives a lower bound
@@ -112,59 +149,67 @@ def _maximal_1d(pad, g, ts, coef, centered):
     computed value at the radii strictly between t_lo and t_hi from above
     (coef = (2t)^(alpha-1) is nonincreasing for alpha < 1, so that max is
     coef[lo+1]).  Centered, the blocks lie between _CENTERED_EDGES
-    log-spaced radii, and each (cell, block) pair whose bound exceeds
-    best[cell] is bisected: its middle radius is evaluated at that cell,
-    and each half is kept while its own bound still exceeds best[cell].
-    Uncentered, the blocks hold _RADIUS_BLOCK radii; S(., t) is spread by
-    its running max R_m(t) (``_widen``), which also grows with t, and
-    coef * R_m[S] is the running max of coef * S exactly, since rounding is
-    monotone; a block's inner radii are all evaluated, over the whole row,
-    where its bound exceeds ``best``.  A radius is skipped only where its
-    value cannot exceed the final ``best``, and an evaluated one takes the
-    same floating-point operations as a sweep over every radius, so the
-    result equals the sweep's exactly.
+    log-spaced radii, and each (function, cell, block) triple whose bound
+    exceeds best there is bisected, all at once: its middle radius is
+    evaluated at that cell, and each half is kept while its own bound still
+    exceeds best.  Uncentered, the blocks hold _RADIUS_BLOCK radii; S(., t)
+    is spread by its running max R_m(t) (``_widen``), which also grows with
+    t, and coef * R_m[S] is the running max of coef * S exactly, since
+    rounding is monotone; a block's inner radii are all evaluated, over
+    every row, where its bound exceeds ``best`` at some cell.  A radius is
+    skipped only where its value cannot exceed the final ``best``, and an
+    evaluated one takes the same floating-point operations as a sweep over
+    every radius, so each result equals its function's sweep exactly.
     """
     h, n_cells = g.h, g.cells_per_axis
+    n_funcs, width = pads.shape
+    # best[i, n_cells + x] at cell x of function i, so that it shares its slot x with the row_prefix table
+    best = np.zeros((n_funcs, width))
+    out = best[:, n_cells : 2 * n_cells]
     if len(ts) == 0:
-        return np.zeros(n_cells)
+        return out
     ms = half_width(g, ts)
-    up, down = n_cells + ms + 1, n_cells - ms
+    pad, flat = pads.ravel(), best.ravel()
+    after = pad[1:]  # after[x] = pad[x + 1]
+    cells = width * np.arange(n_funcs)[:, None] + n_cells + np.arange(n_cells)  # the slots of (function, cell) pairs
 
-    def window_sums(x, k):
-        return (pad[x + up[k]] - pad[x + down[k]]) * h
+    def window_sums(x, k):  # the cells within ms[k] of the slot x, from P[x + m + 1] - P[x - m]
+        m = ms[k]
+        return (after[x + m] - pad[x - m]) * h
 
     # block b holds the radii edges[b] .. edges[b + 1]; neighbours share an edge
     if centered:
         edges = distinct(np.geomspace(1, len(ts), _CENTERED_EDGES).astype(int) - 1)
     else:
         edges = np.append(np.arange(0, len(ts) - 1, _RADIUS_BLOCK), len(ts) - 1)
-    s_edge = window_sums(np.arange(n_cells), edges[:, None])
+    s_edge = np.empty((len(edges), n_funcs, n_cells))
+    for e, (k, m) in enumerate(zip(edges.tolist(), ms[edges].tolist())):  # an edge at a time: small index arrays
+        s_edge[e] = window_sums(cells, k) if centered else _widen(window_sums(cells, k), 0, m)
+        np.maximum(out, coef[k] * s_edge[e], out=out)
     if not centered:
-        s_edge = np.array([_widen(s, 0, m) for s, m in zip(s_edge, ms[edges].tolist())])
-    best = (coef[edges][:, None] * s_edge).max(axis=0)
-    if centered:
-        # the (block, cell) pairs whose bound beats best, then the halves of each bisected one; a pair
-        # holds the radii lo < k < hi at cell x, and S(x, hi)
-        top = np.maximum.accumulate(coef[::-1])[::-1]  # top[k] = max(coef[k:])
-        b, x = np.nonzero((top[edges[:-1] + 1][:, None] * s_edge[1:] > best) & (np.diff(edges) > 1)[:, None])
-        lo, hi, s_hi = edges[b], edges[b + 1], s_edge[b + 1, x]
-        while x.size:
-            mid = (lo + hi) // 2
-            s_mid = window_sums(x, mid)
-            np.maximum.at(best, x, coef[mid] * s_mid)
-            x, lo, hi, s_hi = np.tile(x, 2), np.append(lo, mid), np.append(mid, hi), np.append(s_mid, s_hi)
-            keep = np.flatnonzero((hi - lo > 1) & (top[lo + 1] * s_hi > best[x]))
-            x, lo, hi, s_hi = x[keep], lo[keep], hi[keep], s_hi[keep]
-        return best
-    upper = np.maximum.reduceat(coef, edges[:-1])[:, None] * s_edge[1:]
-    for b in range(len(edges) - 1):
-        cells = np.flatnonzero(upper[b] > best)
-        k = np.arange(edges[b] + 1, edges[b + 1])
-        if cells.size and k.size:  # all inner radii widened to the first's half-width, then each to its own
-            runs = _widen(window_sums(np.arange(n_cells), k[:, None]), 0, ms[k[0]])
-            for j, run in zip(k.tolist(), runs):
-                np.maximum(best, coef[j] * _widen(run, ms[k[0]], ms[j]), out=best)
-    return best
+        upper = np.maximum.reduceat(coef, edges[:-1])[:, None, None] * s_edge[1:]
+        for b in range(len(edges) - 1):
+            k = np.arange(edges[b] + 1, edges[b + 1])
+            if k.size and np.any(upper[b] > out):  # inner radii widened to the first's half-width, then each to its own
+                runs = _widen(window_sums(cells, k[:, None, None]), 0, ms[k[0]])
+                for j, run in zip(k.tolist(), runs):
+                    np.maximum(out, coef[j] * _widen(run, ms[k[0]], ms[j]), out=out)
+        return out
+    # the (block, function, cell) triples whose bound beats best, then the halves of each bisected one; a pair
+    # holds the radii lo < k < hi at the slot x, and S(x, hi)
+    above = np.maximum.accumulate(coef[::-1])[::-1][1:]  # above[k] = max(coef[k + 1:])
+    b, i, x = np.nonzero((above[edges[:-1]][:, None, None] * s_edge[1:] > out) & (np.diff(edges) > 1)[:, None, None])
+    x, lo, hi, s_hi = cells[i, x], edges[b], edges[b + 1], s_edge[b + 1, i, x]
+    while x.size:
+        mid = (lo + hi) >> 1
+        s_mid = window_sums(x, mid)
+        np.maximum.at(flat, x, coef[mid] * s_mid)
+        at = flat[x]
+        left = np.flatnonzero((mid - lo > 1) & (above[lo] * s_mid > at))
+        right = np.flatnonzero((hi - mid > 1) & (above[mid] * s_hi > at))
+        x = x[np.concatenate([left, right])]
+        lo, hi, s_hi = (np.concatenate([u[left], v[right]]) for u, v in ((lo, mid), (mid, hi), (s_mid, s_hi)))
+    return out
 
 
 def _radius_set_2d(g):
@@ -182,8 +227,9 @@ def _radius_set_2d(g):
     return doubled[doubled <= 2.0 * r_star]
 
 
-def _sweep(pad, g, ts, coef, centered):
-    """Sup over the radius set of |B(x, t)|^(alpha/2 - 1) * (integral of f over B(x, t)), radius by radius.
+def _sweep(pads, g, ts, coef, centered):
+    """For each ``row_prefix`` table P of ``pads`` in turn, one per function, the sup over the radius set of
+    |B(x, t)|^(alpha/2 - 1) * (integral of f over B(x, t)), radius by radius.
 
     A disk is a union of row segments: row offset dy covers the columns
     within w(dy) of the center, both from ``sampled.half_width``.  The
@@ -198,14 +244,10 @@ def _sweep(pad, g, ts, coef, centered):
     disk around x: per radius, the running max along the rows at the
     smallest distinct w, widened to each larger w in turn (``_widen``),
     shifted per offset.  ``maximal`` has cut the radii past the covering one.
+    The half-widths of every offset, and which of them get tables, are laid
+    out once for the family.
     """
-    n_cells, n_rows = g.cells_per_axis, len(pad)
-    best, sums, buf = np.zeros((3, n_rows, n_cells))
-
-    def windows(src, w, out=None):  # D_w at the rows src
-        return np.subtract(pad[src, n_cells + w + 1 : 2 * n_cells + w + 1], pad[src, n_cells - w : 2 * n_cells - w],
-                           out=out)
-
+    n_cells = g.cells_per_axis
     ms = half_width(g, ts)  # clipped at the last row offset inside the grid
     # half-widths of the rows at offsets -m..m of every radius, from one call of the rule
     counts = 2 * ms + 1
@@ -213,25 +255,32 @@ def _sweep(pad, g, ts, coef, centered):
     widths = half_width(g, np.repeat(ts, counts), offsets)
     halves = np.split(widths, np.cumsum(counts)[:-1])
     uses = np.bincount(widths)
-    tables = {w: windows(slice(None), w)
-              for w in np.argsort(-uses, kind="stable")[: _TABLE_BYTES // buf.nbytes].tolist() if uses[w]}
-    for c, m, half in zip(coef, ms.tolist(), halves):
-        # output rows r and source rows r + dy of each offset, both inside the grid
-        rows = [(slice(max(-dy, 0), n_rows - max(dy, 0)), slice(max(dy, 0), n_rows + min(dy, 0)))
-                for dy in range(-m, m + 1)]
-        sums.fill(0.0)
-        for (dst, src), w in zip(rows, half.tolist()):
-            sums[dst] += tables[w][src] if w in tables else windows(src, w, buf[dst])
-        vals = c * (sums * g.cell_volume)
-        if centered:
-            np.maximum(best, vals, out=best)
-            continue
-        run, w_run = vals, 0
-        for w in distinct(half).tolist():
-            run, w_run = _widen(run, w_run, w), w
-            for dst, src in (rows[i] for i in np.flatnonzero(half == w)):
-                np.maximum(best[dst], run[src], out=best[dst])
-    return best
+    tabled = [w for w in np.argsort(-uses, kind="stable")[: _TABLE_BYTES // (8 * n_cells**2)].tolist() if uses[w]]
+    for pad in pads:
+        best, sums, buf = np.zeros((3, n_cells, n_cells))
+
+        def windows(src, w, out=None):  # D_w at the rows src
+            return np.subtract(pad[src, n_cells + w + 1 : 2 * n_cells + w + 1], pad[src, n_cells - w : 2 * n_cells - w],
+                               out=out)
+
+        tables = {w: windows(slice(None), w) for w in tabled}
+        for c, m, half in zip(coef, ms.tolist(), halves):
+            # output rows r and source rows r + dy of each offset, both inside the grid
+            rows = [(slice(max(-dy, 0), n_cells - max(dy, 0)), slice(max(dy, 0), n_cells + min(dy, 0)))
+                    for dy in range(-m, m + 1)]
+            sums.fill(0.0)
+            for (dst, src), w in zip(rows, half.tolist()):
+                sums[dst] += tables[w][src] if w in tables else windows(src, w, buf[dst])
+            vals = c * (sums * g.cell_volume)
+            if centered:
+                np.maximum(best, vals, out=best)
+                continue
+            run, w_run = vals, 0
+            for w in distinct(half).tolist():
+                run, w_run = _widen(run, w_run, w), w
+                for dst, src in (rows[i] for i in np.flatnonzero(half == w)):
+                    np.maximum(best[dst], run[src], out=best[dst])
+        yield best
 
 
 def riesz_potential(f: SampledFunction, alpha: float) -> SampledFunction:

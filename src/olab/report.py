@@ -6,7 +6,7 @@ doubling schedule, and the trend of the C-sequence decides the verdict.
 A genuine power-law blow-up keeps growing as the range widens; a bounded
 condition plateaus.
 
-Every verdict asks ``track`` which nodes of a sorted grid a probed range
+Every verdict asks ``window`` which nodes of a sorted grid a probed range
 covers: node t lies in the window (lo, hi) iff lo(1 - 1e-12) <= t <=
 hi(1 + 1e-12), so edge nodes stay inside whatever the rounding.  A probe
 with a strict edge gives the nodes it excludes the value -inf.  Every report
@@ -102,12 +102,15 @@ def track(nodes, windows, measure):
     lo, hi = np.asarray(windows, dtype=float).reshape(-1, 2).T
     if np.any(lo[1:] > lo[:-1]) or np.any(hi[1:] < hi[:-1]):
         raise ConfigError(f"each probed window must contain the one before it, got {list(windows)}")
-    nodes = np.asarray(nodes, dtype=float)
-    found = [measure(slice(np.searchsorted(nodes, lo * (1 - 1e-12)),
-                           np.searchsorted(nodes, hi * (1 + 1e-12), side="right")))
-             for lo, hi in windows]
+    found = [measure(window(nodes, lo, hi)) for lo, hi in windows]
     constants = np.maximum.accumulate(np.array([c for c, _ in found], dtype=float)).tolist()
     return constants, [w for _, w in found], assess(constants)
+
+
+def window(nodes, lo: float, hi: float) -> slice:
+    """The slice of the sorted ``nodes`` that lie in the window (lo, hi), edges within 1e-12 relative."""
+    nodes = np.asarray(nodes, dtype=float)
+    return slice(np.searchsorted(nodes, lo * (1 - 1e-12)), np.searchsorted(nodes, hi * (1 + 1e-12), side="right"))
 
 
 def checked_schedule(schedule) -> list:

@@ -35,6 +35,7 @@ __all__ = [
     "ball_sums",
     "ball_windows",
     "cell_window",
+    "common_grid",
     "distinct",
     "half_width",
     "level_counts",
@@ -313,6 +314,14 @@ def stacked_ball_sums(values: np.ndarray, windows):
     sums[np.isnan(sums)] = np.inf  # the table overflowed
     totals = finite.reshape(len(values), -1).sum(axis=1)
     return sums, (4 * values[0].size * _EPS * totals).reshape((-1,) + (1,) * (sums.ndim - 1))
+
+
+def common_grid(fs) -> GridSpec:
+    """The one grid of a nonempty family of sampled functions; ParameterError if they lie on several."""
+    grids = {f.grid for f in fs}
+    if len(grids) != 1:
+        raise ParameterError(f"a stacked family needs one grid, got {sorted(map(repr, grids))}")
+    return grids.pop()
 
 
 class SampledFunction:

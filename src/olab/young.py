@@ -75,12 +75,13 @@ class YoungFunction:
 
 
 def _bisect_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
-    """Vectorized bisection for inf{r : phi(r) > s} on strictly increasing phi."""
+    """Vectorized bisection for inf{r : phi(r) > s} on strictly increasing phi.  Every point it evaluates is
+    >= 0 by construction, so it calls ``phi._eval`` without the domain check of ``phi(...)``."""
     s = np.asarray(s, dtype=float)
     out = np.empty_like(s)
     inf_mask = np.isinf(s)
     out[inf_mask] = np.inf
-    zero_mask = ~inf_mask & (phi(np.zeros(1))[0] > s)
+    zero_mask = ~inf_mask & (phi._eval(np.zeros(1))[0] > s)
     out[zero_mask] = 0.0
     todo = ~inf_mask & ~zero_mask
     if not np.any(todo):
@@ -88,7 +89,7 @@ def _bisect_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
     sv = s[todo]
     hi = np.ones_like(sv)
     for _ in range(200):
-        grow = phi(hi) <= sv
+        grow = phi._eval(hi) <= sv
         if not np.any(grow):
             break
         hi[grow] *= 2.0
@@ -98,7 +99,7 @@ def _bisect_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
         if np.all(hi - lo <= _INVERSE_ABS_TOL):
             break
         mid = 0.5 * (lo + hi)
-        below = phi(mid) <= sv
+        below = phi._eval(mid) <= sv
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     out[todo] = 0.5 * (lo + hi)

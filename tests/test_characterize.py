@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,25 +7,33 @@ from olab import (
     AdamsSetup,
     DomainError,
     GridSpec,
+    MorreySampling,
     ParameterError,
     PowerGrowth,
+    PowerLogYoung,
     PowerYoung,
+    SampledFunction,
     UnrepresentableBallError,
     check_condition,
     check_membership,
     check_pointwise_inequalities,
     classify_growth,
     estimate_operator_norm,
+    generalized_orlicz_morrey_norm,
     growth_from_config,
     growth_from_lambda,
+    maximal,
     necessity_witness,
+    riesz_potential,
     sample_function,
     function_family,
     triviality_probe,
 )
-from olab.characterize import CONDITION_KINDS
+from olab.characterize import CONDITION_KINDS, RatioRow
 from olab.errors import ConfigError
 from olab.sampled import default_grid
+
+from conftest import random_cells_2d, random_indicator_sum, stepped_function
 
 P2 = PowerYoung(2)
 PHI_L0 = growth_from_lambda(P2, 0.0)  # t^{-1/2} for p=2, n=1
@@ -207,6 +217,17 @@ def test_one_node_t_grid_at_the_schedule_top():
     assert rep.constants == [pytest.approx(1.0, rel=1e-9)]
 
 
+@pytest.mark.parametrize("kind", CONDITION_KINDS)
+def test_t_grid_outside_the_widest_window_is_a_config_error(kind):
+    # no node in (1/4, 4): every window would read 0 and the verdict a vacuous holds-stable
+    for t_grid in ([5.0], [0.1, 0.2, 4.5]):
+        with pytest.raises(ConfigError, match=r"t grid \[.*\] lies in the widest window \(1/4, 4\)"):
+            check_condition(kind, balanced_setup(4), t_grid=np.array(t_grid), schedule=[2.0, 4.0])
+    # one node inside the widest window alone is enough
+    rep = check_condition(kind, balanced_setup(4), t_grid=np.array([0.1, 3.0]), schedule=[2.0, 4.0])
+    assert len(rep.constants) == 2
+
+
 BAD_SCHEDULES = [[], [np.nan, 32.0], [0.0, 16.0], [16.0, np.inf]]
 CHECKERS = {
     "condition": lambda schedule: check_condition("adams-necessary", balanced_setup(4), schedule=schedule),
@@ -245,6 +266,79 @@ def test_estimate_operator_norm_riesz_route():
     assert all(np.isfinite(r.ratio) for r in rows)
 
 
+def rows_one_by_one(setup, family, operator, target, sampling):
+    """Ratio rows built member by member: each function through its own norm and operator calls."""
+    rows = []
+    for test_id, f in family:
+        src = generalized_orlicz_morrey_norm(f, setup.phi, setup.varphi, sampling=sampling)
+        if src.value == 0.0:
+            rows.append(RatioRow(test_id, 0.0, np.nan, np.nan, None, "skipped: zero source norm"))
+            continue
+        mapped = maximal(f, alpha=setup.alpha) if operator == "maximal" else riesz_potential(f, setup.alpha)
+        tgt = generalized_orlicz_morrey_norm(mapped, setup.psi, setup.eta, weak=(target == "weak"), sampling=sampling)
+        rows.append(RatioRow(test_id, src.value, tgt.value, tgt.value / src.value, tgt.witness))
+    return rows
+
+
+def row_fields(rows):
+    """Every field of every row (the witness as its center and radius), with NaN made comparable."""
+    return [tuple("nan" if isinstance(v, float) and np.isnan(v) else v for v in dataclasses.astuple(r)) for r in rows]
+
+
+def two_grid_family(seed):
+    """1-D members on two grids, interleaved: random sums, a zero member, steps with ties, one-cell spikes."""
+    rng = np.random.default_rng(seed)
+    a, b = GridSpec(1, 1 / 16, 4.0), GridSpec(1, 1 / 8, 4.0)
+    spike = np.zeros(b.shape())
+    spike[int(rng.integers(0, b.cells_per_axis))] = 2.5
+    return [("sum-a", random_indicator_sum(a, rng)), ("steps-b", stepped_function(b, rng)),
+            ("zero-a", SampledFunction(a, np.zeros(a.shape()))), ("spike-b", SampledFunction(b, spike)),
+            ("sum-a2", random_indicator_sum(a, rng)), ("steps-a", stepped_function(a, rng))]
+
+
+SMALL_SAMPLING = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=8, extra_centers=((0.3,),))
+
+
+@pytest.mark.parametrize("target", ["strong", "weak"])
+@pytest.mark.parametrize("operator", ["maximal", "riesz"])
+@pytest.mark.parametrize("phi,sampling", [(P2, None), (P2, SMALL_SAMPLING), (PowerLogYoung(2, 1), SMALL_SAMPLING)],
+                         ids=["power-default", "power-small", "power_log-small"])
+def test_stacked_family_rows_equal_member_by_member_rows(target, operator, phi, sampling):
+    # each stage runs once per grid on the whole stack; every row field, the witness and the note included,
+    # is the one of a loop over the members
+    setup = AdamsSetup(phi, growth_from_lambda(phi, 0.0), alpha=0.25, beta=0.5, n=1)
+    family = two_grid_family(7)
+    rows = estimate_operator_norm(setup, operator, target, family, sampling=sampling)
+    assert row_fields(rows) == row_fields(rows_one_by_one(setup, family, operator, target, sampling))
+    assert [r.test_id for r in rows] == [name for name, _ in family]
+    assert rows[2].note.startswith("skipped") and all(r.witness is not None for i, r in enumerate(rows) if i != 2)
+
+
+@pytest.mark.parametrize("target", ["strong", "weak"])
+@pytest.mark.parametrize("operator", ["maximal", "riesz"])
+def test_stacked_2d_family_rows_equal_member_by_member_rows(target, operator):
+    grid = GridSpec(2, 1 / 4, 1.0)
+    rng = np.random.default_rng(8)
+    family = [("cells", random_cells_2d(grid, rng)), ("zero", SampledFunction(grid, np.zeros(grid.shape()))),
+              ("disk", sample_function(grid, {"type": "ball_indicator", "center": (0.25, -0.25), "radius": 0.5}))]
+    setup = AdamsSetup(P2, growth_from_lambda(P2, 0.5, n=2), alpha=0.5, beta=0.5, n=2)
+    rows = estimate_operator_norm(setup, operator, target, family, grid=grid)
+    assert row_fields(rows) == row_fields(rows_one_by_one(setup, family, operator, target, None))
+
+
+@pytest.mark.parametrize("sampling", [None, SMALL_SAMPLING], ids=["default", "small"])
+def test_stacked_necessity_rows_equal_one_ball_at_a_time(sampling):
+    setup, grid, t0s = balanced_setup(6), GridSpec(1, 1 / 16, 4.0), [2.0**k for k in range(-3, 3)]
+    out = necessity_witness(setup, t0s, grid=grid, sampling=sampling)
+    for row, t0 in zip(out["rows"], t0s):
+        f = sample_function(grid, {"type": "ball_indicator", "center": (0.0,), "radius": t0})
+        src = generalized_orlicz_morrey_norm(f, setup.phi, setup.varphi, sampling=sampling)
+        tgt = generalized_orlicz_morrey_norm(maximal(f, alpha=setup.alpha), setup.psi, setup.eta, sampling=sampling)
+        lower = float(t0**setup.alpha * setup.varphi(t0) ** (1.0 - setup.beta))
+        assert row == {"t0": t0, "lower_bound": lower, "measured_ratio": tgt.value / src.value}
+    assert out["K"] == max(r["lower_bound"] / r["measured_ratio"] for r in out["rows"])
+
+
 def test_necessity_witness_balanced():
     out = necessity_witness(balanced_setup(4), [2.0**k for k in range(-3, 4)])
     lowers = [r["lower_bound"] for r in out["rows"]]
@@ -266,6 +360,12 @@ def test_necessity_witness_unbalanced_direction():
 def test_necessity_witness_unrepresentable_ball():
     with pytest.raises(UnrepresentableBallError):
         necessity_witness(balanced_setup(4), [32.0])
+
+
+def test_necessity_witness_needs_a_t0():
+    # once a bare ValueError from max() of no rows
+    with pytest.raises(ConfigError, match="at least one t0"):
+        necessity_witness(balanced_setup(4), [])
 
 
 def test_necessity_witness_ball_of_no_cell():

@@ -178,7 +178,7 @@ def test_non_finite_range_or_schedule_is_status_2(capsys, tmp_path, argv):
     assert "invalid" in err
 
 
-@pytest.mark.parametrize("spec", ["4:4.1:1", "5:5.1:1"])
+@pytest.mark.parametrize("spec", ["4:4.1:1"])
 def test_one_node_range_at_the_schedule_top_is_status_0(capsys, tmp_path, spec):
     # the one node is max(schedule, node), so the inner grid is that node alone; once exit 2, "need 0 < t_min < t_max"
     setup = tmp_path / "setup.json"
@@ -189,6 +189,18 @@ def test_one_node_range_at_the_schedule_top_is_status_0(capsys, tmp_path, spec):
     node = spec.split(":")[0]
     assert code == 0
     assert out.splitlines()[2].endswith(f",{node},{node}")  # t_min, t_max
+
+
+@pytest.mark.parametrize("spec", ["5:5.1:1", "0.1:0.2:4"])
+def test_range_outside_the_widest_window_is_status_2(capsys, tmp_path, spec):
+    # the windows (1/4, 4) hold no node, so every constant would read 0: once exit 0 with holds-stable (C = 0)
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps(
+        {"young": {"kind": "power", "p": 2.0}, "lambda": 0.0, "alpha": 0.25, "beta": 0.5, "n": 1}))
+    code, out, err = run(capsys, "check", "--condition", "adams-necessary", "--setup", str(setup),
+                         "--range", spec, "--rmax-schedule", "4")
+    assert code == 2 and out == ""
+    assert "widest window (1/4, 4)" in err and "t grid [" in err
 
 
 @pytest.mark.parametrize("command", ["classify", "check"])

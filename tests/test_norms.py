@@ -23,19 +23,20 @@ from olab import (
     triviality_probe,
     weak_orlicz_norm,
 )
+from olab.norms import stacked_morrey_norms
 from olab import norms
 from olab.errors import ConfigError
 from olab.norms import (
     NORM_REL_TOL,
     _argmax_witness,
-    _ball_gauge_matrix,
+    _ball_gauge_matrices,
     _bracket,
     _illinois,
     _level_bound,
     _level_counts,
     _levels,
     _lux_gauge,
-    _morrey_matrix,
+    _morrey_matrices,
     _power_form,
     _sorted_bound,
     _strong_bound,
@@ -55,6 +56,19 @@ from conftest import (
 )
 
 P2 = PowerYoung(2)
+
+
+def gauge_matrix(f, phi, centers, radii, weak, prefactor=None):
+    """The ball gauges and work record of f alone, at arbitrary centers (a stack of one that shares none)."""
+    gauges, works = _ball_gauge_matrices([f], phi, np.reshape(centers, (1, -1, f.grid.n)), 0, radii, weak, prefactor)
+    return gauges[0], works[0]
+
+
+def morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=False):
+    """The Morrey matrix and work record of f alone, at arbitrary centers."""
+    vals, works = _morrey_matrices([f], phi, varphi, np.reshape(centers, (1, -1, f.grid.n)), 0, radii, weak,
+                                   every_column)
+    return vals[0], works[0]
 
 
 def test_indicator_norm_closed_form(unit_indicator):
@@ -254,6 +268,16 @@ def test_morrey_non_finite_center_rejected(center, phi):
         generalized_orlicz_morrey_norm(f, phi, PowerGrowth(-0.5), sampling=sampling)
 
 
+@pytest.mark.parametrize("grid,center", [(GridSpec(1, 1 / 8, 2.0), (0.1, 0.2)), (GridSpec(2, 1 / 4, 1.0), (0.1,))],
+                         ids=["1d", "2d"])
+def test_morrey_center_of_another_dimension_rejected(grid, center):
+    # once a ValueError from an array of ragged centers
+    f = sample_function(grid, {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": 0.5})
+    sampling = MorreySampling(r_min=0.5, r_max=1.0, extra_centers=(center,))
+    with pytest.raises(ConfigError, match=f"centers of {grid.n} coordinates"):
+        generalized_orlicz_morrey_norm(f, P2, PowerGrowth(-0.5), sampling=sampling)
+
+
 def tuple_sort_witness(vals, centers, radii):
     """Reference tie-break: the first of the tied (radius, center) tuples in Python's order."""
     best = np.max(vals)
@@ -269,7 +293,7 @@ def test_argmax_witness_matches_tuple_sort(grid):
     centers = sampling.centers(f)
     radii = sampling.radii()
     assert centers[-1] == f.support_centroid()
-    vals, _ = _morrey_matrix(f, P2, growth_from_lambda(P2, 0.0, n=grid.n), centers, radii, weak=False)
+    vals, _ = morrey_matrix(f, P2, growth_from_lambda(P2, 0.0, n=grid.n), centers, radii, weak=False)
     assert np.count_nonzero(vals == vals.max()) > 10
     assert _argmax_witness(vals, centers, radii) == tuple_sort_witness(vals, centers, radii)
     # integer values: ties everywhere, across radii and centers
@@ -285,7 +309,7 @@ def test_fast_paths_agree_with_bisection(grid64):
     radii = np.array([0.3, 1.0, 3.7, 9.0])
     for phi in (P2, PowerYoung(3), PowerYoung(2).compose_power(0.5)):
         for weak in (False, True):
-            fast, work = _ball_gauge_matrix(f, phi, centers, radii, weak)
+            fast, work = gauge_matrix(f, phi, centers, radii, weak)
             assert work["path"] == "closed-form"
             assert np.allclose(fast, per_ball_gauges(f, phi, centers, radii, weak), rtol=1e-8, atol=1e-12)
 
@@ -299,7 +323,7 @@ def test_ball_cells_agree_between_closed_forms_and_ball_values(grid64):
     assert f.ball_values(ball).size == 11
     for phi in (P2, PowerYoung(3)):
         for weak, norm in ((False, luxemburg_norm), (True, weak_orlicz_norm)):
-            closed = _ball_gauge_matrix(f, phi, [ball.center], np.array([ball.radius]), weak)[0][0, 0]
+            closed = gauge_matrix(f, phi, [ball.center], np.array([ball.radius]), weak)[0][0, 0]
             assert norm(f, phi, ball).value == pytest.approx(closed, rel=NORM_REL_TOL)
 
 
@@ -313,7 +337,7 @@ def test_overflowing_power_takes_the_root_find(weak):
     f = SampledFunction(g, vals)
     sampling = oracle_sampling(g)
     centers, radii = sampling.centers(f), sampling.radii()
-    fast, work = _ball_gauge_matrix(f, P2, centers, radii, weak)
+    fast, work = gauge_matrix(f, P2, centers, radii, weak)
     slow = per_ball_gauges(f, P2, centers, radii, weak)
     assert work["path"] == "column-root-find" and np.isfinite(slow).all() and slow.max() > 1e199
     assert np.array_equal(fast.max(axis=0), slow.max(axis=0))
@@ -382,7 +406,7 @@ def pin_sampling(g):
 
 
 def check_weak_gauges_match_per_ball(f, phi, centers, radii):
-    fast, _ = _ball_gauge_matrix(f, phi, centers, radii, weak=True)
+    fast, _ = gauge_matrix(f, phi, centers, radii, weak=True)
     assert np.allclose(fast, per_ball_weak_power_gauges(f, phi, centers, radii), rtol=1e-12, atol=0)
 
 
@@ -434,7 +458,7 @@ def test_weak_power_sups_equal_the_merged_windows(grid):
     for f in weak_oracle_samples(grid, rng):
         centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
         for phi in WEAK_PHIS:
-            fast, _ = _ball_gauge_matrix(f, phi, centers, radii, weak=True)
+            fast, _ = gauge_matrix(f, phi, centers, radii, weak=True)
             assert np.array_equal(fast, merged_weak_power_gauges(f, phi, centers, radii))
 
 
@@ -464,7 +488,7 @@ def test_weak_power_sups_skip_only_balls_below_the_sup(grid, shape):
         centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
         prefactor = PREFACTORS[shape](radii, rng)
         for phi in WEAK_PHIS:
-            fast, work = _ball_gauge_matrix(f, phi, centers, radii, True, prefactor)
+            fast, work = gauge_matrix(f, phi, centers, radii, True, prefactor)
             fast = fast * prefactor
             for key in closed:
                 closed[key] += work[key]
@@ -653,7 +677,7 @@ def test_infinite_cell_beside_finite_ones(grid, weak):
     assert np.isfinite(check_root_find(f, phi, [0.0, 0.5], weak, missing).value)
     sampling = oracle_sampling(grid)
     centers, radii, varphi = sampling.centers(f), sampling.radii(), growth_from_lambda(phi, 0.5, n=grid.n)
-    fast, _ = _morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=True)
+    fast, _ = morrey_matrix(f, phi, varphi, centers, radii, weak, every_column=True)
     slow = per_ball_morrey(f, phi, varphi, centers, radii, weak)[0]
     assert np.array_equal(fast.max(axis=0), slow.max(axis=0)) and np.isfinite(slow.max(axis=0)).any()
 
@@ -824,7 +848,7 @@ def test_column_maxima_next_to_a_tall_uncovered_cell(seed):
     sampling = MorreySampling(r_min=0.2 * g.h, r_max=0.45 * stride * g.h, n_radii=6, center_stride=stride,
                               include_centroid=False)
     centers, radii, varphi = sampling.centers(f), sampling.radii(), growth_from_lambda(phi, 0.5)
-    fast, _ = _morrey_matrix(f, phi, varphi, centers, radii, weak=False, every_column=True)
+    fast, _ = morrey_matrix(f, phi, varphi, centers, radii, weak=False, every_column=True)
     slow = per_ball_morrey(f, phi, varphi, centers, radii)[0]
     assert np.array_equal(fast.max(axis=0), slow.max(axis=0))
 
@@ -834,12 +858,32 @@ def test_triviality_probe_matches_per_ball(phi, monkeypatch):
     grid, varphi, schedule = GridSpec(1, 1 / 4, 1.0), growth_from_lambda(phi, 0.25), [4.0, 8.0, 16.0]
     fast = triviality_probe(phi, varphi, grid=grid, schedule=schedule)
 
-    def per_ball_matrix(f, phi, varphi, centers, radii, weak, every_column=False):
-        return per_ball_morrey(f, phi, varphi, centers, radii, weak)[0], None
+    def per_ball_matrices(fs, phi, varphi, centers, shared, radii, weak, every_column=False):
+        return np.array([per_ball_morrey(f, phi, varphi, c, radii, weak)[0] for f, c in zip(fs, centers)]), None
 
-    monkeypatch.setattr(norms, "_morrey_matrix", per_ball_matrix)
+    monkeypatch.setattr(norms, "_morrey_matrices", per_ball_matrices)
     slow = triviality_probe(phi, varphi, grid=grid, schedule=schedule)
     assert (fast.constants, fast.details, fast.verdict) == (slow.constants, slow.details, slow.verdict)
+
+
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 8, 2.0), GridSpec(2, 1 / 4, 1.0)], ids=["1d", "2d"])
+def test_stacked_morrey_norms_equal_each_function(grid, weak):
+    # one stack mixes the paths: closed forms, a member whose f**2 overflows (root-find), zeros, an inf cell
+    rng = np.random.default_rng(37)
+    overflow, spike = np.ones(grid.shape()), np.zeros(grid.shape())
+    overflow.flat[5], spike.flat[int(rng.integers(0, spike.size))] = 1e200, np.inf
+    family = [random_indicator_sum(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng),
+              SampledFunction(grid, np.zeros(grid.shape())), SampledFunction(grid, overflow),
+              SampledFunction(grid, spike), stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)]
+    sampling = MorreySampling(r_min=grid.h, r_max=2 * grid.extent, n_radii=10, center_stride=3,
+                              extra_centers=((0.3,) * grid.n,))
+    for phi in (P2, PowerLogYoung(2, 1)):
+        varphi = growth_from_lambda(phi, 0.5, n=grid.n)
+        for f, ev in zip(family, stacked_morrey_norms(family, phi, varphi, weak, sampling)):
+            one = generalized_orlicz_morrey_norm(f, phi, varphi, weak, sampling)
+            assert (ev.value, ev.witness, ev.truncation, ev.kind, ev.work) == (
+                one.value, one.witness, one.truncation, one.kind, one.work)
 
 
 def test_norm_reports_its_path(unit_indicator):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,14 @@ from olab import (
     Ball,
     DomainError,
     GridSpec,
+    ParameterError,
     SampledFunction,
     maximal,
     riesz_potential,
     sample_function,
 )
 from olab import operators
-from olab.operators import _widen
+from olab.operators import _widen, stacked_maximal
 
 from conftest import (
     PIN_GRIDS,
@@ -308,6 +311,56 @@ def test_centered_bisection_property(seed, grid, alpha):
     assert np.array_equal(maximal(f, alpha=alpha, radii=radii).values, sweep_maximal(f, alpha, radii))
 
 
+def random_family(grid, rng):
+    """1 to 5 functions on one 1-D grid: random sums, steps with tied values, one-cell spikes, and zeros."""
+    family = []
+    for kind in rng.integers(0, 4, rng.integers(1, 6)):
+        if kind == 0:
+            family.append(random_indicator_sum(grid, rng))
+        elif kind == 1:
+            family.append(stepped_function(grid, rng))
+        else:
+            v = np.zeros(grid.shape())
+            if kind == 2:
+                v[int(rng.integers(0, grid.cells_per_axis))] = float(rng.uniform(0.1, 3.0))
+            family.append(SampledFunction(grid, v))
+    return family
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS), st.sampled_from([0.0, 0.25, 0.9]),
+       st.booleans(), st.sampled_from([1, 100, 4096]))
+@settings(max_examples=40, deadline=None)
+def test_stacked_maximal_property(seed, grid, alpha, centered, stack_cells):
+    # the stack, in groups of any size, equals each function's own maximal and the sweep over every radius
+    rng = np.random.default_rng(seed)
+    family = random_family(grid, rng)
+    radii = None if seed % 3 else rng.uniform(0.05 * grid.h, 3 * grid.extent, rng.integers(1, 70))
+    with mock.patch.object(operators, "_STACK_CELLS", stack_cells):
+        stacked = stacked_maximal(family, alpha=alpha, centered=centered, radii=radii)
+    sweep = sweep_maximal if centered else sweep_uncentered_maximal
+    assert len(stacked) == len(family)
+    for f, m in zip(family, stacked):
+        assert m.grid == grid
+        assert np.array_equal(m.values, maximal(f, alpha=alpha, centered=centered, radii=radii).values)
+        assert np.array_equal(m.values, sweep(f, alpha, radii))
+
+
+def test_stacked_maximal_needs_one_grid():
+    a, b = GridSpec(1, 1 / 16, 2.0), GridSpec(1, 1 / 8, 2.0)
+    with pytest.raises(ParameterError, match="one grid"):
+        stacked_maximal([SampledFunction(a, np.ones(a.shape())), SampledFunction(b, np.ones(b.shape()))])
+    assert stacked_maximal([]) == []
+
+
+@pytest.mark.parametrize("grid", PIN_GRIDS_2D[:2])
+@pytest.mark.parametrize("centered", [True, False])
+def test_stacked_2d_maximal_equals_each_function(grid, centered):
+    rng = np.random.default_rng(36)
+    family = [random_cells_2d(grid, rng), SampledFunction(grid, np.zeros(grid.shape())), random_cells_2d(grid, rng)]
+    for f, m in zip(family, stacked_maximal(family, alpha=0.5, centered=centered)):
+        assert np.array_equal(m.values, maximal(f, alpha=0.5, centered=centered).values)
+
+
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
 @pytest.mark.parametrize("centered", [True, False])
 def test_maximal_rejects_non_finite_samples(grid, centered):
@@ -318,10 +371,12 @@ def test_maximal_rejects_non_finite_samples(grid, centered):
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
-@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, pytest.param(None, id="2-D")])
 def test_maximal_rejects_bad_radii(grid, radius):
+    # None: positive radii in an array of two dimensions, once a bare TypeError
+    radii = [[0.5, 1.0]] if radius is None else [0.5, radius]
     with pytest.raises(DomainError, match="radii"):
-        maximal(SampledFunction(grid, np.ones(grid.shape())), alpha=0.25, radii=[0.5, radius])
+        maximal(SampledFunction(grid, np.ones(grid.shape())), alpha=0.25, radii=radii)
 
 
 @pytest.mark.parametrize("grid,radius", [(GridSpec(1, 1 / 16, 2.0), 1e-310), (GridSpec(2, 1 / 8, 1.0), 1e-160),
