@@ -181,6 +181,8 @@ def _cmd_norm(args):
 
 def _cmd_operators(args):
     started = time.time()
+    if args.operator == "riesz" and args.uncentered:
+        raise ConfigError("--uncentered applies to the maximal operator only; the Riesz potential has no center")
     grid = _grid_from_args(args)
     f = sample_function(grid, _load_json(args.input))
     if args.operator == "riesz":

@@ -304,6 +304,10 @@ class MorreySampling:
 _CENTER_CHUNK = 32
 # Entries of one array of gathered ball windows: the weak 1-D power closed form, the weak level counts.
 _BATCH = 2**16
+# Bytes of one array of window indices or sums that the strong 1-D power closed form holds: it takes its radii
+# in groups.  A triviality probe on the default grid (513 centers x 309 radii) peaks at 1.7 MiB traced, against
+# 6.1 MiB with every radius at once.
+_SUM_BYTES = 2**16
 # The strong root-find: the ball windows it holds at once, in index bytes (larger sets of radii are split
 # into groups, each with its own batched root-find), and the row_prefix slots plus windows of the columns
 # that one step stacks into one table (one column on large grids, where a wider table falls out of cache).
@@ -486,25 +490,31 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
                 if np.isfinite(2 * scale * cellvol * vp.sum()):  # f**p or a ball's sup of it may overflow
                     vps[i] = vp
     closed, works = list(vps), [{"path": "closed-form", "bisections": 0} for _ in fs]
-    if closed:  # the windows before the output: making them takes the most memory
-        order = np.argsort(radii, kind="stable") if weak else np.arange(len(radii))
-        common = ball_windows(grid, centers[0, :shared], radii[order])
-        own = [w.reshape((len(closed), -1) + w.shape[1:])
-               for w in ball_windows(grid, centers[closed, shared:].reshape(-1, grid.n), radii[order])]
+
+    def closed_windows(ts):  # of the shared centers, and of each closed-form function's own centers
+        own = ball_windows(grid, centers[closed, shared:].reshape(-1, grid.n), ts)
+        return ball_windows(grid, centers[0, :shared], ts), [w.reshape((len(closed), -1) + w.shape[1:]) for w in own]
+
+    if closed and weak:  # the windows before the output: making them takes the most memory
+        order = np.argsort(radii, kind="stable")
+        common, own = closed_windows(radii[order])
     out = np.zeros(centers.shape[:2] + radii.shape)
     for i, f in enumerate(fs):
         if i not in vps:  # the root-find divides by lam first
             out[i], works[i] = _root_find_gauges(f, phi, centers[i], radii, weak, prefactor)
     if closed and not weak:
         # the window sums of ``ball_sums`` (a 1-D ball has one row), function i's read from row i of one stacked
-        # table, then (scale * cellvol * sums) ** (1 / p) in place
+        # table, then (scale * cellvol * sums) ** (1 / p) in place; radii in groups within _SUM_BYTES
         table, rows = row_prefix(np.stack([vps[i] for i in closed])), np.arange(len(closed)).reshape(-1, 1, 1)
-        for (start, stop), at in ((common, slice(shared)), (own, slice(shared, None))):
-            sums = table[rows, stop[..., 0]]
-            sums -= table[rows, start[..., 0]]
-            sums *= scale * cellvol
-            sums **= 1.0 / p
-            out[closed, at] = sums
+        per = max(1, _SUM_BYTES // (8 * len(closed) * centers.shape[1]))
+        for part in (slice(k, k + per) for k in range(0, len(radii), per)):
+            common, own = closed_windows(radii[part])
+            for (start, stop), at in ((common, slice(shared)), (own, slice(shared, None))):
+                sums = table[rows, stop[..., 0]]
+                sums -= table[rows, start[..., 0]]
+                sums *= scale * cellvol
+                sums **= 1.0 / p
+                out[closed, at, part] = sums
     for row, i in enumerate(closed if weak else []):
         windows = tuple(np.concatenate([c, o[row]]) for c, o in zip(common, own))
         sups, counts = _weak_power_sups(vps[i], cellvol, windows, to_gauge,

@@ -10,16 +10,22 @@ by some anchor, so the finite sup is a faithful evaluation of the continuum
 one.  ``olab.sampled`` decides which cells a ball covers (``half_width``)
 and lays out the row prefix sums (``row_prefix``) that sum them.  In 1-D a
 branch and bound skips the radii whose bound cannot beat a cell's best value
-(centered: a bisection per cell and block of radii); in 2-D the disk sums add
-row windows offset by offset, read from one table per half-width for the most
-used half-widths (within a byte budget).  Both give the very floating-point
-results of a sweep over every radius.  The uncentered sup comes from running
-maxima widened by clamped shifts, the 2-D Riesz potential from an FFT
-(numpy.fft).  Radii whose balls cover the whole grid from every center give
-coef * (grid total); one is kept.  ``stacked_maximal`` maps a family on one
-grid with one radius plan and one stacked prefix table, in 1-D with one
-branch and bound over every (function, cell) pair; ``maximal`` is its stack
-of one.
+(centered: a bisection per cell and block of radii).  In 2-D each radius k
+bounds every value it can produce, centered or uncentered, by
+u_k = coef_k * cellvol * (min(sum f, max f * N_k) + 4 * cells * eps * sum f)
+* (1 + 8 eps), N_k the disk's cell count and the margin ``ball_sums``'
+rounding bound; the radii are visited by decreasing u_k, and the sweep stops
+at the first radius whose u_k is at most the least cell of the running sup.
+Its disk sums add row windows offset by offset, read from one table per
+half-width for the most used half-widths (within a byte budget).  Both give
+the very floating-point results of a sweep over every radius.  The
+uncentered sup comes from running maxima widened by clamped shifts, the 2-D
+Riesz potential from an FFT (numpy.fft).  Radii whose balls cover the whole
+grid from every center give coef * (grid total); one is kept.  A family
+whose cells sum past the largest float is refused.  ``stacked_maximal`` maps
+a family on one grid with one radius plan and one stacked prefix table, in
+1-D with one branch and bound over every (function, cell) pair; ``maximal``
+is its stack of one.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from .errors import DomainError
 from .sampled import SampledFunction, common_grid, distinct, half_width, row_prefix
 
 __all__ = ["maximal", "riesz_potential", "stacked_maximal"]
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_alpha(alpha: float, n: int, *, strict: bool) -> None:
@@ -52,7 +60,8 @@ def stacked_maximal(fs, alpha: float = 0.0, centered: bool = True, radii=None) -
     The radius plan (radii, coefficients, covering cut) is made once.  In 1-D the functions go in groups
     of at most _STACK_CELLS cells: a group's ``row_prefix`` tables are one stacked table, and one branch and
     bound runs over all of its (function, cell) pairs.  The 2-D sweep, whose layout of offsets and tables
-    is made once too, takes the functions one by one.
+    is made once too, takes the functions one by one.  DomainError unless every sample is finite and each
+    function's cell total, plus ``ball_sums``' rounding bound on it, is finite too.
     """
     fs = list(fs)
     if not fs:
@@ -61,9 +70,14 @@ def stacked_maximal(fs, alpha: float = 0.0, centered: bool = True, radii=None) -
     _check_alpha(alpha, g.n, strict=False)
     if not all(np.all(np.isfinite(f.values)) for f in fs):
         raise DomainError("the maximal operator needs finite sample values")
+    # every window sum, and the 2-D sweep's bound, stays below the total plus ``ball_sums``' rounding bound
+    with np.errstate(over="ignore"):
+        totals = [f.values.sum() for f in fs]
+        if not all(np.isfinite(s + 4 * f.values.size * _EPS * s) for f, s in zip(fs, totals)):
+            raise DomainError("the maximal operator needs a finite sum of the sample values; it overflows")
     ts, coef = _radius_plan(g, alpha, radii)
     if g.n == 2:
-        outs = _sweep((row_prefix(f.values) for f in fs), g, ts, coef, centered)
+        outs = (best for best, _ in _sweep(fs, g, ts, coef, centered))
     else:
         per = max(1, _STACK_CELLS // g.cells_per_axis)
         groups = (row_prefix(np.stack([f.values for f in fs[k : k + per]])) for k in range(0, len(fs), per))
@@ -227,9 +241,9 @@ def _radius_set_2d(g):
     return doubled[doubled <= 2.0 * r_star]
 
 
-def _sweep(pads, g, ts, coef, centered):
-    """For each ``row_prefix`` table P of ``pads`` in turn, one per function, the sup over the radius set of
-    |B(x, t)|^(alpha/2 - 1) * (integral of f over B(x, t)), radius by radius.
+def _sweep(fs, g, ts, coef, centered):
+    """For each function of ``fs`` in turn, the sup over the radius set of |B(x, t)|^(alpha/2 - 1) *
+    (integral of f over B(x, t)), and the number of radii it swept.
 
     A disk is a union of row segments: row offset dy covers the columns
     within w(dy) of the center, both from ``sampled.half_width``.  The
@@ -244,19 +258,46 @@ def _sweep(pads, g, ts, coef, centered):
     disk around x: per radius, the running max along the rows at the
     smallest distinct w, widened to each larger w in turn (``_widen``),
     shifted per offset.  ``maximal`` has cut the radii past the covering one.
-    The half-widths of every offset, and which of them get tables, are laid
-    out once for the family.
+
+    Radius k can produce no value above u_k = coef_k * cellvol *
+    (min(S, max f * N_k) + 4 * cells * eps * S) * (1 + 8 eps): S is the
+    cell total, N_k the disk's cell count (the sum of 2w + 1 over its
+    offsets), and the margin is ``ball_sums``' rounding bound on a window
+    sum.  The 1 + 8 eps covers the roundings of the value and of u_k.  An
+    uncentered value, a max of centered ones, is at most u_k too.  The radii
+    are visited by decreasing u_k, and the sweep stops at the first whose
+    u_k is at most the least cell of ``best``: neither it nor any later
+    radius can raise a cell, so the result is the sweep over every radius,
+    bit for bit.  The row slices of every offset, the half-widths, the
+    tabled half-widths and (uncentered) the offsets of each distinct
+    half-width are laid out once for the family.
     """
     n_cells = g.cells_per_axis
     ms = half_width(g, ts)  # clipped at the last row offset inside the grid
     # half-widths of the rows at offsets -m..m of every radius, from one call of the rule
     counts = 2 * ms + 1
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - ms - 1, counts)
+    first = np.cumsum(counts) - counts
+    offsets = np.arange(counts.sum()) - np.repeat(first + ms, counts)
     widths = half_width(g, np.repeat(ts, counts), offsets)
-    halves = np.split(widths, np.cumsum(counts)[:-1])
+    disk_cells = np.add.reduceat(2 * widths + 1, first)
     uses = np.bincount(widths)
     tabled = [w for w in np.argsort(-uses, kind="stable")[: _TABLE_BYTES // (8 * n_cells**2)].tolist() if uses[w]]
-    for pad in pads:
+    # output rows r and source rows r + dy of each offset dy, both inside the grid
+    top = int(ms.max(initial=0))
+    rows = [(slice(max(-dy, 0), n_cells - max(dy, 0)), slice(max(dy, 0), n_cells + min(dy, 0)))
+            for dy in range(-top, top + 1)]
+    m, halves = ms.tolist(), [half.tolist() for half in np.split(widths, first[1:])]
+    groups = []  # per radius, its distinct half-widths ascending, each with the rows of its offsets
+    for k in [] if centered else range(len(ts)):
+        by_width = {}
+        for pair, w in zip(rows[top - m[k] : top + m[k] + 1], halves[k]):
+            by_width.setdefault(w, []).append(pair)
+        groups.append(sorted(by_width.items()))
+    for f in fs:
+        pad, total = row_prefix(f.values), f.values.sum()
+        with np.errstate(over="ignore"):  # an infinite bound only puts its radius first
+            bound = coef * g.cell_volume * (np.minimum(total, f.values.max() * disk_cells)
+                                            + 4 * f.values.size * _EPS * total) * (1 + 8 * _EPS)
         best, sums, buf = np.zeros((3, n_cells, n_cells))
 
         def windows(src, w, out=None):  # D_w at the rows src
@@ -264,23 +305,24 @@ def _sweep(pads, g, ts, coef, centered):
                                out=out)
 
         tables = {w: windows(slice(None), w) for w in tabled}
-        for c, m, half in zip(coef, ms.tolist(), halves):
-            # output rows r and source rows r + dy of each offset, both inside the grid
-            rows = [(slice(max(-dy, 0), n_cells - max(dy, 0)), slice(max(dy, 0), n_cells + min(dy, 0)))
-                    for dy in range(-m, m + 1)]
+        swept = 0
+        for k in np.argsort(-bound, kind="stable").tolist():
+            if bound[k] <= best.min():
+                break
+            swept += 1
             sums.fill(0.0)
-            for (dst, src), w in zip(rows, half.tolist()):
+            for (dst, src), w in zip(rows[top - m[k] : top + m[k] + 1], halves[k]):
                 sums[dst] += tables[w][src] if w in tables else windows(src, w, buf[dst])
-            vals = c * (sums * g.cell_volume)
+            vals = coef[k] * (sums * g.cell_volume)
             if centered:
                 np.maximum(best, vals, out=best)
                 continue
             run, w_run = vals, 0
-            for w in distinct(half).tolist():
+            for w, pairs in groups[k]:
                 run, w_run = _widen(run, w_run, w), w
-                for dst, src in (rows[i] for i in np.flatnonzero(half == w)):
+                for dst, src in pairs:
                     np.maximum(best[dst], run[src], out=best[dst])
-        yield best
+        yield best, swept
 
 
 def riesz_potential(f: SampledFunction, alpha: float) -> SampledFunction:

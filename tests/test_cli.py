@@ -275,6 +275,28 @@ def test_default_grid_uncentered_2d_maximal(capsys, tmp_path):
     assert len(out_path.read_text().splitlines()) == 2 + 256 * 256
 
 
+@pytest.mark.parametrize("centered", ["--centered", "--uncentered"])
+def test_operators_overflowing_sum_is_status_3(capsys, tmp_path, centered):
+    # every cell is finite, but the disk's cells sum past the largest float: once 64 inf rows and exit 0
+    heavy = '{"type":"sum","terms":[{"type":"ball_indicator","center":[0,0],"radius":0.9,"weight":1e307}]}'
+    out_path = tmp_path / "o.csv"
+    code, _, err = run(capsys, "operators", "--grid-n", "2", "--grid-h", "0.25", "--grid-extent", "1",
+                       "--alpha", "0.5", centered, "--input", heavy, "--out", str(out_path))
+    assert code == 3
+    assert "overflows" in err
+    assert not out_path.exists()
+
+
+def test_riesz_rejects_uncentered(capsys, tmp_path):
+    # once ignored: exit 0, with "centered": false in the summary
+    out_path = tmp_path / "r.csv"
+    code, _, err = run(capsys, "operators", "--operator", "riesz", "--uncentered", "--alpha", "0.5",
+                       "--input", BALL, "--grid-h", "0.25", "--grid-extent", "2", "--out", str(out_path))
+    assert code == 2
+    assert "--uncentered" in err
+    assert not out_path.exists()
+
+
 def test_check_verdict_row_carries_parameters(capsys, tmp_path):
     setup = tmp_path / "setup.json"
     setup.write_text(json.dumps(

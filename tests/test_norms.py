@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -591,6 +593,39 @@ def test_triviality_probe_direction_detail():
     assert up["lower"]["verdict"] == "holds-stable"
     low = triviality_probe(P2, growth_from_lambda(P2, 2.0)).details
     assert low["lower"]["verdict"] == "diverges"
+
+
+def test_triviality_probe_memory():
+    # the strong closed form takes its radii in groups within _SUM_BYTES: once 6.1 MiB traced per probe on
+    # the default grid, where it made the windows of 513 centers x 309 radii at once
+    varphi = growth_from_lambda(P2, -1.0)
+    first = triviality_probe(P2, varphi)
+    tracemalloc.start()
+    try:
+        again = triviality_probe(P2, varphi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    assert (again.constants, again.details, again.verdict) == (first.constants, first.details, first.verdict)
+
+
+@pytest.mark.parametrize("per", [1, 3, 10])
+def test_strong_power_gauges_do_not_depend_on_the_group_size(per, monkeypatch):
+    # a stack of two closed-form functions with shared and own centers, its 10 radii in groups of 1, 3 (the
+    # last one short) and 10: the very gauges of the default budget
+    g = PIN_GRIDS[0]
+    rng = np.random.default_rng(39)
+    fs = [random_indicator_sum(g, rng), stepped_function(g, rng)]
+    sampling = MorreySampling(r_min=g.h, r_max=2 * g.extent, n_radii=10, center_stride=6, extra_centers=((0.3,),))
+    centers, shared = sampling.center_stack(fs)
+    assert shared < centers.shape[1]
+    for phi in (P2, PowerYoung(3)):
+        ref, _ = _ball_gauge_matrices(fs, phi, centers, shared, sampling.radii(), weak=False)
+        with monkeypatch.context() as m:
+            m.setattr(norms, "_SUM_BYTES", 8 * len(fs) * centers.shape[1] * per)
+            out, works = _ball_gauge_matrices(fs, phi, centers, shared, sampling.radii(), weak=False)
+        assert np.array_equal(out, ref) and all(w["path"] == "closed-form" for w in works)
 
 
 # -- the column root-find against the per-ball oracle ---------------------------

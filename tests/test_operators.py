@@ -491,6 +491,78 @@ def test_2d_disk_cells_match_ball_mask(k):
         assert np.count_nonzero(f.ball_mask(ball)) == 29
 
 
+def compact_2d(grid, rng, kind):
+    """2-D inputs whose bound lets the sweep skip radii: small indicators and sums of them, a one-cell spike,
+    a zero function and a constant one."""
+    if kind < 2:
+        terms = [{"type": "ball_indicator", "center": tuple(rng.uniform(-grid.extent, grid.extent, 2) / 2),
+                  "radius": float(rng.uniform(grid.h, grid.extent / 3)), "weight": float(rng.uniform(0.2, 3.0))}
+                 for _ in range(1 if kind == 0 else int(rng.integers(2, 4)))]
+        return sample_function(grid, {"type": "sum", "terms": terms})
+    v = np.zeros(grid.shape())
+    if kind == 2:
+        v[tuple(rng.integers(0, grid.cells_per_axis, 2))] = float(rng.uniform(0.1, 3.0))
+    elif kind == 4:
+        v[:] = float(rng.uniform(0.1, 3.0))
+    return SampledFunction(grid, v)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS_2D[1:]), st.integers(0, 4))
+@settings(max_examples=15, deadline=None)
+def test_2d_bound_skip_property(seed, grid, kind):
+    # the sweep visits radii by their bound and stops at the first that cannot raise a cell: still every
+    # cell of the sweep over every radius, for the default radii (on 16x16 cells, where the reference takes
+    # half a second) and for unsorted, duplicated ones below h/2 and past the covering radius
+    rng = np.random.default_rng(seed)
+    f = compact_2d(grid, rng, kind)
+    radii = None
+    if seed % 3 or grid.cells_per_axis != 16:
+        radii = np.concatenate([rng.uniform(0.1 * grid.h, 0.5 * grid.h, 2), rng.uniform(0.5 * grid.h, grid.extent, 8),
+                                [4 * grid.extent]])
+        radii = rng.permutation(np.concatenate([radii, radii[rng.integers(0, len(radii), 3)]]))
+    for alpha, (centered, uncentered) in sweep_maximal_2d(f, [0.0, 0.5, 1.9], radii).items():
+        assert np.array_equal(maximal(f, alpha=alpha, radii=radii).values, centered)
+        assert np.array_equal(maximal(f, alpha=alpha, centered=False, radii=radii).values, uncentered)
+
+
+def test_2d_uncentered_sweep_skips_radii(monkeypatch):
+    g = PIN_GRIDS_2D[1]  # 16x16 cells
+    f = compact_2d(g, np.random.default_rng(37), 1)
+    swept, sweep = [], operators._sweep
+
+    def counted(*args):
+        for best, k in sweep(*args):
+            swept.append(k)
+            yield best, k
+
+    monkeypatch.setattr(operators, "_sweep", counted)
+    out = maximal(f, alpha=0.5, centered=False).values
+    assert 0 < swept[0] < len(operators._radius_plan(g, 0.5, None)[0])
+    assert np.array_equal(out, sweep_maximal_2d(f, [0.5])[0.5][1])
+
+
+def test_stacked_2d_maximal_with_zero_member():
+    # the zero member sweeps no radius; its neighbours are swept as if alone
+    g = PIN_GRIDS_2D[1]
+    rng = np.random.default_rng(38)
+    family = [compact_2d(g, rng, 1), compact_2d(g, rng, 3), compact_2d(g, rng, 2)]
+    refs = [sweep_maximal_2d(f, [0.5])[0.5] if f.values.any() else (f.values, f.values) for f in family]
+    for centered in (True, False):
+        for m, ref in zip(stacked_maximal(family, alpha=0.5, centered=centered), refs):
+            assert np.array_equal(m.values, ref[0 if centered else 1])
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
+@pytest.mark.parametrize("centered", [True, False])
+def test_maximal_rejects_overflowing_sum(grid, centered):
+    # finite cells whose total overflows: once inf - inf in the prefix sums, "sampled values must be nonnegative"
+    f = SampledFunction(grid, np.full(grid.shape(), 1e308))
+    with pytest.raises(DomainError, match="overflows"):
+        maximal(f, alpha=0.5, centered=centered)
+    with pytest.raises(DomainError, match="overflows"):
+        stacked_maximal([SampledFunction(grid, np.ones(grid.shape())), f], alpha=0.5, centered=centered)
+
+
 @pytest.mark.parametrize("grid", [GridSpec(2, 1 / 16, 1.0), GridSpec(2, 1 / 8, 3.0), GridSpec(2, 1 / 16, 2.0)])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
 def test_2d_riesz_matches_direct_sum(grid, alpha):
