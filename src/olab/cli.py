@@ -190,12 +190,11 @@ def _cmd_operators(args):
     else:
         out = maximal(f, alpha=args.alpha, centered=not args.uncentered)
     _write_lines(args.out, ["index", "x", "y"][: grid.n + 1] + ["value"], _grid_lines(grid, out.values))
-    _write_summary(
-        args.out,
-        {"command": "operators", "operator": args.operator, "alpha": args.alpha,
-         "centered": not args.uncentered, "max_value": float(out.values.max())},
-        started,
-    )
+    summary = {"command": "operators", "operator": args.operator, "alpha": args.alpha,
+               "max_value": float(out.values.max())}
+    if args.operator == "maximal":  # the Riesz potential has no center
+        summary["centered"] = not args.uncentered
+    _write_summary(args.out, summary, started)
     return 0
 
 

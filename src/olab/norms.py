@@ -6,9 +6,12 @@ the distribution function.  Generalized Orlicz-Morrey norms are suprema of
 phi_inv(|B|^{-1}) * ||f||_{L^Phi(B)} / varphi(r) over a sampled family of
 balls; the attaining ball is returned as a witness.
 
-Ball gauges take one of two paths.  Power kinds scale * t**p on 1-D grids
-have closed forms, unless f**p or its sum overflows: window sums of f**p
-(strong), and for the weak gauge g = max_k v_(k)**p * cellvol * k over each
+Ball gauges take one of two paths.  Power kinds scale * t**p have closed
+forms, unless f**p or its sum overflows: the strong gauge, on 1-D and 2-D
+grids, is (scale * cellvol * S) ** (1 / p) with S the ball's ``ball_sums``
+of f**p over its row windows, exact up to the rounding of that sum and root
+(the root-find's per-ball bisection ends up to 1e-9 relative above it).  On
+1-D grids the weak gauge is g = max_k v_(k)**p * cellvol * k over each
 ball's sorted window, v_(k) its k-th largest value.  For a fixed center g is
 nondecreasing in the radius bit for bit (the windows are nested, so each
 v_(k) can only grow, and rounding is monotone in each factor).  So each
@@ -304,9 +307,9 @@ class MorreySampling:
 _CENTER_CHUNK = 32
 # Entries of one array of gathered ball windows: the weak 1-D power closed form, the weak level counts.
 _BATCH = 2**16
-# Bytes of one array of window indices or sums that the strong 1-D power closed form holds: it takes its radii
-# in groups.  A triviality probe on the default grid (513 centers x 309 radii) peaks at 1.7 MiB traced, against
-# 6.1 MiB with every radius at once.
+# Bytes of one array of window indices or sums that the strong power closed form holds: it takes its radii in
+# groups, or on large 2-D grids one radius over chunks of centers.  A 1-D triviality probe on the default grid
+# (513 centers x 309 radii) peaks at 1.7 MiB traced, against 6.1 MiB with every radius at once.
 _SUM_BYTES = 2**16
 # The strong root-find: the ball windows it holds at once, in index bytes (larger sets of radii are split
 # into groups, each with its own batched root-find), and the row_prefix slots plus windows of the columns
@@ -448,11 +451,16 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
 
     ``centers`` holds each function's centers, the first ``shared`` of them
     common to every function (``MorreySampling.center_stack``); the windows
-    of those are made once.  Power kinds scale * t**p on 1-D grids go through
-    closed forms while f**p and its sum stay finite: window sums of f**p for
-    the strong gauge, read for every such function from one stacked
-    ``row_prefix`` table with the arithmetic of ``ball_sums``, and for the
-    weak one the order statistics
+    of those are made once.  Power kinds scale * t**p go through closed
+    forms while f**p and its sum stay finite.  The strong gauge, in 1-D and
+    2-D, is (scale * cellvol * sums) ** (1 / p), the sums of f**p over each
+    ball's row windows with the arithmetic of ``ball_sums``, read for every
+    such function from one stacked ``row_prefix`` table: the very gauges of
+    ``ball_sums`` taken ball by ball.  The windows of a block of centers and
+    radii are made once for every function, and each function's sums are
+    read in turn; a block's windows and one function's sums stay within
+    _SUM_BYTES (radii in groups, or one radius over chunks of centers).  On
+    1-D grids the weak gauge takes the order statistics
     sup_k v_(k)**p * |{f >= v_(k)}| of each ball, bisected over the nested
     windows of one center (``_weak_power_sups``).  That sup never falls as
     the radius grows, bit for bit, so a run of radii between two equal
@@ -467,7 +475,9 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
     gauge * prefactor (with no prefactor, each column's maximum); the rest
     read 0.  Both skip only entries strictly below the sup, so the sup and
     its witness are those of the whole matrix.  The weak closed form and the
-    root-find take the functions one by one.
+    root-find take the functions one by one; weak 2-D gauges, other kinds,
+    and samples with an infinite cell or whose f**p overflows take the
+    root-find.
 
     The work record is one dict on every path: its ``path`` ("closed-form"
     or "column-root-find") and the per-ball ``bisections``; the weak closed
@@ -477,7 +487,7 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
     grid = fs[0].grid
     cellvol = grid.cell_volume
     radii = np.asarray(radii, dtype=float)
-    power, vps = _power_form(phi) if grid.n == 1 else None, {}
+    power, vps = _power_form(phi) if grid.n == 1 or not weak else None, {}
     if power is not None:
         p, scale = power
 
@@ -491,30 +501,43 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
                     vps[i] = vp
     closed, works = list(vps), [{"path": "closed-form", "bisections": 0} for _ in fs]
 
-    def closed_windows(ts):  # of the shared centers, and of each closed-form function's own centers
-        own = ball_windows(grid, centers[closed, shared:].reshape(-1, grid.n), ts)
-        return ball_windows(grid, centers[0, :shared], ts), [w.reshape((len(closed), -1) + w.shape[1:]) for w in own]
-
     if closed and weak:  # the windows before the output: making them takes the most memory
+        # of the shared centers, and of each closed-form function's own centers
         order = np.argsort(radii, kind="stable")
-        common, own = closed_windows(radii[order])
+        common = ball_windows(grid, centers[0, :shared], radii[order])
+        own = [w.reshape((len(closed), -1) + w.shape[1:])
+               for w in ball_windows(grid, centers[closed, shared:].reshape(-1, grid.n), radii[order])]
     out = np.zeros(centers.shape[:2] + radii.shape)
     for i, f in enumerate(fs):
         if i not in vps:  # the root-find divides by lam first
             out[i], works[i] = _root_find_gauges(f, phi, centers[i], radii, weak, prefactor)
     if closed and not weak:
-        # the window sums of ``ball_sums`` (a 1-D ball has one row), function i's read from row i of one stacked
-        # table, then (scale * cellvol * sums) ** (1 / p) in place; radii in groups within _SUM_BYTES
-        table, rows = row_prefix(np.stack([vps[i] for i in closed])), np.arange(len(closed)).reshape(-1, 1, 1)
-        per = max(1, _SUM_BYTES // (8 * len(closed) * centers.shape[1]))
+        # the sums of ``ball_sums`` over each ball's row windows (a 1-D ball has one row), function i's read from
+        # grid i of one stacked ``row_prefix`` table, then (scale * cellvol * sums) ** (1 / p) in place
+        table = row_prefix(np.stack([vps[i] for i in closed])).reshape(len(closed), -1)
+        ball_bytes = 8 * grid.cells_per_axis ** (grid.n - 1)
+        per = max(1, _SUM_BYTES // (ball_bytes * centers.shape[1]))
+        step = max(1, _SUM_BYTES // ball_bytes)  # centers per block, all of them unless one radius overruns
+
+        def gauges(row, windows):
+            start, stop = windows
+            sums = table[row][stop]
+            sums -= table[row][start]
+            sums = sums.sum(axis=-1)
+            sums *= scale * cellvol
+            sums **= 1.0 / p
+            return sums
+
         for part in (slice(k, k + per) for k in range(0, len(radii), per)):
-            common, own = closed_windows(radii[part])
-            for (start, stop), at in ((common, slice(shared)), (own, slice(shared, None))):
-                sums = table[rows, stop[..., 0]]
-                sums -= table[rows, start[..., 0]]
-                sums *= scale * cellvol
-                sums **= 1.0 / p
-                out[closed, at, part] = sums
+            for a in range(0, shared, step):  # one set of windows for every function
+                at = slice(a, min(a + step, shared))
+                windows = ball_windows(grid, centers[0, at], radii[part])
+                for row, i in enumerate(closed):
+                    out[i, at, part] = gauges(row, windows)
+            for row, i in enumerate(closed):
+                for a in range(shared, centers.shape[1], step):
+                    at = slice(a, a + step)
+                    out[i, at, part] = gauges(row, ball_windows(grid, centers[i, at], radii[part]))
     for row, i in enumerate(closed if weak else []):
         windows = tuple(np.concatenate([c, o[row]]) for c, o in zip(common, own))
         sups, counts = _weak_power_sups(vps[i], cellvol, windows, to_gauge,
@@ -717,8 +740,8 @@ def stacked_morrey_norms(
     ``generalized_orlicz_morrey_norm`` gives it.
 
     The radii, the strided centers, the prefactor and the windows of their balls are made once; each
-    function keeps its own support centroid.  The strong 1-D power gauges of every function are read from
-    one stacked table; the other paths take the functions one by one (``_ball_gauge_matrices``).
+    function keeps its own support centroid.  The strong power gauges of every function are read from one
+    stacked table; the other paths take the functions one by one (``_ball_gauge_matrices``).
     """
     fs = list(fs)
     if not fs:

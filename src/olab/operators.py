@@ -328,7 +328,9 @@ def _sweep(fs, g, ts, coef, centered):
 def riesz_potential(f: SampledFunction, alpha: float) -> SampledFunction:
     """Riesz potential I_alpha f: convolution with |x|^(alpha-n) h^n, whose self-cell weight
     is the kernel's integral over the cell (1-D) or the equal-area disk (2-D).  Direct in
-    1-D; FFT (numpy.fft) in 2-D, within a few 1e-14 relative of the direct sum."""
+    1-D; FFT (numpy.fft) in 2-D, within a few 1e-14 relative of the direct sum.  DomainError
+    unless every sample is finite and so is the potential: an overflow anywhere in the FFT
+    leaves inf or NaN in its output."""
     g = f.grid
     _check_alpha(alpha, g.n, strict=True)
     if not np.all(np.isfinite(f.values)):  # FFT would spread one inf as NaN over the grid
@@ -341,13 +343,18 @@ def riesz_potential(f: SampledFunction, alpha: float) -> SampledFunction:
         tail = (m * h) ** (alpha - 1.0) * h
         kernel[n_cells - 1 + m] = tail
         kernel[n_cells - 1 - m] = tail
-        out = np.convolve(f.values, kernel)[n_cells - 1 : 2 * n_cells - 1]
-        return SampledFunction(g, out)
-    # offsets over a period of 2 n_cells: the circular convolution wraps no x - y onto another
-    d = ((np.arange(2 * n_cells) + n_cells) % (2 * n_cells) - n_cells) * h
-    dist = np.hypot(d[:, None], d[None, :])
-    with np.errstate(divide="ignore"):
-        kernel = dist ** (alpha - 2.0) * g.cell_volume
-    kernel[0, 0] = 2.0 * math.pi * (h / math.sqrt(math.pi)) ** alpha / alpha  # equal-area disk
-    out = np.fft.irfft2(np.fft.rfft2(f.values, kernel.shape) * np.fft.rfft2(kernel), kernel.shape)
-    return SampledFunction(g, out[:n_cells, :n_cells])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.convolve(f.values, kernel)[n_cells - 1 : 2 * n_cells - 1]
+    else:
+        # offsets over a period of 2 n_cells: the circular convolution wraps no x - y onto another
+        d = ((np.arange(2 * n_cells) + n_cells) % (2 * n_cells) - n_cells) * h
+        dist = np.hypot(d[:, None], d[None, :])
+        with np.errstate(divide="ignore"):
+            kernel = dist ** (alpha - 2.0) * g.cell_volume
+        kernel[0, 0] = 2.0 * math.pi * (h / math.sqrt(math.pi)) ** alpha / alpha  # equal-area disk
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.fft.irfft2(np.fft.rfft2(f.values, kernel.shape) * np.fft.rfft2(kernel), kernel.shape)
+        out = out[:n_cells, :n_cells]
+    if not np.all(np.isfinite(out)):
+        raise DomainError("the Riesz potential needs a finite convolution of the sample values; it overflows")
+    return SampledFunction(g, out)

@@ -6,9 +6,9 @@ from scipy.ndimage import maximum_filter
 from scipy.signal import convolve2d
 
 from olab import Ball, GridSpec, SampledFunction, ball_measure, sample_function
-from olab.norms import _argmax_witness, _lux_gauge, _weak_gauge
+from olab.norms import _argmax_witness, _lux_gauge, _power_form, _weak_gauge
 from olab.operators import _radius_set_2d
-from olab.sampled import ball_sums, row_table
+from olab.sampled import ball_sums, ball_windows, row_table
 
 
 @pytest.fixture(scope="session")
@@ -129,6 +129,18 @@ def per_ball_gauges(f, phi, centers, radii, weak):
         for j, r in enumerate(radii):
             out[i, j] = gauge(f.ball_values(Ball(c, float(r))), f.grid.cell_volume, phi)
     return out
+
+
+def per_ball_power_gauges(f, phi, centers, radii):
+    """Reference strong gauges of a power kind scale * t**p, exact per ball: the ``ball_sums`` of f**p over
+    each (center, radius) ball on its own, then (scale * cellvol * sums) ** (1 / p)."""
+    p, scale = _power_form(phi)
+    vp = f.values**p
+    sums = np.zeros((len(centers), len(radii)))
+    for i, c in enumerate(centers):
+        for j, r in enumerate(radii):
+            sums[i, j] = ball_sums(vp, ball_windows(f.grid, [c], float(r)))[0][0]
+    return (scale * f.grid.cell_volume * sums) ** (1.0 / p)
 
 
 def per_ball_morrey(f, phi, varphi, centers, radii, weak=False, gauges=None):

@@ -33,7 +33,8 @@ from olab.characterize import CONDITION_KINDS, RatioRow
 from olab.errors import ConfigError
 from olab.sampled import default_grid
 
-from conftest import random_cells_2d, random_indicator_sum, stepped_function
+from conftest import (per_ball_gauges, per_ball_morrey, per_ball_power_gauges, random_cells_2d, random_indicator_sum,
+                      stepped_function)
 
 P2 = PowerYoung(2)
 PHI_L0 = growth_from_lambda(P2, 0.0)  # t^{-1/2} for p=2, n=1
@@ -324,6 +325,46 @@ def test_stacked_2d_family_rows_equal_member_by_member_rows(target, operator):
     setup = AdamsSetup(P2, growth_from_lambda(P2, 0.5, n=2), alpha=0.5, beta=0.5, n=2)
     rows = estimate_operator_norm(setup, operator, target, family, grid=grid)
     assert row_fields(rows) == row_fields(rows_one_by_one(setup, family, operator, target, None))
+
+
+def rows_from_oracles(setup, family, operator, target, sampling):
+    """Ratio rows built from the per-ball oracles: strong power gauges ball by ball in closed form
+    (``per_ball_power_gauges``), weak ones by the per-ball bisection (``per_ball_gauges``)."""
+
+    def norm(f, phi, varphi, weak):
+        centers, radii = sampling.centers(f), sampling.radii()
+        gauges = (per_ball_gauges(f, phi, centers, radii, True) if weak
+                  else per_ball_power_gauges(f, phi, centers, radii))
+        _, value, witness = per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)
+        return value, witness
+
+    rows = []
+    for test_id, f in family:
+        src, _ = norm(f, setup.phi, setup.varphi, False)
+        if src == 0.0:
+            rows.append(RatioRow(test_id, 0.0, np.nan, np.nan, None, "skipped: zero source norm"))
+            continue
+        mapped = maximal(f, alpha=setup.alpha) if operator == "maximal" else riesz_potential(f, setup.alpha)
+        tgt, witness = norm(mapped, setup.psi, setup.eta, target == "weak")
+        rows.append(RatioRow(test_id, src, tgt, tgt / src, witness))
+    return rows
+
+
+@pytest.mark.parametrize("target", ["strong", "weak"])
+@pytest.mark.parametrize("operator", ["maximal", "riesz"])
+def test_2d_adams_rows_equal_the_per_ball_oracles(target, operator):
+    # 16x16 cells, the default sampling's radius range and strided centers plus the centroid and one extra
+    # center: every row field, witness and note of the 2-D experiment is the one the per-ball oracles give
+    grid = GridSpec(2, 1 / 8, 1.0)
+    sampling = MorreySampling(r_min=4 * grid.h, r_max=2 * grid.extent, n_radii=24, extra_centers=((0.3, -0.1),))
+    rng = np.random.default_rng(9)
+    family = [("cells", random_cells_2d(grid, rng)), ("zero", SampledFunction(grid, np.zeros(grid.shape()))),
+              ("disk", sample_function(grid, {"type": "ball_indicator", "center": (0.25, -0.25), "radius": 0.5}))]
+    setup = AdamsSetup(P2, growth_from_lambda(P2, 0.5, n=2), alpha=0.5, beta=0.5, n=2)
+    rows = estimate_operator_norm(setup, operator, target, family, grid=grid, sampling=sampling)
+    expected = rows_from_oracles(setup, family, operator, target, sampling)
+    assert row_fields(rows) == row_fields(expected)
+    assert rows[1].note.startswith("skipped") and rows[0].witness is not None and rows[2].witness is not None
 
 
 @pytest.mark.parametrize("sampling", [None, SMALL_SAMPLING], ids=["default", "small"])

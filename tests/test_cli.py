@@ -287,6 +287,28 @@ def test_operators_overflowing_sum_is_status_3(capsys, tmp_path, centered):
     assert not out_path.exists()
 
 
+def test_riesz_overflowing_potential_is_status_3(capsys, tmp_path):
+    # once seven RuntimeWarnings from the FFT and then "sampled values must be nonnegative"
+    heavy = '{"type":"sum","terms":[{"type":"ball_indicator","center":[0,0],"radius":0.9,"weight":1e307}]}'
+    out_path = tmp_path / "r.csv"
+    code, _, err = run(capsys, "operators", "--grid-n", "2", "--grid-h", "0.25", "--grid-extent", "1",
+                       "--alpha", "0.5", "--operator", "riesz", "--input", heavy, "--out", str(out_path))
+    assert code == 3
+    assert "Riesz potential" in err and "overflows" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("operator", ["maximal", "riesz"])
+def test_operators_summary_says_centered_for_the_maximal_only(capsys, tmp_path, operator):
+    out_path = tmp_path / "o.csv"
+    code, _, _ = run(capsys, "operators", "--operator", operator, "--alpha", "0.5", "--input", BALL,
+                     "--grid-h", "0.25", "--grid-extent", "2", "--out", str(out_path))
+    assert code == 0
+    summary = json.loads((tmp_path / "o.json").read_text())
+    assert summary["operator"] == operator and summary["max_value"] > 0
+    assert summary.get("centered", "absent") == (True if operator == "maximal" else "absent")
+
+
 def test_riesz_rejects_uncentered(capsys, tmp_path):
     # once ignored: exit 0, with "centered": false in the summary
     out_path = tmp_path / "r.csv"

@@ -52,6 +52,7 @@ from conftest import (
     merged_weak_power_sups,
     per_ball_gauges,
     per_ball_morrey,
+    per_ball_power_gauges,
     random_cells_2d,
     random_indicator_sum,
     stepped_function,
@@ -623,7 +624,7 @@ def test_strong_power_gauges_do_not_depend_on_the_group_size(per, monkeypatch):
     for phi in (P2, PowerYoung(3)):
         ref, _ = _ball_gauge_matrices(fs, phi, centers, shared, sampling.radii(), weak=False)
         with monkeypatch.context() as m:
-            m.setattr(norms, "_SUM_BYTES", 8 * len(fs) * centers.shape[1] * per)
+            m.setattr(norms, "_SUM_BYTES", 8 * centers.shape[1] * per)
             out, works = _ball_gauge_matrices(fs, phi, centers, shared, sampling.radii(), weak=False)
         assert np.array_equal(out, ref) and all(w["path"] == "closed-form" for w in works)
 
@@ -636,6 +637,10 @@ ROOT_FIND_PHIS = {"power_log": PowerLogYoung(2, 1), "exp_minus_one": ExpMinusOne
 ROOT_FIND_CASES = [(g, name) for g in PIN_GRIDS for name in ROOT_FIND_PHIS] + [
     (PIN_GRIDS_2D[0], name) for name in ["power", *ROOT_FIND_PHIS]] + [
     (PIN_GRIDS_2D[1], name) for name in ["power", "exp_minus_one"]]
+# strong power gauges take the closed form in 2-D too (``test_strong_power_gauges_equal_the_closed_form``)
+ROOT_FIND_PARAMS = [pytest.param(g, name, weak, id=f"grid{k}-{name}-{'weak' if weak else 'strong'}")
+                    for k, (g, name) in enumerate(ROOT_FIND_CASES) for weak in (False, True)
+                    if weak or name != "power"]
 
 
 def oracle_sampling(g):
@@ -657,8 +662,7 @@ def check_root_find(f, phi, lams, weak, sampling):
     return ev
 
 
-@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
-@pytest.mark.parametrize("grid, name", ROOT_FIND_CASES)
+@pytest.mark.parametrize("grid, name, weak", ROOT_FIND_PARAMS)
 def test_root_find_matches_per_ball(grid, name, weak):
     rng = np.random.default_rng(31)
     f = stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)
@@ -721,7 +725,7 @@ def test_infinite_cell_beside_finite_ones(grid, weak):
        st.sampled_from(["power", *ROOT_FIND_PHIS]), st.booleans(), st.sampled_from([0.0, 0.25, 0.5]))
 @settings(max_examples=12, deadline=None)
 def test_root_find_property(seed, grid, name, weak, lam):
-    assume(grid.n == 2 or name != "power")  # 1-D power kinds take the closed forms
+    assume(name != "power" or (grid.n == 2 and weak))  # the other power kinds take the closed forms
     rng = np.random.default_rng(seed)
     if grid.n == 2:
         f = random_cells_2d(grid, rng)
@@ -733,6 +737,112 @@ def test_root_find_property(seed, grid, name, weak, lam):
                               center_stride=int(rng.integers(2, 6)), include_centroid=bool(seed % 3),
                               extra_centers=extra)
     check_root_find(f, ROOT_FIND_PHIS.get(name, P2), [lam], weak, sampling)
+
+
+def random_sampling(grid, rng):
+    """A small random Morrey sampling: radii from below h/2 on, strides, the centroid or not, extra centers
+    on and off the grid."""
+    extra = tuple(tuple(rng.uniform(-1.5, 1.5, grid.n) * grid.extent) for _ in range(rng.integers(0, 3)))
+    r_min = float(rng.uniform(0.1, 3)) * grid.h
+    return MorreySampling(r_min=r_min, r_max=r_min * float(rng.uniform(1, 40)), n_radii=int(rng.integers(1, 6)),
+                          center_stride=int(rng.integers(2, 6)), include_centroid=bool(rng.integers(0, 2)),
+                          extra_centers=extra)
+
+
+# -- the strong power closed form against its per-ball oracle -------------------
+
+CLOSED_FORM_PHIS = [P2, PowerYoung(3), PowerYoung(2).compose_power(0.5)]
+
+
+def check_closed_form(f, phis, lams, sampling):
+    """Strong power gauges == the per-ball closed form (``per_ball_power_gauges``), and within NORM_REL_TOL
+    of the per-ball bisection; value, witness and work record those of the closed-form oracle per lambda."""
+    centers, radii = sampling.centers(f), sampling.radii()
+    for phi in phis:
+        gauges, work = gauge_matrix(f, phi, centers, radii, weak=False)
+        exact = per_ball_power_gauges(f, phi, centers, radii)
+        assert work == {"path": "closed-form", "bisections": 0}
+        assert np.array_equal(gauges, exact)
+        assert np.allclose(gauges, per_ball_gauges(f, phi, centers, radii, False), rtol=NORM_REL_TOL, atol=0)
+        for lam in lams:
+            varphi = growth_from_lambda(phi, lam, n=f.grid.n)
+            ev = generalized_orlicz_morrey_norm(f, phi, varphi, sampling=sampling)
+            _, best, witness = per_ball_morrey(f, phi, varphi, centers, radii, gauges=exact)
+            assert (ev.value, ev.witness, ev.work) == (best, witness, work)
+
+
+@pytest.mark.parametrize("grid", [PIN_GRIDS[0], *PIN_GRIDS_2D[:2]], ids=["1d-68-cells", "8x8-cells", "16x16-cells"])
+def test_strong_power_gauges_equal_the_closed_form(grid):
+    # the 2-D cases were the power/strong cases of test_root_find_matches_per_ball (grid12, grid17), on the
+    # same samples and sampling; lambda = 0 makes the prefactor tie many balls exactly
+    check_closed_form(root_find_sample(grid, 31), CLOSED_FORM_PHIS, (0.0, 0.5), oracle_sampling(grid))
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS_2D[:2]),
+       st.sampled_from(CLOSED_FORM_PHIS), st.sampled_from([0.0, 0.25, 0.5]))
+@settings(max_examples=12, deadline=None)
+def test_2d_closed_form_property(seed, grid, phi, lam):
+    # the 2-D power/strong examples that test_root_find_property drew before 2-D took the closed form
+    rng = np.random.default_rng(seed)
+    check_closed_form(random_cells_2d(grid, rng), [phi], [lam], random_sampling(grid, rng))
+
+
+@pytest.mark.parametrize("cell", [1e200, np.inf], ids=["overflow", "inf"])
+def test_2d_power_samples_the_closed_form_cannot_take(cell):
+    # f**2 overflows, or is inf, at one cell: the sample takes the root-find, == the per-ball bisection
+    grid = PIN_GRIDS_2D[0]
+    vals = random_cells_2d(grid, np.random.default_rng(41)).values.copy()
+    vals.flat[5] = cell
+    f, sampling = SampledFunction(grid, vals), oracle_sampling(grid)
+    centers, radii = sampling.centers(f), sampling.radii()
+    fast, work = gauge_matrix(f, P2, centers, radii, weak=False)
+    slow = per_ball_gauges(f, P2, centers, radii, False)
+    assert work["path"] == "column-root-find" and np.array_equal(fast.max(axis=0), slow.max(axis=0))
+    assert check_root_find(f, P2, (0.0, 0.5), False, sampling).work["path"] == "column-root-find"
+
+
+@pytest.mark.parametrize("per", [1, 3, None], ids=["1-center", "3-centers", "default"])
+def test_2d_strong_power_gauges_do_not_depend_on_the_blocks(per, monkeypatch):
+    # a 2-D stack with a zero member, shared and own centers, read one radius at a time over blocks of 1 or 3
+    # centers (the last one short) or at the default budget: each member's gauges are those it has alone
+    grid = PIN_GRIDS_2D[1]
+    rng = np.random.default_rng(42)
+    disk = sample_function(grid, {"type": "ball_indicator", "center": (0.1, -0.2), "radius": 0.3})
+    fs = [random_cells_2d(grid, rng), SampledFunction(grid, np.zeros(grid.shape())), disk]
+    sampling = MorreySampling(r_min=grid.h, r_max=2 * grid.extent, n_radii=6, center_stride=3,
+                              extra_centers=((0.3, 0.3),))
+    centers, shared = sampling.center_stack(fs)
+    radii = sampling.radii()
+    if per is not None:
+        monkeypatch.setattr(norms, "_SUM_BYTES", 8 * grid.cells_per_axis * per)
+    out, works = _ball_gauge_matrices(fs, P2, centers, shared, radii, weak=False)
+    assert all(w == {"path": "closed-form", "bisections": 0} for w in works)
+    for f, c, gauges in zip(fs, centers, out):
+        assert np.array_equal(gauges, per_ball_power_gauges(f, P2, c, radii))
+    monkeypatch.undo()
+    for f, c, gauges in zip(fs, centers, out):
+        assert np.array_equal(gauges, gauge_matrix(f, P2, c, radii, weak=False)[0])
+    assert not out[1].any()
+
+
+def test_2d_strong_power_stack_memory():
+    # 8 indicators on 128x128 cells: each block of windows and sums stays within _SUM_BYTES, 6.6 MiB traced in
+    # all; with every center of a radius at once (a budget that counts no rows) the stack peaked at 48 MiB
+    grid = GridSpec(2, 1 / 16, 4.0)
+    fs = [sample_function(grid, {"type": "ball_indicator", "center": (0.25 * k - 1.0, 0.5), "radius": 2.0 ** (k / 2 - 2)})
+          for k in range(8)]
+    varphi, sampling = growth_from_lambda(P2, 0.5, n=2), MorreySampling(r_min=4 * grid.h, r_max=2 * grid.extent,
+                                                                        n_radii=8)
+    first = stacked_morrey_norms(fs, P2, varphi, sampling=sampling)
+    tracemalloc.start()
+    try:
+        again = stacked_morrey_norms(fs, P2, varphi, sampling=sampling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    assert [(e.value, e.witness, e.work) for e in again] == [(e.value, e.witness, e.work) for e in first]
+    assert all(e.work["path"] == "closed-form" for e in first)
 
 
 def root_find_sample(grid, seed):

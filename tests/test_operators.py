@@ -395,6 +395,20 @@ def test_riesz_rejects_non_finite_samples(grid):
         riesz_potential(SampledFunction(grid, vals), 0.5)
 
 
+@pytest.mark.parametrize("grid, weight", [(GridSpec(1, 0.25, 1.0), 1.7e308), (GridSpec(2, 0.25, 1.0), 1e307)],
+                         ids=["1d", "2d"])
+def test_riesz_rejects_an_overflowing_potential(grid, weight):
+    # every cell is finite, but the convolution overflows: once inf values in 1-D, and in 2-D RuntimeWarnings
+    # from the FFT and a misleading "sampled values must be nonnegative" from its NaN output
+    disk = {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": 0.9, "weight": weight}
+    f = sample_function(grid, {"type": "sum", "terms": [disk]})
+    assert np.isfinite(f.values).all()
+    with pytest.raises(DomainError, match="overflows"):
+        riesz_potential(f, 0.5)
+    # a thousandth of the weight stays finite
+    assert np.isfinite(riesz_potential(f.scaled(1e-3), 0.5).values).all()
+
+
 def test_riesz_closed_form(unit_indicator):
     out = riesz_potential(unit_indicator, 0.5)
     assert out.value_at(0.0) == pytest.approx(4.0, rel=0.03)
