@@ -16,16 +16,20 @@ u_k = coef_k * cellvol * (min(sum f, max f * N_k) + 4 * cells * eps * sum f)
 * (1 + 8 eps), N_k the disk's cell count and the margin ``ball_sums``'
 rounding bound; the radii are visited by decreasing u_k, and the sweep stops
 at the first radius whose u_k is at most the least cell of the running sup.
-Its disk sums add row windows offset by offset, read from one table per
-half-width for the most used half-widths (within a byte budget).  Both give
-the very floating-point results of a sweep over every radius.  The
-uncentered sup comes from running maxima widened by clamped shifts, the 2-D
-Riesz potential from an FFT (numpy.fft).  Radii whose balls cover the whole
-grid from every center give coef * (grid total); one is kept.  A family
-whose cells sum past the largest float is refused.  ``stacked_maximal`` maps
-a family on one grid with one radius plan and one stacked prefix table, in
-1-D with one branch and bound over every (function, cell) pair; ``maximal``
-is its stack of one.
+Its disk sums add row windows offset by offset, over the rows that hold a
+nonzero sample only (every other window adds an exact 0), read from one
+table per half-width for the most used half-widths (within a byte budget).
+Both give the very floating-point results of a sweep over every radius.
+The radius plan keeps one radius per distinct digitized ball: sorted radii
+give nested balls, so radii whose balls hold equally many cells sum the same
+cells, and only the largest of their coefficients can reach the sup (the
+radii past the covering one are such a run).  The uncentered sup comes from
+running maxima widened by clamped shifts, the 2-D Riesz potential from an
+FFT (numpy.fft), its sample scaled by a power of two where the FFT would
+overflow.  A family whose cells sum past the largest float is refused.
+``stacked_maximal`` maps a family on one grid with one radius plan and one
+stacked prefix table, in 1-D with one branch and bound over every
+(function, cell) pair; ``maximal`` is its stack of one.
 """
 
 from __future__ import annotations
@@ -57,11 +61,12 @@ def maximal(f: SampledFunction, alpha: float = 0.0, centered: bool = True, radii
 def stacked_maximal(fs, alpha: float = 0.0, centered: bool = True, radii=None) -> list[SampledFunction]:
     """M_alpha of each function of a family on one grid, each bit for bit the one ``maximal`` gives it.
 
-    The radius plan (radii, coefficients, covering cut) is made once.  In 1-D the functions go in groups
-    of at most _STACK_CELLS cells: a group's ``row_prefix`` tables are one stacked table, and one branch and
-    bound runs over all of its (function, cell) pairs.  The 2-D sweep, whose layout of offsets and tables
-    is made once too, takes the functions one by one.  DomainError unless every sample is finite and each
-    function's cell total, plus ``ball_sums``' rounding bound on it, is finite too.
+    The radius plan (``_radius_plan``: one radius per distinct ball, and each ball's rows) is made once.  In
+    1-D the functions go in groups of at most _STACK_CELLS cells: a group's ``row_prefix`` tables are one
+    stacked table, and one branch and bound runs over all of its (function, cell) pairs.  The 2-D sweep,
+    whose layout of offsets is made once too, takes the functions one by one, each over its own band of
+    nonzero rows.  DomainError unless every sample is finite and each function's cell total, plus
+    ``ball_sums``' rounding bound on it, is finite too.
     """
     fs = list(fs)
     if not fs:
@@ -75,19 +80,28 @@ def stacked_maximal(fs, alpha: float = 0.0, centered: bool = True, radii=None) -
         totals = [f.values.sum() for f in fs]
         if not all(np.isfinite(s + 4 * f.values.size * _EPS * s) for f, s in zip(fs, totals)):
             raise DomainError("the maximal operator needs a finite sum of the sample values; it overflows")
-    ts, coef = _radius_plan(g, alpha, radii)
+    _, coef, ms, widths = _radius_plan(g, alpha, radii)
     if g.n == 2:
-        outs = (best for best, _ in _sweep(fs, g, ts, coef, centered))
+        outs = (best for best, _ in _sweep(fs, g, coef, ms, widths, centered))
     else:
         per = max(1, _STACK_CELLS // g.cells_per_axis)
         groups = (row_prefix(np.stack([f.values for f in fs[k : k + per]])) for k in range(0, len(fs), per))
-        outs = (out for pads in groups for out in _maximal_1d(pads, g, ts, coef, centered))
+        outs = (out for pads in groups for out in _maximal_1d(pads, g, coef, ms, centered))
     return [SampledFunction(g, out.reshape(g.shape())) for out in outs]
 
 
 def _radius_plan(g, alpha, radii):
-    """The sorted radii t of the sup and their coefficients |B(x, t)|^(alpha/n - 1); of the radii whose balls
-    cover the grid from every center only the one of largest coefficient is kept."""
+    """The plan of the sup: its radii t ascending, one per distinct digitized ball, their coefficients
+    |B(x, t)|^(alpha/n - 1), and the balls' rows: ms, each ball's half-width at offset 0, and widths, the
+    half-widths of its rows at offsets -m..m (in 1-D, of its one row), ball after ball.
+
+    Sorted radii give nested balls: the number of rows and each row's half-width (``half_width``, clipped
+    to the grid) grow with t.  So consecutive radii whose balls hold the same number of cells hold the
+    same cells, and their sums at every center take the same operations; a run of them keeps its first
+    radius and its largest coefficient, the first's as the coefficient falls with t.  Rounding is
+    monotone, so max(coef_k * s) == max(coef_k) * s for s >= 0, and the sup is the one over every radius,
+    bit for bit.  The radii whose balls cover the grid from every center make one such run.
+    """
     if radii is None:
         # 1-D: anchors t = (m + 1/2) h reach across the domain
         ts = (np.arange(g.cells_per_axis) + 0.5) * g.h if g.n == 1 else _radius_set_2d(g)
@@ -105,13 +119,13 @@ def _radius_plan(g, alpha, radii):
                         [(math.pi * t * t) ** (alpha / 2.0 - 1.0) for t in ts.tolist()])
     except (OverflowError, ZeroDivisionError):
         raise DomainError(f"radii must not be so small that |B(x, t)|^(alpha/n - 1) overflows, got {ts[0]}") from None
-    # radii whose balls cover the grid from every center (in 2-D: the rows at the largest offset
-    # span the grid) sum the whole grid in one order; keep the largest coef among them
-    last = g.cells_per_axis - 1
-    if (cover := np.flatnonzero(half_width(g, ts, last * (g.n - 1)) >= last)).size:
-        keep = np.append(np.arange(cover[0]), cover[0] + np.argmax(coef[cover[0] :]))
-        ts, coef = ts[keep], coef[keep]
-    return ts, coef
+    ms = half_width(g, ts)  # clipped at the last row offset inside the grid
+    rows = 2 * ms + 1 if g.n == 2 else np.ones_like(ms)  # a ball's rows, at offsets -m..m
+    first = np.cumsum(rows) - rows
+    widths = ms if g.n == 1 else half_width(g, np.repeat(ts, rows), np.arange(rows.sum()) - np.repeat(first + ms, rows))
+    cells = np.add.reduceat(2 * widths + 1, first)
+    new = np.diff(cells, prepend=-1) != 0  # the first radius of each distinct ball
+    return ts[new], np.maximum.reduceat(coef, np.flatnonzero(new)), ms[new], widths[np.repeat(new, rows)]
 
 
 # Consecutive radii bounded together by the 1-D uncentered branch and bound; the centered one starts its
@@ -123,7 +137,7 @@ _RADIUS_BLOCK, _CENTERED_EDGES = 32, 16
 # ran slower, as their arrays fall out of cache, and took more memory.
 _STACK_CELLS = 2**12
 
-# Bytes of the row-window tables that one 2-D ``maximal`` call keeps (``_sweep``).
+# Bytes of the row-window tables that the 2-D sweep keeps for one function (``_sweep``).
 _TABLE_BYTES = 2**22
 
 
@@ -149,10 +163,10 @@ def _widen(run, w, to):
     return run
 
 
-def _maximal_1d(pads, g, ts, coef, centered):
+def _maximal_1d(pads, g, coef, ms, centered):
     """Per row of ``pads`` (the 1-D ``row_prefix`` tables of a family), the sup over the radius set of
     (2t)^(alpha-1) * (integral of f over [y-t, y+t]) for y = x (centered) or for every cell y within the
-    ball's half-width m(t) of x (uncentered).
+    ball's half-width m(t) of x (uncentered); ``ms`` holds the half-widths.
 
     A branch and bound over blocks of consecutive (sorted) radii.  Every cell
     is evaluated exactly at each block's edges, which gives a lower bound
@@ -180,9 +194,8 @@ def _maximal_1d(pads, g, ts, coef, centered):
     # best[i, n_cells + x] at cell x of function i, so that it shares its slot x with the row_prefix table
     best = np.zeros((n_funcs, width))
     out = best[:, n_cells : 2 * n_cells]
-    if len(ts) == 0:
+    if len(ms) == 0:
         return out
-    ms = half_width(g, ts)
     pad, flat = pads.ravel(), best.ravel()
     after = pad[1:]  # after[x] = pad[x + 1]
     cells = width * np.arange(n_funcs)[:, None] + n_cells + np.arange(n_cells)  # the slots of (function, cell) pairs
@@ -193,9 +206,9 @@ def _maximal_1d(pads, g, ts, coef, centered):
 
     # block b holds the radii edges[b] .. edges[b + 1]; neighbours share an edge
     if centered:
-        edges = distinct(np.geomspace(1, len(ts), _CENTERED_EDGES).astype(int) - 1)
+        edges = distinct(np.geomspace(1, len(ms), _CENTERED_EDGES).astype(int) - 1)
     else:
-        edges = np.append(np.arange(0, len(ts) - 1, _RADIUS_BLOCK), len(ts) - 1)
+        edges = np.append(np.arange(0, len(ms) - 1, _RADIUS_BLOCK), len(ms) - 1)
     s_edge = np.empty((len(edges), n_funcs, n_cells))
     for e, (k, m) in enumerate(zip(edges.tolist(), ms[edges].tolist())):  # an edge at a time: small index arrays
         s_edge[e] = window_sums(cells, k) if centered else _widen(window_sums(cells, k), 0, m)
@@ -241,23 +254,29 @@ def _radius_set_2d(g):
     return doubled[doubled <= 2.0 * r_star]
 
 
-def _sweep(fs, g, ts, coef, centered):
-    """For each function of ``fs`` in turn, the sup over the radius set of |B(x, t)|^(alpha/2 - 1) *
+def _sweep(fs, g, coef, ms, widths, centered):
+    """For each function of ``fs`` in turn, the sup over the radius plan of |B(x, t)|^(alpha/2 - 1) *
     (integral of f over B(x, t)), and the number of radii it swept.
 
     A disk is a union of row segments: row offset dy covers the columns
-    within w(dy) of the center, both from ``sampled.half_width``.  The
-    centered disk sums add, offset by offset in ascending dy, the row windows
-    D_w = P[:, n+w+1 : 2n+w+1] - P[:, n-w : 2n-w] of the ``row_prefix``
-    table P, read at the source rows r + dy.  D_w depends on w alone, so the
-    most used half-widths (counted over every offset of every radius) get one
-    table each, as many as _TABLE_BYTES holds; the others are subtracted
-    anew at each offset.  Either way each offset adds the same differences
-    in the same order, so the sums do not depend on the budget, bit for bit.
-    The uncentered value at x is the max of the centered values over the
-    disk around x: per radius, the running max along the rows at the
-    smallest distinct w, widened to each larger w in turn (``_widen``),
-    shifted per offset.  ``maximal`` has cut the radii past the covering one.
+    within w(dy) of the center (``ms`` and ``widths`` of ``_radius_plan``).
+    The centered disk sums add, offset by offset in ascending dy, the row
+    windows D_w = P[:, n+w+1 : 2n+w+1] - P[:, n-w : 2n-w] of the
+    ``row_prefix`` table P, read at the source rows r + dy.  P holds only
+    the band [r0, r1) of rows with a nonzero sample, and at offset dy only
+    the output rows r with r + dy in the band get a window.  Every other
+    window is an exact 0 (the prefix of a row of zeros is constant), and
+    x + 0 == x for the nonnegative partial sums, so the sums are those of
+    the whole grid, bit for bit; centered, the values are taken only at the
+    rows [r0 - m, r1 + m) that the band reaches, the others being 0.  D_w
+    depends on w alone, so the most used half-widths (counted over every
+    offset of every radius) get one table each over the band, as many as
+    _TABLE_BYTES holds; the others are subtracted anew at each offset.
+    Either way each offset adds the same differences in the same order, so
+    the sums do not depend on the budget, bit for bit.  The uncentered value
+    at x is the max of the centered values over the disk around x: per
+    radius, the running max along the rows at the smallest distinct w,
+    widened to each larger w in turn (``_widen``), shifted per offset.
 
     Radius k can produce no value above u_k = coef_k * cellvol *
     (min(S, max f * N_k) + 4 * cells * eps * S) * (1 + 8 eps): S is the
@@ -268,54 +287,61 @@ def _sweep(fs, g, ts, coef, centered):
     are visited by decreasing u_k, and the sweep stops at the first whose
     u_k is at most the least cell of ``best``: neither it nor any later
     radius can raise a cell, so the result is the sweep over every radius,
-    bit for bit.  The row slices of every offset, the half-widths, the
-    tabled half-widths and (uncentered) the offsets of each distinct
-    half-width are laid out once for the family.
+    bit for bit.  The half-widths, their order of use and (uncentered) the
+    row slices of the offsets of each distinct half-width are laid out once
+    for the family, the row slices of the band once per function.
     """
     n_cells = g.cells_per_axis
-    ms = half_width(g, ts)  # clipped at the last row offset inside the grid
-    # half-widths of the rows at offsets -m..m of every radius, from one call of the rule
     counts = 2 * ms + 1
     first = np.cumsum(counts) - counts
-    offsets = np.arange(counts.sum()) - np.repeat(first + ms, counts)
-    widths = half_width(g, np.repeat(ts, counts), offsets)
     disk_cells = np.add.reduceat(2 * widths + 1, first)
     uses = np.bincount(widths)
-    tabled = [w for w in np.argsort(-uses, kind="stable")[: _TABLE_BYTES // (8 * n_cells**2)].tolist() if uses[w]]
-    # output rows r and source rows r + dy of each offset dy, both inside the grid
+    by_use = [w for w in np.argsort(-uses, kind="stable").tolist() if uses[w]]
     top = int(ms.max(initial=0))
-    rows = [(slice(max(-dy, 0), n_cells - max(dy, 0)), slice(max(dy, 0), n_cells + min(dy, 0)))
-            for dy in range(-top, top + 1)]
     m, halves = ms.tolist(), [half.tolist() for half in np.split(widths, first[1:])]
     groups = []  # per radius, its distinct half-widths ascending, each with the rows of its offsets
-    for k in [] if centered else range(len(ts)):
-        by_width = {}
-        for pair, w in zip(rows[top - m[k] : top + m[k] + 1], halves[k]):
-            by_width.setdefault(w, []).append(pair)
-        groups.append(sorted(by_width.items()))
+    if not centered:
+        # output rows r and source rows r + dy of each offset dy, both inside the grid
+        rows = [(slice(max(-dy, 0), n_cells - max(dy, 0)), slice(max(dy, 0), n_cells + min(dy, 0)))
+                for dy in range(-top, top + 1)]
+        for k, half in enumerate(halves):
+            by_width = {}
+            for pair, w in zip(rows[top - m[k] : top + m[k] + 1], half):
+                by_width.setdefault(w, []).append(pair)
+            groups.append(sorted(by_width.items()))
     for f in fs:
-        pad, total = row_prefix(f.values), f.values.sum()
+        filled = np.flatnonzero(f.values.any(axis=1))
+        r0, r1 = (int(filled[0]), int(filled[-1]) + 1) if filled.size else (0, 0)
+        pad, total = row_prefix(f.values[r0:r1]), f.values.sum()
+        # per offset dy, the output rows r whose source rows r + dy lie in the band, and those rows of pad
+        band = []
+        for dy in range(-top, top + 1):
+            lo, hi = max(r0, dy), min(r1, n_cells + dy)
+            band.append((slice(lo - dy, hi - dy), slice(lo - r0, hi - r0)) if lo < hi else None)
         with np.errstate(over="ignore"):  # an infinite bound only puts its radius first
             bound = coef * g.cell_volume * (np.minimum(total, f.values.max() * disk_cells)
                                             + 4 * f.values.size * _EPS * total) * (1 + 8 * _EPS)
         best, sums, buf = np.zeros((3, n_cells, n_cells))
 
-        def windows(src, w, out=None):  # D_w at the rows src
+        def windows(src, w, out=None):  # D_w at the rows src of the band
             return np.subtract(pad[src, n_cells + w + 1 : 2 * n_cells + w + 1], pad[src, n_cells - w : 2 * n_cells - w],
                                out=out)
 
-        tables = {w: windows(slice(None), w) for w in tabled}
+        tables = {w: windows(slice(None), w) for w in by_use[: _TABLE_BYTES // (8 * n_cells * max(r1 - r0, 1))]}
         swept = 0
         for k in np.argsort(-bound, kind="stable").tolist():
             if bound[k] <= best.min():
                 break
             swept += 1
-            sums.fill(0.0)
-            for (dst, src), w in zip(rows[top - m[k] : top + m[k] + 1], halves[k]):
-                sums[dst] += tables[w][src] if w in tables else windows(src, w, buf[dst])
-            vals = coef[k] * (sums * g.cell_volume)
+            near = slice(max(r0 - m[k], 0), r1 + m[k]) if centered else slice(None)  # rows the band reaches
+            sums[near] = 0.0
+            for pair, w in zip(band[top - m[k] : top + m[k] + 1], halves[k]):
+                if pair:
+                    dst, src = pair
+                    sums[dst] += tables[w][src] if w in tables else windows(src, w, buf[dst])
+            vals = coef[k] * (sums[near] * g.cell_volume)
             if centered:
-                np.maximum(best, vals, out=best)
+                np.maximum(best[near], vals, out=best[near])
                 continue
             run, w_run = vals, 0
             for w, pairs in groups[k]:
@@ -328,9 +354,11 @@ def _sweep(fs, g, ts, coef, centered):
 def riesz_potential(f: SampledFunction, alpha: float) -> SampledFunction:
     """Riesz potential I_alpha f: convolution with |x|^(alpha-n) h^n, whose self-cell weight
     is the kernel's integral over the cell (1-D) or the equal-area disk (2-D).  Direct in
-    1-D; FFT (numpy.fft) in 2-D, within a few 1e-14 relative of the direct sum.  DomainError
-    unless every sample is finite and so is the potential: an overflow anywhere in the FFT
-    leaves inf or NaN in its output."""
+    1-D; FFT (numpy.fft) in 2-D, within a few 1e-14 relative of the direct sum.  The FFT's
+    terms reach sum f * sum K (its zero frequency), above every value of the potential: where
+    they overflow, the FFT runs again on 2^-e f, and 2^e times its output is the potential, as
+    scaling by a power of two is exact barring underflow.  A sample whose FFT stays finite
+    keeps its bits.  DomainError unless every sample is finite and so is the potential."""
     g = f.grid
     _check_alpha(alpha, g.n, strict=True)
     if not np.all(np.isfinite(f.values)):  # FFT would spread one inf as NaN over the grid
@@ -352,9 +380,18 @@ def riesz_potential(f: SampledFunction, alpha: float) -> SampledFunction:
         with np.errstate(divide="ignore"):
             kernel = dist ** (alpha - 2.0) * g.cell_volume
         kernel[0, 0] = 2.0 * math.pi * (h / math.sqrt(math.pi)) ** alpha / alpha  # equal-area disk
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.fft.irfft2(np.fft.rfft2(f.values, kernel.shape) * np.fft.rfft2(kernel), kernel.shape)
-        out = out[:n_cells, :n_cells]
+        spectrum = np.fft.rfft2(kernel)
+
+        def convolve(values):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.fft.irfft2(np.fft.rfft2(values, kernel.shape) * spectrum, kernel.shape)[:n_cells, :n_cells]
+
+        out = convolve(f.values)
+        if not np.all(np.isfinite(out)):
+            # every term of the FFT of 2^-e f stays below 2^-e max f * cells * sum K * (2 n_cells)^2 <= 2^1000
+            e = math.ceil(math.log2(f.values.max()) + math.log2(f.values.size * kernel.sum() * kernel.size)) - 1000
+            with np.errstate(over="ignore"):
+                out = np.ldexp(convolve(np.ldexp(f.values, -e)), e)
     if not np.all(np.isfinite(out)):
         raise DomainError("the Riesz potential needs a finite convolution of the sample values; it overflows")
     return SampledFunction(g, out)

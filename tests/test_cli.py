@@ -288,8 +288,9 @@ def test_operators_overflowing_sum_is_status_3(capsys, tmp_path, centered):
 
 
 def test_riesz_overflowing_potential_is_status_3(capsys, tmp_path):
-    # once seven RuntimeWarnings from the FFT and then "sampled values must be nonnegative"
-    heavy = '{"type":"sum","terms":[{"type":"ball_indicator","center":[0,0],"radius":0.9,"weight":1e307}]}'
+    # once seven RuntimeWarnings from the FFT and then "sampled values must be nonnegative"; at this weight the
+    # potential itself overflows (at 1e307 it is finite, 1.17e308)
+    heavy = '{"type":"sum","terms":[{"type":"ball_indicator","center":[0,0],"radius":0.9,"weight":1e308}]}'
     out_path = tmp_path / "r.csv"
     code, _, err = run(capsys, "operators", "--grid-n", "2", "--grid-h", "0.25", "--grid-extent", "1",
                        "--alpha", "0.5", "--operator", "riesz", "--input", heavy, "--out", str(out_path))

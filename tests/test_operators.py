@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter1d
 
@@ -17,6 +17,7 @@ from olab import (
     sample_function,
 )
 from olab import operators
+from olab.characterize import function_family
 from olab.operators import _widen, stacked_maximal
 
 from conftest import (
@@ -395,18 +396,36 @@ def test_riesz_rejects_non_finite_samples(grid):
         riesz_potential(SampledFunction(grid, vals), 0.5)
 
 
-@pytest.mark.parametrize("grid, weight", [(GridSpec(1, 0.25, 1.0), 1.7e308), (GridSpec(2, 0.25, 1.0), 1e307)],
+def overflow_disk(grid, weight):
+    disk = {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": 0.9, "weight": weight}
+    return sample_function(grid, {"type": "sum", "terms": [disk]})
+
+
+@pytest.mark.parametrize("grid, weight", [(GridSpec(1, 0.25, 1.0), 1.7e308), (GridSpec(2, 0.25, 1.0), 1e308)],
                          ids=["1d", "2d"])
 def test_riesz_rejects_an_overflowing_potential(grid, weight):
     # every cell is finite, but the convolution overflows: once inf values in 1-D, and in 2-D RuntimeWarnings
     # from the FFT and a misleading "sampled values must be nonnegative" from its NaN output
-    disk = {"type": "ball_indicator", "center": (0.0,) * grid.n, "radius": 0.9, "weight": weight}
-    f = sample_function(grid, {"type": "sum", "terms": [disk]})
+    f = overflow_disk(grid, weight)
     assert np.isfinite(f.values).all()
+    if grid.n == 2:  # the direct sum overflows too
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(direct_riesz_2d(f, 0.5)))
     with pytest.raises(DomainError, match="overflows"):
         riesz_potential(f, 0.5)
     # a thousandth of the weight stays finite
     assert np.isfinite(riesz_potential(f.scaled(1e-3), 0.5).values).all()
+
+
+@pytest.mark.parametrize("weight", [1e306, 1e307, 1.5e307])
+def test_2d_riesz_takes_a_finite_potential_whose_fft_overflows(weight):
+    # the FFT's zero frequency sum f * sum K overflows, the potential (up to 1.76e308) does not: the FFT runs on
+    # the sample scaled by a power of two, which is exact
+    f = overflow_disk(GridSpec(2, 0.25, 1.0), weight)
+    out = riesz_potential(f, 0.5).values
+    assert np.isfinite(out).all()
+    assert np.allclose(out, direct_riesz_2d(f, 0.5), rtol=1e-12, atol=0)
+    assert np.array_equal(out, riesz_potential(f.scaled(2.0**-40), 0.5).values * 2.0**40)
 
 
 def test_riesz_closed_form(unit_indicator):
@@ -444,8 +463,9 @@ def test_2d_uncentered_comparison():
 
 
 def check_maximal_2d_matches_sweep(f, alphas, radii=None, monkeypatch=None):
-    """With ``monkeypatch``, at three row-table budgets: no table, one (the most used half-width's) and one
-    for every half-width."""
+    """With ``monkeypatch``, at three row-table budgets: no table, a whole grid's worth (one table, the most
+    used half-width's, where the nonzero rows span the grid; more over a narrower band) and one for every
+    half-width."""
     ref = sweep_maximal_2d(f, alphas, radii)
     for budget in [operators._TABLE_BYTES] if monkeypatch is None else [0, 8 * f.values.size, 2**62]:
         if monkeypatch is not None:
@@ -564,6 +584,100 @@ def test_stacked_2d_maximal_with_zero_member():
     for centered in (True, False):
         for m, ref in zip(stacked_maximal(family, alpha=0.5, centered=centered), refs):
             assert np.array_equal(m.values, ref[0 if centered else 1])
+
+
+def plan_cells(grid, ms, widths):
+    """Cells of each ball of a radius plan, from the half-widths of its rows."""
+    rows = 2 * ms + 1 if grid.n == 2 else np.ones_like(ms)
+    return np.add.reduceat(2 * widths + 1, np.cumsum(rows) - rows)
+
+
+def lattice_radii(grid):
+    """The distances from a cell center to the others, ascending: the radii at which a ball gains cells."""
+    k = np.arange(grid.cells_per_axis)
+    d = k * grid.h if grid.n == 1 else np.hypot(*np.meshgrid(k, k)).ravel() * grid.h
+    return np.unique(d[d > 0])
+
+
+@pytest.mark.parametrize("grid", PIN_GRIDS + PIN_GRIDS_2D)
+@pytest.mark.parametrize("default", [True, False])
+def test_radius_plan_keeps_one_radius_per_ball(grid, default):
+    rng = np.random.default_rng(44)
+    radii = None if default else rng.uniform(0.1 * grid.h, 3 * grid.extent, 60)
+    ts, coef, ms, widths = operators._radius_plan(grid, 0.5, radii)
+    assert np.all(np.diff(plan_cells(grid, ms, widths)) > 0)
+    assert np.all(np.diff(ts) > 0)
+    # each kept radius is a ball of its own, with its own coefficient
+    again = operators._radius_plan(grid, 0.5, ts)
+    assert np.array_equal(again[0], ts) and np.array_equal(again[1], coef)
+    if grid.n == 1 and default:  # every half-offset radius is a ball of its own
+        assert np.array_equal(ts, (np.arange(grid.cells_per_axis) + 0.5) * grid.h)
+
+
+@pytest.mark.parametrize("grid", PIN_GRIDS + PIN_GRIDS_2D[:2])
+@pytest.mark.parametrize("centered", [True, False])
+def test_duplicate_radii_change_nothing(grid, centered):
+    # radii strictly between two lattice distances give the ball of the lower one, and radii past the covering
+    # one the whole grid: the plan keeps one radius of each run, and the sup is the sweep's over every radius
+    rng = np.random.default_rng(45)
+    lattice = lattice_radii(grid)
+    a = rng.integers(0, len(lattice) - 1, 6)
+    between = lattice[a, None] + rng.uniform(0.01, 0.99, (6, 3)) * (lattice[a + 1] - lattice[a])[:, None]
+    cover = (grid.cells_per_axis - 1) * grid.h * np.sqrt(grid.n)
+    radii = rng.permutation(np.concatenate([lattice[a], between.ravel(), cover * rng.uniform(1.0, 3.0, 4)]))
+    f = stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)
+    for alpha in (0.0, 0.5, 0.9 * grid.n):
+        ts = operators._radius_plan(grid, alpha, radii)[0]
+        assert len(ts) <= len(np.unique(a)) + 1
+        out = maximal(f, alpha=alpha, centered=centered, radii=radii).values
+        if grid.n == 1:
+            ref = (sweep_maximal if centered else sweep_uncentered_maximal)(f, alpha, radii)
+        else:
+            ref = sweep_maximal_2d(f, [alpha], radii)[alpha][0 if centered else 1]
+        assert np.array_equal(out, ref)
+        assert np.array_equal(maximal(f, alpha=alpha, centered=centered, radii=ts).values, out)
+
+
+def banded_2d(grid, rng, kind):
+    """2-D inputs whose nonzero rows are a band of the grid: a block touching the top, bottom, left and right
+    edge (kinds 0-3), two rows with zero rows between them (4), one row (5), one cell (6), the zero function."""
+    n = grid.cells_per_axis
+    cells = rng.choice([0.5, 1.0, 1.7], grid.shape())
+    k, r = int(rng.integers(1, n // 2 + 1)), int(rng.integers(0, n - 2))
+    rows = [slice(0, k), slice(n - k, n), slice(r, r + 2), slice(r, r + 2), [r, r + 2], r, r, []][kind]
+    cols = [slice(None), slice(None), slice(0, k), slice(n - k, n), slice(None), slice(None), int(rng.integers(0, n)),
+            slice(None)][kind]
+    v = np.zeros(grid.shape())
+    v[rows, cols] = cells[rows, cols]
+    return SampledFunction(grid, v)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS_2D[:2]), st.integers(0, 7))
+@settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_2d_row_band_property(monkeypatch, seed, grid, kind):
+    # the sweep reads only the rows that hold a nonzero sample: still every cell of the sweep over the whole
+    # grid, at every table budget; for every fourth seed the default radii on 8x8 cells, else unsorted
+    # duplicated ones
+    rng = np.random.default_rng(seed)
+    f = banded_2d(grid, rng, kind)
+    radii = None
+    if seed % 4 or grid.cells_per_axis != 8:
+        radii = rng.uniform(0.1 * grid.h, 3 * grid.extent, 10)
+        radii = rng.permutation(np.concatenate([radii, radii[rng.integers(0, len(radii), 3)]]))
+    check_maximal_2d_matches_sweep(f, [0.0, 0.5, 1.9], radii, monkeypatch)
+
+
+def test_stacked_2d_maximal_of_indicators_with_different_supports():
+    # each member's sweep reads its own band of rows
+    g = PIN_GRIDS_2D[1]
+    family = [f for _, f in function_family("indicators", g)]
+    corner = np.zeros(g.shape())
+    corner[-3:, -5:] = 2.0  # touches the last row and column
+    family.append(SampledFunction(g, corner))
+    assert len({tuple(np.flatnonzero(f.values.any(axis=1))) for f in family}) == len(family)
+    for centered in (True, False):
+        for m, f in zip(stacked_maximal(family, alpha=0.5, centered=centered), family):
+            assert np.array_equal(m.values, maximal(f, alpha=0.5, centered=centered).values)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(1, 1 / 16, 2.0), GridSpec(2, 1 / 8, 1.0)])
