@@ -8,6 +8,7 @@ byte-identical files (wall time lives only in the JSON summary).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -310,7 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--growth", default=None, help="growth function config for Morrey norms")
     q.add_argument("--lambda", dest="lam", type=float, default=None, help="lambda-flavored growth")
     q.add_argument("--weak", action="store_true", help="weak norm instead of strong")
-    q.set_defaults(func=_cmd_norm)
 
     q = sub.add_parser("operators", parents=[common], help="maximal / Riesz operators")
     q.add_argument("--input", required=True)
@@ -319,45 +319,50 @@ def _build_parser() -> argparse.ArgumentParser:
     flag = q.add_mutually_exclusive_group()
     flag.add_argument("--centered", dest="uncentered", action="store_false")
     flag.add_argument("--uncentered", dest="uncentered", action="store_true")
-    q.set_defaults(uncentered=False, func=_cmd_operators)
+    q.set_defaults(uncentered=False)
 
     q = sub.add_parser("check", parents=[common], help="boundedness condition checks")
     q.add_argument("--condition", required=True, choices=CONDITION_KINDS)
     q.add_argument("--setup", required=True, help="setup config (JSON or path)")
     q.add_argument("--range", default=None, help="t grid as tmin:tmax:per-octave")
     q.add_argument("--rmax-schedule", default=None, help="comma-separated R_max list")
-    q.set_defaults(func=_cmd_check)
 
     q = sub.add_parser("adams", parents=[common], help="empirical operator-norm experiment")
     q.add_argument("--setup", required=True)
     q.add_argument("--family", choices=("indicators", "power-decay", "random"), default="indicators")
     q.add_argument("--target", choices=("strong", "weak"), default="strong")
     q.add_argument("--operator", choices=("maximal", "riesz"), default="maximal")
-    q.set_defaults(func=_cmd_adams)
 
     q = sub.add_parser("probe", parents=[common], help="triviality probe")
     q.add_argument("--young", required=True)
     q.add_argument("--growth", default=None)
     q.add_argument("--lambda", dest="lam", type=float, default=None)
-    q.set_defaults(func=_cmd_probe)
 
     q = sub.add_parser("classify", parents=[common], help="Young growth classes")
     q.add_argument("--young", required=True)
     q.add_argument("--class", dest="growth_class", required=True,
                    choices=("delta2", "nabla2", "delta_prime"))
     q.add_argument("--range", default=None)
-    q.set_defaults(func=_cmd_classify)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call (argparse keeps no state between
+    parses, and rebuilding it took about as long as a small subcommand)."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one olab command; it may be called any number of times in one process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    commands = {"norm": _cmd_norm, "operators": _cmd_operators, "check": _cmd_check, "adams": _cmd_adams,
+                "probe": _cmd_probe, "classify": _cmd_classify}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except json.JSONDecodeError as exc:
         print(f"olab: config parse error: {exc}", file=sys.stderr)
         return 2

@@ -267,8 +267,8 @@ def _sweep(fs, g, coef, ms, widths, centered):
     the output rows r with r + dy in the band get a window.  Every other
     window is an exact 0 (the prefix of a row of zeros is constant), and
     x + 0 == x for the nonnegative partial sums, so the sums are those of
-    the whole grid, bit for bit; centered, the values are taken only at the
-    rows [r0 - m, r1 + m) that the band reaches, the others being 0.  D_w
+    the whole grid, bit for bit; the values are taken only at the rows
+    [r0 - m, r1 + m) that the band reaches, the others being 0.  D_w
     depends on w alone, so the most used half-widths (counted over every
     offset of every radius) get one table each over the band, as many as
     _TABLE_BYTES holds; the others are subtracted anew at each offset.
@@ -276,7 +276,9 @@ def _sweep(fs, g, coef, ms, widths, centered):
     the sums do not depend on the budget, bit for bit.  The uncentered value
     at x is the max of the centered values over the disk around x: per
     radius, the running max along the rows at the smallest distinct w,
-    widened to each larger w in turn (``_widen``), shifted per offset.
+    widened to each larger w in turn (``_widen``), shifted per offset.  Both
+    run over the rows the band reaches only: the other centered values are
+    0, and the max with 0 keeps every cell of ``best``, which is >= 0.
 
     Radius k can produce no value above u_k = coef_k * cellvol *
     (min(S, max f * N_k) + 4 * cells * eps * S) * (1 + 8 eps): S is the
@@ -288,8 +290,8 @@ def _sweep(fs, g, coef, ms, widths, centered):
     u_k is at most the least cell of ``best``: neither it nor any later
     radius can raise a cell, so the result is the sweep over every radius,
     bit for bit.  The half-widths, their order of use and (uncentered) the
-    row slices of the offsets of each distinct half-width are laid out once
-    for the family, the row slices of the band once per function.
+    offsets of each distinct half-width are laid out once for the family,
+    the row slices of the band once per function.
     """
     n_cells = g.cells_per_axis
     counts = 2 * ms + 1
@@ -299,15 +301,12 @@ def _sweep(fs, g, coef, ms, widths, centered):
     by_use = [w for w in np.argsort(-uses, kind="stable").tolist() if uses[w]]
     top = int(ms.max(initial=0))
     m, halves = ms.tolist(), [half.tolist() for half in np.split(widths, first[1:])]
-    groups = []  # per radius, its distinct half-widths ascending, each with the rows of its offsets
+    groups = []  # per radius, its distinct half-widths ascending, each with its offsets
     if not centered:
-        # output rows r and source rows r + dy of each offset dy, both inside the grid
-        rows = [(slice(max(-dy, 0), n_cells - max(dy, 0)), slice(max(dy, 0), n_cells + min(dy, 0)))
-                for dy in range(-top, top + 1)]
         for k, half in enumerate(halves):
             by_width = {}
-            for pair, w in zip(rows[top - m[k] : top + m[k] + 1], half):
-                by_width.setdefault(w, []).append(pair)
+            for dy, w in zip(range(-m[k], m[k] + 1), half):
+                by_width.setdefault(w, []).append(dy)
             groups.append(sorted(by_width.items()))
     for f in fs:
         filled = np.flatnonzero(f.values.any(axis=1))
@@ -333,7 +332,8 @@ def _sweep(fs, g, coef, ms, widths, centered):
             if bound[k] <= best.min():
                 break
             swept += 1
-            near = slice(max(r0 - m[k], 0), r1 + m[k]) if centered else slice(None)  # rows the band reaches
+            a, b = max(r0 - m[k], 0), min(r1 + m[k], n_cells)  # the rows the band reaches
+            near = slice(a, b)
             sums[near] = 0.0
             for pair, w in zip(band[top - m[k] : top + m[k] + 1], halves[k]):
                 if pair:
@@ -344,10 +344,13 @@ def _sweep(fs, g, coef, ms, widths, centered):
                 np.maximum(best[near], vals, out=best[near])
                 continue
             run, w_run = vals, 0
-            for w, pairs in groups[k]:
+            for w, dys in groups[k]:
                 run, w_run = _widen(run, w_run, w), w
-                for dst, src in pairs:
-                    np.maximum(best[dst], run[src], out=best[dst])
+                for dy in dys:  # the output rows r whose source rows r + dy lie in [a, b)
+                    lo, hi = max(a, dy), min(b, n_cells + dy)
+                    if lo < hi:
+                        dst = best[lo - dy : hi - dy]
+                        np.maximum(dst, run[lo - a : hi - a], out=dst)
         yield best, swept
 
 

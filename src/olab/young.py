@@ -75,18 +75,30 @@ class YoungFunction:
 
 
 def _bisect_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
-    """Vectorized bisection for inf{r : phi(r) > s} on strictly increasing phi.  Every point it evaluates is
-    >= 0 by construction, so it calls ``phi._eval`` without the domain check of ``phi(...)``."""
+    """inf{r : phi(r) > s} on strictly increasing phi, bit for bit as the vectorized bisection
+    ``_bisection`` finds it.  Every point it evaluates is >= 0 by construction, so it calls ``phi._eval``
+    without the domain check of ``phi(...)``.
+
+    The bisection's step count is batch-wide (the first n at which every interval is at most
+    _INVERSE_ABS_TOL wide), so an element's bits depend on its batch: ``PowerLogYoung(2, 1).inverse(3.7)``
+    is 1.5914540134740491 alone and 1.5914540134742832 next to 1e9.
+    """
     s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
+    with np.errstate(all="ignore"):  # the ladder's extremes may overflow or underflow phi
+        vals = phi._eval(_LADDER)
     inf_mask = np.isinf(s)
-    out[inf_mask] = np.inf
-    zero_mask = ~inf_mask & (phi._eval(np.zeros(1))[0] > s)
-    out[zero_mask] = 0.0
-    todo = ~inf_mask & ~zero_mask
-    if not np.any(todo):
-        return out
-    sv = s[todo]
+    done = inf_mask | (vals[0] > s)  # the inverse is inf, or 0 where phi(0) > s
+    if not done.any():
+        return _verified_bisection(phi, s.ravel(), vals).reshape(s.shape)
+    out = np.where(inf_mask, np.inf, 0.0)
+    if not done.all():
+        out[~done] = _verified_bisection(phi, s[~done], vals)
+    return out
+
+
+def _bisection(phi: YoungFunction, sv: np.ndarray) -> np.ndarray:
+    """Double hi from 1 while phi(hi) <= s, then halve [0, hi] (phi(lo) <= s < phi(hi)) until every
+    interval is at most _INVERSE_ABS_TOL wide, at most 200 times each; the midpoints of the last ones."""
     hi = np.ones_like(sv)
     for _ in range(200):
         grow = phi._eval(hi) <= sv
@@ -94,7 +106,6 @@ def _bisect_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
             break
         hi[grow] *= 2.0
     lo = np.zeros_like(sv)
-    # invariant: phi(lo) <= s < phi(hi)
     for _ in range(200):
         if np.all(hi - lo <= _INVERSE_ABS_TOL):
             break
@@ -102,8 +113,89 @@ def _bisect_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
         below = phi._eval(mid) <= sv
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    out[todo] = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def _bisection_steps(width: float) -> int:
+    """Halvings ``_bisection`` makes from [0, width], width a power of two: the first n with width 2^-n <=
+    _INVERSE_ABS_TOL, at most 200."""
+    n = 0
+    while n < 200 and width > _INVERSE_ABS_TOL:
+        width, n = 0.5 * width, n + 1
+    return n
+
+
+# A bisection from [0, 2^k] computes every midpoint exactly while it makes at most 52 halvings (each is an
+# odd multiple of hi 2^-n below 2^(k+1)), i.e. for k <= 12.  0 and the powers of two 2^-52 .. 2^12 are the
+# ladder on which ``_bisect_inverse`` finds phi(0) and ``_verified_bisection`` each hi and each crossing's
+# bracket; _ONE is the index of 2^0.
+_EXACT_STEPS = np.finfo(float).nmant
+_LADDER_EXP = np.arange(-_EXACT_STEPS - 1.0, _EXACT_STEPS - _bisection_steps(1.0) + 1.0)
+_LADDER_EXP[0] = -np.inf
+_LADDER = np.exp2(_LADDER_EXP)
+_ONE = _EXACT_STEPS + 1
+_LADDER_STEPS = [_bisection_steps(hi) for hi in _LADDER.tolist()]
+_HALVES = np.exp2(-np.arange(_EXACT_STEPS + 1.0))  # 2^-n for n = 0 .. 52
+
+
+def _verified_bisection(phi: YoungFunction, sv: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``_bisection(phi, sv)``, bit for bit, from one evaluation of phi over the midpoints it would visit;
+    phi(0) <= s < inf, and ``vals`` is phi over the ladder.
+
+    The ladder gives each element its hi = 2^k, the first power of two from 1 on above s, as the doubling
+    does (the ladder must be nondecreasing and reach past every s; else ``_bisection`` runs as it is),
+    and so the batch's halving count N.  Within the exact regime (hi <= 2^12) the interval after n
+    halvings is [lo_n, lo_n + d_n], d_n = hi 2^-n, with lo_n a multiple of d_n, so the final interval
+    fixes the whole path: for a guess x of the crossing, lo_n = floor(x / d_n) d_n, and step n compares
+    phi at mid_n = lo_(n-1) + d_n, going up exactly where x >= mid_n.  One evaluation of phi over the
+    N midpoints of every element checks each guessed comparison; an element whose N comparisons all
+    hold gets the midpoint lo_N + d_N / 2 of its guessed final interval, the bisection's value.  An element
+    with a wrong comparison is bisected on from the interval that its first wrong midpoint leaves, for the
+    halvings that remain of its N.
+    """
+    c = np.searchsorted(vals, sv, side="right")  # ladder nodes with phi <= s, 0 among them
+    top = max(int(c.max()), _ONE)  # the ladder index of the batch's largest hi
+    if top == len(_LADDER) or not np.all(vals[1:] >= vals[:-1]):
+        return _bisection(phi, sv)
+    hi = _LADDER[np.maximum(c, _ONE)]
+    n = _LADDER_STEPS[top]
+    d = hi[:, None] * _HALVES[: n + 1]  # d[:, n] = hi 2^-n
+    x = np.minimum(np.fmax(_crossing_guess(phi, sv, c, vals), 0.0), hi - d[:, -1])  # a nan guess is 0
+    mids = x[:, None] / d[:, :-1]
+    np.floor(mids, out=mids)
+    mids += 0.5
+    mids *= d[:, :-1]  # mids[:, n - 1] = mid_n = (floor(x / d_(n-1)) + 1/2) d_(n-1)
+    below = phi._eval(mids.ravel()).reshape(mids.shape) <= sv[:, None]
+    wrong = below != (mids <= x[:, None])
+    out = (np.floor(x / d[:, -1]) + 0.5) * d[:, -1]
+    if not wrong.any():
+        return out
+    bad = np.flatnonzero(wrong.any(axis=1))
+    j = wrong[bad].argmax(axis=1)  # step j + 1 compares wrong
+    mid, width = mids[bad, j], d[bad, j + 1]
+    lo = np.where(below[bad, j], mid, mid - width)
+    hi, s, rest = lo + width, sv[bad], n - 1 - j
+    for step in range(int(rest.max())):
+        mid = 0.5 * (lo + hi)
+        up = phi._eval(mid) <= s
+        lo, hi = np.where(up & (step < rest), mid, lo), np.where(~up & (step < rest), mid, hi)
+    out[bad] = 0.5 * (lo + hi)
     return out
+
+
+def _crossing_guess(phi: YoungFunction, sv: np.ndarray, c: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Approximate crossings phi(x) = s, which only steer ``_verified_bisection``: log2 phi interpolated
+    linearly in log2 x between the ladder nodes around s (exact for a power), then three Newton steps in x
+    whose derivative is a forward difference over x 2^-26, the square root of the float spacing."""
+    with np.errstate(all="ignore"):
+        lv = np.log2(vals)
+        lo, up = lv[c - 1], lv[c]
+        x = np.exp2(_LADDER_EXP[c] - (up - np.log2(sv)) / (up - lo))
+        for _ in range(3):
+            xx = np.multiply.outer(x, (1.0, 1.0 + 2.0**-26))
+            p = phi._eval(xx)
+            x = x - (p[:, 0] - sv) * (xx[:, 1] - x) / (p[:, 1] - p[:, 0])
+    return x
 
 
 class PowerYoung(YoungFunction):

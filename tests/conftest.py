@@ -109,6 +109,39 @@ def sweep_maximal_2d(f, alphas, radii=None):
     return out
 
 
+def bisection_inverse(phi, s):
+    """Reference generalized inverse inf{r : phi(r) > s} of a strictly increasing phi: the vectorized bisection
+    that ``young._bisect_inverse`` reproduces.  hi doubles from 1 while phi(hi) <= s; then [0, hi] halves until
+    every interval of the batch is at most 1e-12 wide (at most 200 times), and each element gets the midpoint
+    of its last interval, so an element's bits depend on its batch."""
+    s = np.asarray(s, dtype=float)
+    out = np.empty_like(s)
+    inf_mask = np.isinf(s)
+    out[inf_mask] = np.inf
+    zero_mask = ~inf_mask & (phi._eval(np.zeros(1))[0] > s)
+    out[zero_mask] = 0.0
+    todo = ~inf_mask & ~zero_mask
+    if not np.any(todo):
+        return out
+    sv = s[todo]
+    hi = np.ones_like(sv)
+    for _ in range(200):
+        grow = phi._eval(hi) <= sv
+        if not np.any(grow):
+            break
+        hi[grow] *= 2.0
+    lo = np.zeros_like(sv)
+    for _ in range(200):
+        if np.all(hi - lo <= 1e-12):
+            break
+        mid = 0.5 * (lo + hi)
+        below = phi._eval(mid) <= sv
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out[todo] = 0.5 * (lo + hi)
+    return out
+
+
 def direct_riesz_2d(f, alpha):
     """Reference 2-D Riesz potential: direct convolve2d with the same kernel and self-cell."""
     g = f.grid

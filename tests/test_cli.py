@@ -445,11 +445,12 @@ print(json.dumps(seen))
 """
 
 
-def _fresh_python(code):
-    """Last stdout line of a fresh interpreter that runs ``code`` with this olab on its path, as JSON."""
+def _fresh_python(code, *args):
+    """Last stdout line of a fresh interpreter that runs ``code`` (``args`` in its sys.argv[1:]) with this olab on
+    its path, as JSON."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(olab.__file__)),
                                                         os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -514,3 +515,58 @@ def test_delta_prime_past_its_pair_bound_is_status_3():
     code, err = _fresh_python(_CAPPED_DELTA_PRIME)
     assert code == 3
     assert "pairs" in err
+
+
+_REUSE_PROBE = """
+import contextlib, io, json, os, sys
+import olab.cli
+
+calls, out_dir = json.loads(sys.argv[1]), sys.argv[2]
+build = olab.cli._build_parser
+builds = []
+olab.cli._build_parser = lambda: builds.append(1) or build()
+
+def outputs(path):  # the CSV text and the summary without its wall time; None for a file not written
+    summary = os.path.splitext(path)[0] + ".json"
+    csv = open(path).read() if os.path.exists(path) else None
+    meta = json.load(open(summary)) if os.path.exists(summary) else None
+    if meta is not None:
+        del meta["wall_time_s"]
+    return csv, meta
+
+seen = []
+for i, argv in enumerate(calls):
+    path = os.path.join(out_dir, f"{i}.csv")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = olab.cli.main([*argv, "--out", path])
+    seen.append([code, *outputs(path)])
+olab.cli._cmd_norm = lambda args: 7  # patched after the first call: main dispatches at call time
+patched = olab.cli.main(["norm", "--input", "{}", "--young", "{}"])
+print(json.dumps({"calls": seen, "builds": len(builds), "patched": patched}))
+"""
+
+
+def test_main_reuses_one_parser_per_process(tmp_path):
+    # each call in a process that ran others writes what it writes first in a fresh process; the parser is
+    # built once, and a subcommand patched after the first call is the one that runs
+    small = ["--grid-h", "0.125", "--grid-extent", "2"]
+    disk = '{"type":"ball_indicator","center":[0,0],"radius":0.5}'
+    calls = [
+        ["norm", "--input", BALL, "--young", '{"kind":"power_log","p":2,"a":1}', "--lambda", "0.5", "--weak", *small],
+        ["norm", "--input", BALL, "--young", '{"kind":"power_log","p":2,"a":1}', "--lambda", "0.5", *small],
+        ["operators", "--grid-n", "2", "--alpha", "0.5", "--input", disk, "--uncentered", *small],
+        ["operators", "--grid-n", "2", "--alpha", "0.5", "--input", disk, *small],
+        ["operators", "--alpha", "0.5", "--input", BALL, "--no-such-flag", *small],
+        ["operators", "--operator", "riesz", "--alpha", "0.5", "--input", BALL, *small],
+    ]
+
+    def probe(argvs, name):
+        (tmp_path / name).mkdir()
+        return _fresh_python(_REUSE_PROBE, json.dumps(argvs), str(tmp_path / name))
+
+    together = probe(calls, "together")
+    assert together["builds"] == 1 and together["patched"] == 7
+    assert [code for code, _, _ in together["calls"]] == [0, 0, 0, 0, 2, 0]
+    assert together["calls"][4][1:] == [None, None]
+    for i, argv in enumerate(calls):
+        assert together["calls"][i] == probe([argv], f"alone{i}")["calls"][0], argv

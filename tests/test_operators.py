@@ -667,6 +667,21 @@ def test_2d_row_band_property(monkeypatch, seed, grid, kind):
     check_maximal_2d_matches_sweep(f, [0.0, 0.5, 1.9], radii, monkeypatch)
 
 
+@pytest.mark.parametrize("kind", range(8))
+def test_2d_uncentered_sweep_over_the_band_reach(kind):
+    # uncentered, the running maxima widen only the rows [r0 - m, r1 + m) that the band reaches: supports touching
+    # each edge, two rows apart, one row, one cell and the zero function, at the default radii on 8x8 cells and at
+    # radii whose reach passes both edges of the grid on 16x16
+    rng = np.random.default_rng(kind)
+    for grid in PIN_GRIDS_2D[:2]:
+        f = banded_2d(grid, rng, kind)
+        radii = None
+        if grid.cells_per_axis != 8:
+            radii = rng.permutation(np.append(rng.uniform(0.1 * grid.h, 3 * grid.extent, 8), 4 * grid.extent))
+        for alpha, (_, uncentered) in sweep_maximal_2d(f, [0.0, 0.5, 1.9], radii).items():
+            assert np.array_equal(maximal(f, alpha=alpha, centered=False, radii=radii).values, uncentered)
+
+
 def test_stacked_2d_maximal_of_indicators_with_different_supports():
     # each member's sweep reads its own band of rows
     g = PIN_GRIDS_2D[1]

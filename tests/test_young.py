@@ -17,6 +17,8 @@ from olab import (
 )
 from olab.errors import ConfigError
 
+from conftest import bisection_inverse
+
 FINITE_KINDS = [
     PowerYoung(1.5),
     PowerYoung(2),
@@ -53,6 +55,38 @@ def test_inverse_examples():
 def test_inverse_at_infinity():
     for phi in FINITE_KINDS + [LinearCappedYoung()]:
         assert phi.inverse(np.inf) == np.inf
+
+
+BISECTED_KINDS = [PowerLogYoung(2, 1), PowerLogYoung(1, 0), PowerLogYoung(1, 3), PowerLogYoung(3, 2.5),
+                  PowerLogYoung(1.5, 5), PowerLogYoung(7, 3)]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(BISECTED_KINDS + [None]),
+       st.integers(min_value=1, max_value=80))
+@settings(max_examples=200, deadline=None)
+def test_bisected_inverse_is_the_reference_loop_bit_for_bit(seed, phi, size):
+    # batches of s in [1e-12, 1e6] (past 2^12 the bisection runs as it is) with 0, inf and tiny values mixed
+    # in; None stands for a composed kind over power_log, which inverts through its base
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** rng.uniform(-12, 6 if seed % 4 == 0 else 3.5, size)
+    s[rng.random(size) < 0.1] = 0.0
+    s[rng.random(size) < 0.05] = np.inf
+    s[rng.random(size) < 0.05] = 10.0 ** rng.uniform(-300, -12)
+    if phi is None:
+        psi = ComposedPowerYoung(PowerLogYoung(2, 1), 0.5)
+        assert np.array_equal(psi.inverse(s), bisection_inverse(psi.base, s) ** 0.5)
+    else:
+        assert np.array_equal(phi.inverse(s), bisection_inverse(phi, s))
+
+
+def test_bisected_inverse_keeps_its_batch_wide_step_count():
+    # 1e9 needs hi = 2^15, and so more halvings for every element of its batch
+    phi = PowerLogYoung(2, 1)
+    assert phi.inverse(3.7) == 1.5914540134740491
+    assert phi.inverse(np.array([3.7, 1e9]))[0] == 1.5914540134742832
+    for s in ([3.7], [3.7, 1e9], np.geomspace(1e-12, 3e3, 64), [0.0, 1e-300, 5.0, np.inf],
+              np.geomspace(1e-3, 1e3, 12).reshape(3, 4)):
+        assert np.array_equal(phi.inverse(np.asarray(s)), bisection_inverse(phi, np.asarray(s)))
 
 
 def test_compose_power():
