@@ -1,74 +1,45 @@
 """Orlicz (Luxemburg) and weak Orlicz norms on balls; Orlicz-Morrey suprema.
 
-The Luxemburg norm is the gauge inf{lam > 0 : integral phi(|f|/lam) <= 1};
-the weak variant replaces the integral by sup_t phi(t/lam) d_f(t) with d_f
-the distribution function.  Generalized Orlicz-Morrey norms are suprema of
-phi_inv(|B|^{-1}) * ||f||_{L^Phi(B)} / varphi(r) over a sampled family of
-balls; the attaining ball is returned as a witness.
+The Luxemburg norm is the gauge inf{lam > 0 : integral phi(|f|/lam) <= 1}; the weak variant replaces the
+integral by sup_t phi(t/lam) d_f(t) with d_f the distribution function.  Generalized Orlicz-Morrey norms are
+suprema of phi_inv(|B|^{-1}) * ||f||_{L^Phi(B)} / varphi(r) over a sampled family of balls; the attaining ball
+is returned as a witness.
 
-Ball gauges take one of two paths.  Power kinds scale * t**p have closed
-forms, unless f**p or its sum overflows: the strong gauge, on 1-D and 2-D
-grids, is (scale * cellvol * S) ** (1 / p) with S the ball's ``ball_sums``
-of f**p over its row windows, exact up to the rounding of that sum and root
-(the root-find's per-ball bisection ends up to 1e-9 relative above it).  On
-1-D grids the weak gauge is g = max_k v_(k)**p * cellvol * k over each
-ball's sorted window, v_(k) its k-th largest value.  For a fixed center g is
-nondecreasing in the radius bit for bit (the windows are nested, so each
-v_(k) can only grow, and rounding is monotone in each factor).  So each
-center is bisected over its sorted radii: a run between two equal exact
-values holds that value throughout, and a run is skipped when the gauge of
-its upper end times the run's largest prefactor, times (1 + 1e-12) for the
-rounding of the p-th root, falls below the best exact entry: none of its
-entries can win or tie.  Skipped entries read 0; with no prefactor none is
-skipped.  A run up to the last radius that is neither, over which the
-prefactor does not rise (a flat lambda = 0 prefactor ties every center's
-largest balls, so nothing is skipped there), is certified from one level
-count: with v* the value of a term attaining g at the last radius and
-N(j) = #{x in B_j : v**p >= v*}, nondecreasing in j, every j with
-N(j) = N(last) has g(j) >= fl(v* * cellvol * N) = g(last) >= g(j).  The run
-from the first such j0 on takes g(last) unsorted, and the radius j0 - 1 is
-evaluated next, in place of the middle, so that the skip rule can prune the
-rest.  Every other case finds, per column block (a radius, and for the weak
-gauge a chunk of centers), one root lam* = min{lam : max_c U_c(lam) <= 1} of
-bounds U_c >= F_c of the balls' constraints, which fall in lam.  One batched
-Illinois iteration finds the roots of all blocks: each keeps its own bracket
-and halving, and each step evaluates the unfinished blocks at once.  Strong:
-U_c is ``sampled.ball_sums`` of phi(f/lam) plus its rounding bound, the
-columns of a chunk stacked in one table; a block's root does not depend on
-its chunk.  Weak: levels s_0 < ... < s_L over f's positive values, t_i the
-largest value of the bin [s_i, s_(i+1)), N_i(c) = #{x in B_c : f(x) >= s_i}
-and U_c(lam) = max_i phi(t_i/lam) * cellvol * N_i(c): a ball's k-th largest
-value v lies in some bin i, with k <= N_i(c) and phi(v/lam) <= phi(t_i/lam).
-Its maximum over a block is max_i phi(t_i/lam) * cellvol * max_c N_i(c), one
-row of counts per block.  With a level at every distinct value U_c is term
-for term the bound on windows sorted once (the very products of
-``_weak_gauge``), and so are the roots.  Binned levels (more distinct values
-than the level budget) give roots above those, which only order the blocks:
-a block taken in their order finds the root of its sorted windows, and the
-margin test below waits until that root tops the rest.  The values stay those of
-the per-ball bisections (``_lux_gauge``, ``_weak_gauge``, tolerance 1e-9):
-where U_c(lam) <= 1 that bisection ends below lam (1 + 2e-9), bracket ends
-permitting (checked).  So a ball with U_c(mu) <= 1, mu = lam* (1 - 1e-7),
-stays below mu (1 + 2e-9); the others are re-bisected (once per set of
-positive cells and per positive content), and if one reaches mu (1 + 3e-9)
-it strictly tops every skipped ball, else the whole column is re-bisected.
-A column stays below lam* (1 + 2e-9), so columns are taken by decreasing
-lam* * prefactor until that times (1 + 4e-9) falls below the best exact
-entry: no later entry can win or tie (a phi that rounds a few ulps out of
-order moves a binned root by far less).  Skipped entries read 0.  Balls over
-an infinite cell of f have gauge inf; the rest are those of f with its
-infinite cells zeroed, and need no work once one inf entry decides the sup.
-Gauge brackets keep their lower end at or above the least positive float.
+Power kinds scale * t**p take closed forms unless f**p or its sum overflows: the strong gauge
+(scale * cellvol * S) ** (1 / p), S the ``ball_sums`` of f**p, and on 1-D grids the weak gauge
+max_k v_(k)**p * cellvol * k, v_(k) the ball's k-th largest value, bisected over each center's nested radii
+(``_weak_power_sups``).
 
-``stacked_morrey_norms`` takes a family on one grid: the radii, the strided
-centers, the prefactor and the windows of their balls are made once, and
-each function adds its own centroid; ``generalized_orlicz_morrey_norm`` is
-its stack of one.
+Every other weak gauge is bisected where its closed form ranks it near the sup.  As phi(u) <= s exactly when
+u <= phi_inv(s), the least lam with max_k phi(v_(k)/lam) * k * cellvol <= 1 is g = max_k v_(k) * W[k], with
+W[k] = 1 / phi_inv(1 / (k * cellvol)) nondecreasing.  With each phi_inv checked against phi to 1e-9, convexity
+puts the bisection ``_weak_gauge`` (width 1e-9) within the factor s = 1 + 4e-9 of g either way, bracket ends
+permitting (checked).  Levels s_0 < ... < s_L over f's positive values, t_i the largest value of the bin
+[s_i, s_(i+1)) and N_i(c) = #{x in B_c : f(x) >= s_i} give max_i s_i * W[N_i(c)] <= g <= max_i t_i * W[N_i(c)],
+both g where every distinct value is a level.  Past the level budget, 1-D balls take ``_weak_power_sups`` with
+W for cellvol * k, and the 2-D balls whose upper bound times s**2 reaches the largest lower bound (times the
+prefactor) take g over their sorted windows.  Those whose g * prefactor times s**2 reaches the sup (each
+column's, with no prefactor) are bisected; the rest lie strictly below it and read 0.
+
+Other strong gauges take a column root-find: a batched Illinois iteration finds per radius
+lam* = min{lam : max_c U_c(lam) <= 1}, U_c >= F_c the ball sums of phi(f/lam) plus their rounding bound.  Where
+U_c(lam) <= 1 the bisection ``_lux_gauge`` ends below lam (1 + 2e-9), bracket ends permitting (checked).  So
+balls with U_c(mu) > 1, mu = lam* (1 - 1e-7), are bisected, and unless one reaches mu (1 + 3e-9), strictly
+above the rest, the whole column is; columns go by decreasing lam* * prefactor until that times (1 + 4e-9)
+falls below the best exact entry.
+
+A ball's bisection (``_gauge_bisect``) runs once per positive content, replayed from a guess of its root (g, or
+lam*).  Balls over an infinite cell of f have gauge inf; the rest are those of f with its infinite cells
+zeroed, and need no work once one inf entry decides the sup.  Gauge brackets keep their lower end at or above
+the least positive float.
+
+``stacked_morrey_norms`` takes a family on one grid: the radii, the strided centers, the prefactor and the
+windows of their balls are made once, and each function adds its own centroid;
+``generalized_orlicz_morrey_norm`` is its stack of one.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -78,7 +49,7 @@ from .errors import ConfigError
 from .growth import GrowthFunction
 from .report import ConditionReport, checked_schedule, combine_legs, node_max, track
 from .sampled import (Ball, GridSpec, SampledFunction, ball_measure, ball_windows, common_grid, default_grid,
-                      distinct, level_counts, row_prefix, row_table, sample_function, stacked_ball_sums,
+                      distinct, level_counts, row_band, row_prefix, row_table, sample_function, stacked_ball_sums,
                       stacked_ball_windows, window_key, window_values)
 from .young import ComposedPowerYoung, PowerYoung, YoungFunction
 
@@ -102,7 +73,12 @@ _BRACKET_LO, _BRACKET_HI = 1e-12, 1e12
 # Relative margin below a column's root within which balls are re-bisected.
 _MARGIN = 1e-7
 _FLOAT_TINY, _FLOAT_MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
-_FLOAT_MIN, _EPS = float(np.nextafter(0.0, 1.0)), float(np.finfo(float).eps)  # least positive float
+_FLOAT_MIN = float(np.nextafter(0.0, 1.0))  # least positive float
+# The relative accuracy to which the weak closed form checks phi's generalized inverses; the factor within which
+# it brackets the bisected weak gauge (that check, the bisection's width NORM_REL_TOL, rounding); and the least
+# sup of closed form * prefactor, over the largest prefactor, from which it prunes (subnormals stay far below).
+_INVERSE_CHECK, _SLACK = 1e-9, 1 + 4e-9
+_KEY_FLOOR = 2.0**-900
 
 
 @dataclass
@@ -142,23 +118,40 @@ def _bracket(maxv: float) -> tuple[float, float]:
     return max(_BRACKET_LO * maxv, _FLOAT_MIN), min(_BRACKET_HI * maxv + 1e-300, _FLOAT_MAX)
 
 
-def _gauge_bisect(constraint, maxv: float) -> float:
-    """Smallest lam with constraint(lam) <= 1, by bisection in log space."""
+def _midpoint(lo: float, hi: float) -> float:
+    """The log-space midpoint sqrt(lo * hi) of a gauge bracket."""
+    mid = lo * hi  # floats: past the range it reads inf or a subnormal, with no warning
+    # two roots only where lo * hi overflows or loses bits, so every other gauge keeps its bits
+    return math.sqrt(mid) if _FLOAT_TINY <= mid <= _FLOAT_MAX else math.sqrt(lo) * math.sqrt(hi)
+
+
+def _gauge_bisect(constraint, maxv: float, guess: float | None = None, work: dict | None = None) -> float:
+    """Smallest lam with constraint(lam) <= 1, by bisection in log space; ``constraint`` maps an array of lams
+    to an array.  Given a ``guess`` of the root, constraint is first evaluated in one call at the bracket ends
+    and at every midpoint that the bisection visits if constraint(lam) <= 1 exactly where lam >= guess; the
+    bisection then reads its comparisons from that call and evaluates the midpoints it did not guess one at
+    a time: bit for bit the bisection without a guess.  ``work`` counts the bisections settled in one call
+    (``replayed``) and the midpoints evaluated after it (``replay_steps``)."""
     lo, hi = _bracket(maxv)
-    if constraint(hi) > 1.0:
-        return np.inf
-    if constraint(lo) <= 1.0:
-        return lo
-    for _ in range(120):
+    path, a, b = [hi, lo], lo, hi
+    while guess is not None and len(path) < 122 and b - a > NORM_REL_TOL * b:
+        path.append(mid := _midpoint(a, b))
+        a, b = (a, mid) if mid >= guess else (mid, b)
+    fits, steps = dict(zip(path, (constraint(np.array(path)) <= 1.0).tolist())), 0
+    if not fits[hi]:
+        hi = np.inf
+    elif fits[lo]:
+        hi = lo
+    for _ in range(120):  # an inf or lo result ends at once
         if hi - lo <= NORM_REL_TOL * hi:
             break
-        mid = lo * hi  # floats: past the range it reads inf or a subnormal, with no warning
-        # two roots only where lo * hi overflows or loses bits, so every other gauge keeps its bits
-        mid = math.sqrt(mid) if _FLOAT_TINY <= mid <= _FLOAT_MAX else math.sqrt(lo) * math.sqrt(hi)
-        if constraint(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
+        mid = _midpoint(lo, hi)
+        if mid not in fits:
+            fits[mid], steps = bool(constraint(np.array([mid]))[0] <= 1.0), steps + 1
+        lo, hi = (lo, mid) if fits[mid] else (mid, hi)
+    if work is not None and guess is not None:
+        work["replayed"] += steps == 0
+        work["replay_steps"] += steps
     return hi
 
 
@@ -196,7 +189,7 @@ def _illinois(evaluate, lo: float, hi: float, n: int) -> tuple[np.ndarray, int]:
     return roots, steps
 
 
-def _lux_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction) -> float:
+def _lux_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction, guess=None, work=None) -> float:
     pos = vals[vals > 0]
     if pos.size == 0:
         return 0.0
@@ -204,15 +197,15 @@ def _lux_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction) -> float:
     if np.isinf(maxv):
         return np.inf
 
-    def constraint(lam):
+    def constraint(lam):  # one row per lam
         with np.errstate(over="ignore"):
-            terms = phi(pos / lam)
-        return np.inf if np.any(np.isinf(terms)) else cellvol * float(terms.sum())
+            terms = phi(pos / lam[:, None])
+        return np.where(np.isinf(terms).any(axis=1), np.inf, cellvol * terms.sum(axis=1))
 
-    return _gauge_bisect(constraint, maxv)
+    return _gauge_bisect(constraint, maxv, guess, work)
 
 
-def _weak_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction) -> float:
+def _weak_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction, guess=None, work=None) -> float:
     pos = np.sort(vals[vals > 0])[::-1]
     if pos.size == 0:
         return 0.0
@@ -224,11 +217,11 @@ def _weak_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction) -> float:
     # of phi at t/lam adds nothing: the least value above t has rank |{f > t}|.
     meas = cellvol * np.arange(1, pos.size + 1)
 
-    def constraint(lam):
+    def constraint(lam):  # one row per lam
         with np.errstate(over="ignore"):
-            return float(np.max(phi(pos / lam) * meas))
+            return np.max(phi(pos / lam[:, None]) * meas, axis=1)
 
-    return _gauge_bisect(constraint, maxv)
+    return _gauge_bisect(constraint, maxv, guess, work)
 
 
 def luxemburg_norm(f: SampledFunction, phi: YoungFunction, ball: Ball | None = None) -> NormEvaluation:
@@ -302,8 +295,7 @@ class MorreySampling:
         return cs, len(shared)
 
 
-# Fewest centers whose windows the weak root-find sorts together; the work arrays are
-# _CENTER_CHUNK x (window width) floats.
+# Balls whose windows the weak 2-D closed form sorts together, in arrays of _CENTER_CHUNK x (window width).
 _CENTER_CHUNK = 32
 # Entries of one array of gathered ball windows: the weak 1-D power closed form, the weak level counts.
 _BATCH = 2**16
@@ -315,12 +307,12 @@ _SUM_BYTES = 2**16
 # into groups, each with its own batched root-find), and the row_prefix slots plus windows of the columns
 # that one step stacks into one table (one column on large grids, where a wider table falls out of cache).
 _WINDOW_BYTES, _STACK_SLOTS = 2**24, 2**15
-# The weak root-find's level count, at least 1, keeps levels x balls within _LEVEL_BALLS and levels x balls x
+# The weak closed form's level count, at least 1, keeps levels x balls within _LEVEL_BALLS and levels x balls x
 # rows (the row windows that its counts read) within _LEVEL_ROWS.  Provisional: set by single runs on 128x128
 # and 256x256 grids; no benchmarked op has more distinct positive values than the budget.
 _LEVEL_BALLS, _LEVEL_ROWS = 2**21, 2**28
 # Relative margin by which the bound on a skipped run of weak entries stays below the best exact
-# entry; it covers any p-th root that rounds out of order.
+# entry; it covers any p-th root that rounds out of order (the weak closed form adds its slack).
 _RUN_MARGIN = 1e-12
 # Relative rise of the prefactor over a run below the last radius up to which the weak power sups certify
 # the run's tie with the last radius; far above the few ulps by which a flat (lambda = 0) prefactor wobbles.
@@ -328,10 +320,10 @@ _FLAT_PREFACTOR = 1e-9
 
 
 def _weak_power_batch(table, rank_vol, start, stop, levels=False):
-    """max_k v_(k) * cellvol * k over the 1-D windows (start, stop] of ``table``, v_(k) the k-th largest; with
+    """max_k v_(k) * W[k] over the 1-D windows (start, stop] of ``table``, v_(k) the k-th largest; with
     ``levels`` the value v_(k) of one k that attains it (else zeros); and the number of windows sorted.
 
-    ``rank_vol[-k]`` holds cellvol * k.  Each distinct window is read anew: the cells after its end
+    ``rank_vol[-k]`` holds W[k], nondecreasing in k.  Each distinct window is read anew: the cells after its end
     are zeroed, and zeros sort first, are taken as ranks beyond the positive values and add 0 terms.
     Windows are batched by width, within a factor 2."""
     _, first, inverse = np.unique(start * len(table) + stop, return_index=True, return_inverse=True)
@@ -369,21 +361,22 @@ def _tie_starts(vp, start, stop, level):
     return np.argmax(counts == counts[:, -1:], axis=1)
 
 
-def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
-    """g = max_k v_(k)**p * cellvol * k over each 1-D ball of ``windows``, v_(k) the k-th largest, and the
-    counts of the work record: the windows sorted and the entries certified.
+def _weak_power_sups(vp, rank_vol, windows, to_gauge=None, prefactor=None, margin=_RUN_MARGIN):
+    """g = max_k v_(k) * W[k] over each 1-D ball of ``windows``, v_(k) the k-th largest of ``vp`` and W[k] =
+    ``rank_vol[-k]`` nondecreasing in k (cellvol * k for the values v**p of a power), and the counts of the work
+    record: entries evaluated, windows sorted and entries certified.
 
-    ``vp`` holds the per-cell values v**p, ``windows`` the (N, radii, 1) ``ball_windows`` of N centers at
-    nondecreasing radii, so g(c, j) is nondecreasing in j (module docstring).  All centers are bisected
-    over their radius indices together, a level at a time: the first and last radius are evaluated
-    exactly, and a run lo < j < hi between two exact entries takes g(c, lo) if g(c, lo) == g(c, hi),
-    else is split at its middle.  Given a ``prefactor`` per radius, a run is skipped (its entries read 0)
-    when to_gauge(g(c, hi)) * max(prefactor over the run) * (1 + _RUN_MARGIN) falls below the best
-    to_gauge(g) * prefactor of an exact entry.
+    ``windows`` are the (N, radii, 1) ``ball_windows`` of N centers at nondecreasing radii, nested, so each
+    v_(k) and with it g(c, j) is nondecreasing in j, bit for bit (rounding is monotone in each factor).  All
+    centers are bisected over their radius indices together: the first and last radius are evaluated, and a
+    run lo < j < hi between two exact entries takes g(c, lo) if g(c, lo) == g(c, hi), else is split at its
+    middle.  Given a ``prefactor`` per radius, a run is skipped (its entries read 0) when to_gauge(g(c, hi))
+    * max(prefactor over the run) * (1 + margin) falls below the best to_gauge(g) * prefactor of an exact
+    entry (to_gauge: the identity if None).
 
     Tied runs are certified: the last radius gives v*, the value of one term that attains g(c, last),
-    and N(c, j) = #{x in B(c, r_j) : v**p >= v*}, which never falls as j grows.  Where N(c, j) = N(c, last),
-    the N-th largest value is >= v*, so g(c, j) >= fl(v* * cellvol * N) = g(c, last) >= g(c, j): the run
+    and N(c, j) = #{x in B(c, r_j) : vp >= v*}, which never falls as j grows.  Where N(c, j) = N(c, last),
+    the N-th largest value is >= v*, so g(c, j) >= fl(v* * W[N]) = g(c, last) >= g(c, j): the run
     from the first such j0 to the last radius holds g(c, last) bit for bit, unsorted.  A run (lo, last)
     that is neither flat nor skipped takes the certificate where the prefactor does not rise over
     lo < j < last (by more than _FLAT_PREFACTOR, far above rounding; no prefactor is flat), and becomes
@@ -391,7 +384,7 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
     """
     table = row_table(vp)[0]
     start, stop = windows[0][..., 0], windows[1][..., 0]
-    rank_vol = cellvol * np.arange(len(vp), 0, -1)  # cellvol * rank, ranks counted from the end
+    to_gauge = to_gauge or (lambda sups: sups)
     out, certified = np.zeros(start.shape), 0
     last = start.shape[1] - 1
     ends = np.arange(len(start)).repeat(2), np.tile([0, last], len(start))
@@ -400,7 +393,7 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
     flat_to_last = np.maximum.accumulate(pref[last - 1 : 0 : -1])[::-1] <= pref[last] * (1 + _FLAT_PREFACTOR)
     certify = flat_to_last.any()  # else the bisection runs alone
     out[ends], tops, windows_sorted = _weak_power_batch(table, rank_vol, start[ends], stop[ends], certify)
-    tops = tops[1::2]  # v* of each center's last radius
+    tops, visited = tops[1::2], len(ends[0])  # v* of each center's last radius
     if prefactor is not None:
         # runs[k, a] = max(prefactor[a : a + 2**k]); a run a..b is two such blocks that overlap
         runs = np.full((int(last + 1).bit_length(), last + 1), np.nan)
@@ -428,7 +421,7 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
         if prefactor is not None:
             # exact entries only: a run's best is its largest prefactor times its one gauge
             best = np.nanmax(to_gauge(out[c, lo][flat]) * run_max(lo[flat] + 1, hi[flat] - 1), initial=best)
-            split &= ~(to_gauge(out[c, hi]) * run_max(lo + 1, hi - 1) * (1 + _RUN_MARGIN) < best)
+            split &= ~(to_gauge(out[c, hi]) * run_max(lo + 1, hi - 1) * (1 + margin) < best)
         c, lo, hi, mid = c[split], lo[split], hi[split], (lo[split] + hi[split]) // 2
         if certify and (tied := (hi == last) & flat_to_last[lo]).any():
             ct = c[tied]
@@ -438,51 +431,29 @@ def _weak_power_sups(vp, cellvol, windows, to_gauge=None, prefactor=None):
             hi[tied], mid[tied] = j0, j0 - 1
             c, lo, hi, mid = c[keep := mid > lo], lo[keep], hi[keep], mid[keep]
         out[c, mid], _, n = _weak_power_batch(table, rank_vol, start[c, mid], stop[c, mid])
-        windows_sorted += n
+        windows_sorted, visited = windows_sorted + n, visited + len(c)
         if prefactor is not None:
             best = np.nanmax(to_gauge(out[c, mid]) * prefactor[mid], initial=best)
         c, lo, hi = np.concatenate([c, c]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    return out, {"sorted_windows": windows_sorted, "certified": certified}
+    return out, {"visited": visited, "sorted_windows": windows_sorted, "certified": certified}
 
 
 def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
     """Ball Orlicz gauges per (function, center, radius) triple of a family on one grid, and each function's
     work record from the path that computed its gauges.
 
-    ``centers`` holds each function's centers, the first ``shared`` of them
-    common to every function (``MorreySampling.center_stack``); the windows
-    of those are made once.  Power kinds scale * t**p go through closed
-    forms while f**p and its sum stay finite.  The strong gauge, in 1-D and
-    2-D, is (scale * cellvol * sums) ** (1 / p), the sums of f**p over each
-    ball's row windows with the arithmetic of ``ball_sums``, read for every
-    such function from one stacked ``row_prefix`` table: the very gauges of
-    ``ball_sums`` taken ball by ball.  The windows of a block of centers and
-    radii are made once for every function, and each function's sums are
-    read in turn; a block's windows and one function's sums stay within
-    _SUM_BYTES (radii in groups, or one radius over chunks of centers).  On
-    1-D grids the weak gauge takes the order statistics
-    sup_k v_(k)**p * |{f >= v_(k)}| of each ball, bisected over the nested
-    windows of one center (``_weak_power_sups``).  That sup never falls as
-    the radius grows, bit for bit, so a run of radii between two equal
-    values takes that value, and given a prefactor a run whose upper gauge
-    times its largest prefactor, times 1 + 1e-12, stays below the best exact
-    entry reads 0.  A run up to the last radius over which the prefactor
-    does not rise takes the last value from the first radius whose ball
-    holds as many cells at or above the last ball's attaining level: an
-    exact level count certifies the tie without sorting, and the radius just
-    before it is evaluated next.
-    Else the column root-find gives the entries that can attain the sup of
-    gauge * prefactor (with no prefactor, each column's maximum); the rest
-    read 0.  Both skip only entries strictly below the sup, so the sup and
-    its witness are those of the whole matrix.  The weak closed form and the
-    root-find take the functions one by one; weak 2-D gauges, other kinds,
-    and samples with an infinite cell or whose f**p overflows take the
-    root-find.
+    ``centers`` holds each function's centers, the first ``shared`` of them common to every function
+    (``MorreySampling.center_stack``); their windows are made once.  Power kinds take the closed forms of
+    the module docstring while f**p and its sum stay finite: the strong gauges of every such function are
+    read from one stacked ``row_prefix`` table with the arithmetic of ``ball_sums``, in blocks of centers
+    and radii whose windows and sums stay within _SUM_BYTES, and the weak 1-D ones come from
+    ``_weak_power_sups``.  Other weak gauges take ``_weak_closed_gauges`` and other strong ones
+    ``_root_find_gauges``, a function at a time: they give the entries that can attain the sup of gauge *
+    prefactor (with no prefactor, each column's maximum), and the rest read 0, strictly below it.
 
-    The work record is one dict on every path: its ``path`` ("closed-form"
-    or "column-root-find") and the per-ball ``bisections``; the weak closed
-    form adds ``sorted_windows`` and ``certified``, the root-find the counts
-    of ``_work``.
+    The work record is one dict on every path: its ``path`` ("closed-form" or "column-root-find") and the
+    per-ball ``bisections``; the weak 1-D power form adds ``visited``, ``sorted_windows`` and ``certified``,
+    and the paths that bisect balls the counts of ``_work``.
     """
     grid = fs[0].grid
     cellvol = grid.cell_volume
@@ -510,7 +481,7 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
     out = np.zeros(centers.shape[:2] + radii.shape)
     for i, f in enumerate(fs):
         if i not in vps:  # the root-find divides by lam first
-            out[i], works[i] = _root_find_gauges(f, phi, centers[i], radii, weak, prefactor)
+            out[i], works[i] = _bisected_gauges(f, phi, centers[i], radii, weak, prefactor)
     if closed and not weak:
         # the sums of ``ball_sums`` over each ball's row windows (a 1-D ball has one row), function i's read from
         # grid i of one stacked ``row_prefix`` table, then (scale * cellvol * sums) ** (1 / p) in place
@@ -540,19 +511,20 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
                     out[i, at, part] = gauges(row, ball_windows(grid, centers[i, at], radii[part]))
     for row, i in enumerate(closed if weak else []):
         windows = tuple(np.concatenate([c, o[row]]) for c, o in zip(common, own))
-        sups, counts = _weak_power_sups(vps[i], cellvol, windows, to_gauge,
+        sups, counts = _weak_power_sups(vps[i], cellvol * np.arange(vps[i].size, 0, -1), windows, to_gauge,
                                         None if prefactor is None else prefactor[order])
         out[i] = to_gauge(sups[:, np.argsort(order)])
         works[i] |= counts
     return out, works
 
 
-def _work(**counts) -> dict:
-    """The root-find's work record: its path, the per-ball bisections, column blocks, blocks visited,
-    batched steps (evaluations of column bounds), and the weak bound's level count (None: strong) and
-    whether its levels bin the values."""
-    return {"path": "column-root-find", "bisections": 0, "blocks": 0, "visited": 0, "steps": 0, "levels": None,
-            "binned": False} | counts
+def _work(weak=False, **counts) -> dict:
+    """The work record of a path that bisects balls (``_gauge_bisect``): the weak closed form's level count, balls
+    whose closed form it read (``visited``), of them the windows sorted, and entries certified, or the strong
+    root-find's column blocks, blocks visited and batched steps; then the bisections and their replays."""
+    path = ({"path": "closed-form", "levels": 0, "visited": 0, "sorted_windows": 0, "certified": 0} if weak else
+            {"path": "column-root-find", "blocks": 0, "visited": 0, "steps": 0})
+    return path | {"bisections": 0, "replayed": 0, "replay_steps": 0} | counts
 
 
 def _strong_bound(f, phi, centers, radii):
@@ -577,14 +549,6 @@ def _strong_bound(f, phi, centers, radii):
     return bound
 
 
-def _sorted_bound(f, phi, windows):
-    """lam -> U_c(lam) >= F_c(lam), a row per lam, for the balls of ``windows``: the weak terms of each
-    window sorted once, the very products of ``_weak_gauge``, times 1 + 4 eps."""
-    (v := window_values(f.values, windows)).sort(axis=1)  # in place: a sorted copy costs page faults
-    v, meas = v[:, ::-1], f.grid.cell_volume * np.arange(1, v.shape[1] + 1)
-    return lambda lam: np.max(phi(v / lam.reshape(-1, 1, 1)) * meas, axis=2) * (1 + 4 * _EPS)
-
-
 def _levels(values, budget):
     """Levels s_0 < ... < s_L over the distinct positive values, and the largest value t_i of each bin
     [s_i, s_(i+1)): every distinct value (t = s) when at most ``budget``, else ``budget`` bins of about
@@ -596,106 +560,132 @@ def _levels(values, budget):
     return v[first], v[np.append(first[1:], len(v)) - 1]
 
 
-def _level_counts(f, levels, centers, radii, step):
-    """Per radius and chunk of ``step`` centers, the chunk's largest N_i(c) = #{x in B_c : f(x) >= s_i},
-    for each level s_i: (radii, chunks, levels), read through ``level_counts``."""
+def _weak_weights(phi, cellvol, npos, size):
+    """W[k] = 1 / phi_inv(1 / (k * cellvol)) for the ranks k = 1 .. npos, made nondecreasing, then W[npos] up to
+    rank ``size``, W[0] = 0; and whether it may prune (module docstring): each r = phi_inv(s) checks out as
+    phi(r (1 - _INVERSE_CHECK)) <= s < phi(r (1 + _INVERSE_CHECK)), and the bisection's brackets lie past the slack."""
+    s = 1.0 / (cellvol * np.arange(1, npos + 1))
+    r = phi.inverse(s)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        checked = np.all(phi(r * (1 - _INVERSE_CHECK)) <= s) and np.all(phi(r * (1 + _INVERSE_CHECK)) > s)
+        w = np.maximum.accumulate(1.0 / r)
+    return np.concatenate([[0.0], w, np.full(size - npos, w[-1])]), bool(
+        checked and w[0] >= 1e-12 * _SLACK and w[-1] * _SLACK < 1e11)
+
+
+def _level_gauges(f, levels, tops, weights, centers, radii):
+    """max_i t_i * W[N_i(c)] and max_i s_i * W[N_i(c)] per ball (centers, radii), N_i(c) = #{x in B_c : f(x) >=
+    s_i}, read through ``level_counts``: the closed form twice where every distinct value is a level (t = s),
+    else bounds on it from above and below."""
     rows, count = f.grid.cells_per_axis ** (f.grid.n - 1), level_counts(f.values, levels)
-    per = max(1, _BATCH // (len(levels) * len(centers) * rows))
-    out = []
-    for r in np.array_split(radii, -(-len(radii) // per)):  # ``per`` radii at a time
-        counts = count(ball_windows(f.grid, centers, r))  # (centers, radii, levels)
-        out.append(np.maximum.reduceat(counts, np.arange(0, len(centers), step), axis=0))
-    return np.concatenate(out, axis=1).transpose(1, 0, 2)
+    per, out = max(1, _BATCH // (len(levels) * len(centers) * rows)), np.empty((2, len(centers), len(radii)))
+    for k in range(0, len(radii), per):
+        w = weights[count(row_band(ball_windows(f.grid, centers, radii[k : k + per])))]  # (centers, radii, levels)
+        out[:, :, k : k + per] = np.max(tops * w, axis=-1), np.max(levels * w, axis=-1)
+    return out
 
 
-def _level_bound(phi, tops, meas, lam):
-    """U(lam) = max_i phi(t_i / lam) * meas_i, times 1 + 4 eps, per row of ``meas`` (rows, levels) at the
-    lam of its row (or one lam); meas_i = cellvol * N_i.  Terms of no cell read 0, even where phi is inf."""
-    terms = phi(tops / np.reshape(lam, (-1, 1))) * meas
-    return np.fmax.reduce(terms, axis=1, initial=0.0) * (1 + 4 * _EPS)
+def _sorted_gauges(values, weights, windows):
+    """max_k v_(k) * W[k] over each ball of ``windows``, its values gathered and sorted once."""
+    (v := window_values(values, windows)).sort(axis=1)  # in place: a sorted copy costs page faults
+    return np.max(v * weights[v.shape[1] : 0 : -1].copy(), axis=1)  # the padding zeros add 0 terms
 
 
-def _root_find_gauges(f, phi, centers, radii, weak, prefactor):
-    """The column root-find of the module docstring: (gauges, ``_work`` record)."""
+def _bisector(f, phi, gauge, centers, radii, out, work):
+    """exact(j, balls, guesses): ``gauge`` of each ball of column j into ``out``, its root guessed at its positive
+    finite entry of ``guesses``; balls over the same positive cells, or of equal content, share a bisection."""
+    cache, contents = {}, {}  # gauges by positive content, and contents by positive cells
+
+    def exact(j, balls, guesses):
+        start, stop = ball_windows(f.grid, centers[balls], radii[j])
+        cells = window_key(f.values > 0, (start, stop))
+        for k, guess in enumerate(np.broadcast_to(guesses, balls.shape).tolist()):
+            if (key := cells[k].tobytes()) not in contents:
+                vals = window_values(f.values, (start[k : k + 1], stop[k : k + 1]))[0]  # in ``ball_values`` order
+                if (content := contents.setdefault(key, vals[vals > 0].tobytes())) not in cache:
+                    cache[content] = gauge(vals, f.grid.cell_volume, phi, guess if 0 < guess < np.inf else None, work)
+            out[balls[k], j] = cache[contents[key]]
+        work["bisections"] = len(cache)
+        return out[balls, j]
+
+    return exact
+
+
+def _bisected_gauges(f, phi, centers, radii, weak, prefactor):
+    """``_weak_closed_gauges`` or ``_root_find_gauges`` of f, its infinite cells zeroed (module docstring)."""
     inf = np.isinf(f.values)
     if inf.any():  # balls over an infinite cell have gauge inf; zeroing those cells changes no other ball
         hit = np.stack([window_key(inf, ball_windows(f.grid, centers, r)).any(axis=1) for r in radii], axis=1)
-        out, work = (0.0, _work()) if prefactor is not None and hit.any() else _root_find_gauges(
+        out, work = (0.0, _work(weak)) if prefactor is not None and hit.any() else _bisected_gauges(
             SampledFunction(f.grid, np.where(inf, 0.0, f.values)), phi, centers, radii, weak, prefactor)
         return np.where(hit, np.inf, out), work
-    out, cache = np.zeros((len(centers), len(radii))), {}
-    cellvol, fmax, gauge = f.grid.cell_volume, f.values.max(), _weak_gauge if weak else _lux_gauge
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return (_weak_closed_gauges if weak else _root_find_gauges)(f, phi, centers, radii, prefactor)
+
+
+def _weak_closed_gauges(f, phi, centers, radii, prefactor):
+    """The weak closed form of the module docstring, bisected near the sup: (gauges, ``_work`` record)."""
+    grid, out, every_column = f.grid, np.zeros((len(centers), len(radii))), prefactor is None
+    balls, rows = out.size, grid.cells_per_axis ** (grid.n - 1)
+    levels, tops = _levels(f.values, max(1, min(_LEVEL_BALLS // balls, _LEVEL_ROWS // (balls * rows))))
+    work = _work(True, levels=len(levels))
+    if not len(levels):  # f = 0
+        return out, work
+    (weights, sane), slack = _weak_weights(phi, grid.cell_volume, np.count_nonzero(f.values), f.values.size), _SLACK
+    pref, g = np.ones(len(radii)) if every_column else prefactor, np.zeros(out.shape)
+    if sane and (grid.n == 2 or np.array_equal(levels, tops)):
+        g, lower = _level_gauges(f, levels, tops, weights, centers, radii)  # binned: bounds on each ball's
+    if not sane or np.array_equal(levels, tops):
+        work["visited"] = balls if sane else 0
+    elif grid.n == 1:
+        order = np.argsort(radii, kind="stable")
+        g, counts = _weak_power_sups(f.values, weights[:0:-1].copy(), ball_windows(grid, centers, radii[order]), None,
+                                     None if every_column else pref[order], slack**2 * (1 + _RUN_MARGIN) - 1)
+        g, work = g[:, np.argsort(order)], work | counts
+    else:  # 2-D: g over the sorted windows of the balls whose bound can reach the best lower bound
+        reach, g = ~(g * pref * slack**2 < np.max(lower * pref, axis=0 if every_column else None)), np.zeros(out.shape)
+        for j in np.flatnonzero(reach.any(axis=0)):
+            for cs in np.array_split(np.flatnonzero(reach[:, j]), -(-np.count_nonzero(reach[:, j]) // _CENTER_CHUNK)):
+                g[cs, j] = _sorted_gauges(f.values, weights, ball_windows(grid, centers[cs], radii[j]))
+        work["visited"] = work["sorted_windows"] = int(reach.sum())
+    # bisect the balls whose closed form lies within the slack of the sup (of each column's)
+    keys, exact = g * pref, _bisector(f, phi, _weak_gauge, centers, radii, out, work)
+    top = np.max(keys, axis=0 if every_column else None)
+    prune = sane & np.isfinite(top) & (top >= _KEY_FLOOR * pref.max())
+    candidate = ~(keys * slack**2 < top) | ~prune
+    for j in np.flatnonzero(candidate.any(axis=0)):
+        exact(j, np.flatnonzero(candidate[:, j]), g[candidate[:, j], j])
+    return out, work
+
+
+def _root_find_gauges(f, phi, centers, radii, prefactor):
+    """The strong column root-find of the module docstring: (gauges, ``_work`` record)."""
+    out, cellvol, fmax = np.zeros((len(centers), len(radii))), f.grid.cell_volume, f.values.max()
     if fmax == 0:
         return out, _work()
-    # weak: the centers whose windows are sorted together, 2**16 cells' worth or _CENTER_CHUNK
-    step = max(_CENTER_CHUNK, 2**16 // f.values.size) if weak else len(centers)
-    blocks = [(j, c0) for j in range(len(radii)) for c0 in range(0, len(centers), step)]
     lo, hi = _bracket(fmax)
-    work = _work(blocks=len(blocks))
-
-    def roots(evaluate, n):
-        found, steps = _illinois(evaluate, lo, hi, n)
+    work, stars = _work(blocks=len(radii)), []
+    balls, rows = out.size, f.grid.cells_per_axis ** (f.grid.n - 1)
+    for part in np.array_split(radii, -(-balls * rows * 16 // _WINDOW_BYTES)):  # windows within _WINDOW_BYTES
+        bound = _strong_bound(f, phi, centers, part)
+        found, steps = _illinois(lambda lam, live: bound(lam, live).max(axis=1), lo, hi, len(part))
+        stars.append(found)
         work["steps"] += steps
-        return found
-
-    def upper(j, c0):  # lam -> U_c(lam) >= F_c(lam), a row per lam, for the balls of one block
-        if weak:
-            return _sorted_bound(f, phi, ball_windows(f.grid, centers[c0 : c0 + step], radii[j]))
-        bound = _strong_bound(f, phi, centers, radii[j : j + 1])
-        return lambda lam: bound(lam, np.zeros(1, int))
-
-    def exact(j, balls):  # balls over the same positive cells, or of equal content, share one bisection
-        key = window_key(f.values > 0, ball_windows(f.grid, [centers[i] for i in balls], radii[j]))
-        _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        for i in balls[first]:
-            vals = f.ball_values(Ball(centers[i], float(radii[j])))
-            content = vals[vals > 0].tobytes()
-            out[i, j] = cache[content] = cache[content] if content in cache else gauge(vals, cellvol, phi)
-        out[balls, j] = out[balls[first], j][inverse.ravel()]
-        return out[balls, j]
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        balls, rows = len(centers) * len(radii), f.grid.cells_per_axis ** (f.grid.n - 1)
-        if weak:  # coarse roots of the level bound: they order the blocks and drive the break rule
-            levels, tops = _levels(f.values, max(1, min(_LEVEL_BALLS // balls, _LEVEL_ROWS // (balls * rows))))
-            meas = cellvol * _level_counts(f, levels, centers, radii, step).reshape(len(blocks), -1)
-            stars = roots(lambda lam, live: _level_bound(phi, tops, meas[live], lam), len(blocks))
-            work.update(levels=len(levels), binned=bool(np.any(levels != tops)))
-        else:  # the radii in groups whose windows take _WINDOW_BYTES (two int64 per row of a ball)
-            stars = []
-            for part in np.array_split(radii, -(-balls * rows * 16 // _WINDOW_BYTES)):
-                bound = _strong_bound(f, phi, centers, part)
-                stars.append(roots(lambda lam, live: bound(lam, live).max(axis=1), len(part)))
-            stars = np.concatenate(stars)
-        # no per-ball bisection can end at its upper bracket end, inf
-        sane, every_column = cellvol * f.values.size * phi(2 * _BRACKET_LO) < 0.5, prefactor is None
-        pref, best = np.ones(len(radii)) if every_column else prefactor, -np.inf
-        # blocks by decreasing root * prefactor: coarse roots in ``order`` (popped from its end), and in the
-        # heap ``tight`` visited blocks by their own root, with their balls whose bound tops 1 at mu
-        keys = stars * pref[[j for j, _ in blocks]]
-        order, tight = list(np.argsort(-keys, kind="stable")[::-1]), []
-        while order or tight:
-            if tight and (not order or -tight[0][0] >= keys[order[-1]]):
-                key, b, mu, over = heapq.heappop(tight)
-                j, c0 = blocks[b]
-                if sane and not every_column and -key * (1 + 4e-9) < best:
-                    break
-                brackets = sane and lo < mu  # no per-ball bracket end binds below mu
-                if not (brackets and np.any(exact(j, over) >= mu * (1 + 3e-9))):
-                    exact(j, c0 + np.arange(min(step, len(centers) - c0)))
-                best = max(best, out[c0 : c0 + step, j].max() * pref[j])
-                continue
-            b = order.pop()
-            j, c0 = blocks[b]
-            if sane and not every_column and keys[b] * (1 + 4e-9) < best:
-                break
-            u, lam = upper(j, c0), stars[b]
-            work["visited"] += 1
-            if work["binned"]:  # binned levels bound the block's root from above: find its own
-                lam = roots(lambda lam, live: u(lam).max(axis=1), 1)[0]
-            mu = lam * (1 - _MARGIN)
-            heapq.heappush(tight, (-lam * pref[j], b, mu, c0 + np.nonzero(u(np.array([mu]))[0] > 1)[0]))
-    work["bisections"] = len(cache)
+    stars, exact = np.concatenate(stars), _bisector(f, phi, _lux_gauge, centers, radii, out, work)
+    # no per-ball bisection can end at its upper bracket end, inf
+    sane, every_column = cellvol * f.values.size * phi(2 * _BRACKET_LO) < 0.5, prefactor is None
+    pref, best = np.ones(len(radii)) if every_column else prefactor, -np.inf
+    keys = stars * pref
+    for j in np.argsort(-keys, kind="stable"):  # columns by decreasing root * prefactor
+        if sane and not every_column and keys[j] * (1 + 4e-9) < best:
+            break
+        work["visited"] += 1
+        lam, mu = stars[j], stars[j] * (1 - _MARGIN)
+        over = np.flatnonzero(_strong_bound(f, phi, centers, radii[j : j + 1])(np.array([mu]), np.zeros(1, int))[0] > 1)
+        # no per-ball bracket end binds below mu
+        if not (sane and lo < mu and np.any(exact(j, over, lam) >= mu * (1 + 3e-9))):
+            exact(j, np.arange(len(centers)), lam)
+        best = max(best, out[:, j].max() * pref[j])
     return out, work
 
 

@@ -233,7 +233,7 @@ def row_prefix(values) -> np.ndarray:
     Grids stacked along leading axes give one table of their rows in order."""
     rows = np.reshape(values, (-1, np.shape(values)[-1]))
     m = rows.shape[1]
-    # not np.pad and no cumsum over the zero slots: the root-finds build it at every step
+    # not np.pad and no cumsum over the zero slots: the strong root-find builds it at every step
     prefix = np.zeros((len(rows), 3 * m + 1), int if rows.dtype == bool else rows.dtype)
     np.cumsum(rows, axis=1, out=prefix[:, m + 1 : 2 * m + 1])
     prefix[:, 2 * m + 1 :] = prefix[:, 2 * m : 2 * m + 1]  # past a row's cells, its total
@@ -255,7 +255,7 @@ def level_counts(values, levels):
     def count(windows, level=None):
         start, stop = windows
         if level is None:
-            return (interleaved[stop] - interleaved[start]).sum(axis=-2)
+            return (interleaved[stop] - interleaved[start]).sum(axis=-2, dtype=np.int32)  # counts of < 2**31 cells
         first = np.expand_dims(level, -1) * tables.shape[1]  # the first slot of each ball's table, in every row
         rows = tables.ravel()[stop + first] - tables.ravel()[start + first]
         return rows.sum(axis=-1) if rows.shape[-1] > 1 else rows[..., 0]  # a 1-D ball's one row needs no sum
@@ -274,9 +274,19 @@ def stacked_ball_windows(grid: GridSpec, centers, radii):
     return start, stop
 
 
+def row_band(windows):
+    """``windows`` with each ball's rows cut to the band it reaches (its nonempty rows are contiguous), as many
+    rows as the highest band from each ball's first one, padded with empty windows: the same cells."""
+    start, stop = (np.concatenate([w, np.zeros(w.shape[:-1] + (1,), w.dtype)], axis=-1) for w in windows)
+    full, last = stop > start, start.shape[-1] - 1  # the appended row is empty
+    rows = np.argmax(full, axis=-1)[..., None] + np.arange(max(int(full.sum(axis=-1).max(initial=0)), 1))
+    return np.take_along_axis(start, np.minimum(rows, last), -1), np.take_along_axis(stop, np.minimum(rows, last), -1)
+
+
 def window_values(values: np.ndarray, windows) -> np.ndarray:
-    """Per ball of ``windows``, the values of the cells it covers, row by row, padded with zeros."""
-    start, stop = windows
+    """Per ball of ``windows``, the values of the cells it covers, row by row over the band of rows it
+    reaches (``row_band``), padded with zeros."""
+    start, stop = row_band(windows)
     k = np.arange(max((stop - start).max(), 1))
     v = row_table(values).ravel()[np.minimum(start[..., None] + 1 + k, stop[..., None])]
     return np.where(k < (stop - start)[..., None], v, 0.0).reshape(len(start), -1)

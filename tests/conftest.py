@@ -6,7 +6,7 @@ from scipy.ndimage import maximum_filter
 from scipy.signal import convolve2d
 
 from olab import Ball, GridSpec, SampledFunction, ball_measure, sample_function
-from olab.norms import _argmax_witness, _lux_gauge, _power_form, _weak_gauge
+from olab.norms import _argmax_witness, _power_form
 from olab.operators import _radius_set_2d
 from olab.sampled import ball_sums, ball_windows, row_table
 
@@ -154,9 +154,74 @@ def direct_riesz_2d(f, alpha):
     return convolve2d(f.values, kernel, mode="same")
 
 
+_FLOAT_TINY, _FLOAT_MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
+_FLOAT_MIN = float(np.nextafter(0.0, 1.0))
+
+
+def gauge_bisect(constraint, maxv):
+    """Reference gauge search: the smallest lam with constraint(lam) <= 1 of a scalar constraint, by bisection
+    in log space over [1e-12, 1e12] * maxv (within the positive finite floats) down to a relative width of 1e-9;
+    the upper end of the final bracket, or inf (lo) where the bracket's upper (lower) end decides.  The
+    sequential loop that ``olab.norms._gauge_bisect`` replays from a guessed root."""
+    lo, hi = max(1e-12 * maxv, _FLOAT_MIN), min(1e12 * maxv + 1e-300, _FLOAT_MAX)
+    if constraint(hi) > 1.0:
+        return np.inf
+    if constraint(lo) <= 1.0:
+        return lo
+    for _ in range(120):
+        if hi - lo <= 1e-9 * hi:
+            break
+        mid = lo * hi  # floats: past the range it reads inf or a subnormal, with no warning
+        # two roots only where lo * hi overflows or loses bits, so every other gauge keeps its bits
+        mid = math.sqrt(mid) if _FLOAT_TINY <= mid <= _FLOAT_MAX else math.sqrt(lo) * math.sqrt(hi)
+        if constraint(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def lux_gauge(vals, cellvol, phi):
+    """Reference Luxemburg gauge of one ball's values: ``gauge_bisect`` of cellvol * sum phi(v / lam)."""
+    pos = vals[vals > 0]
+    if pos.size == 0:
+        return 0.0
+    maxv = float(pos.max())
+    if np.isinf(maxv):
+        return np.inf
+
+    def constraint(lam):
+        with np.errstate(over="ignore"):
+            terms = phi(pos / lam)
+        return np.inf if np.any(np.isinf(terms)) else cellvol * float(terms.sum())
+
+    return gauge_bisect(constraint, maxv)
+
+
+def weak_gauge(vals, cellvol, phi):
+    """Reference weak gauge of one ball's values: ``gauge_bisect`` of max_k phi(v_(k) / lam) * k * cellvol, v_(k)
+    the k-th largest value."""
+    pos = np.sort(vals[vals > 0])[::-1]
+    if pos.size == 0:
+        return 0.0
+    maxv = float(pos[0])
+    if np.isinf(maxv):
+        return np.inf
+    # measure{f >= v} for v running through the sorted values; duplicates are
+    # dominated by the last entry of their run, so no dedup is needed.  A jump
+    # of phi at t/lam adds nothing: the least value above t has rank |{f > t}|.
+    meas = cellvol * np.arange(1, pos.size + 1)
+
+    def constraint(lam):
+        with np.errstate(over="ignore"):
+            return float(np.max(phi(pos / lam) * meas))
+
+    return gauge_bisect(constraint, maxv)
+
+
 def per_ball_gauges(f, phi, centers, radii, weak):
-    """Reference ball gauges: every (center, radius) ball bisected on its own."""
-    gauge = _weak_gauge if weak else _lux_gauge
+    """Reference ball gauges: every (center, radius) ball bisected on its own (``weak_gauge``, ``lux_gauge``)."""
+    gauge = weak_gauge if weak else lux_gauge
     out = np.zeros((len(centers), len(radii)))
     for i, c in enumerate(centers):
         for j, r in enumerate(radii):

@@ -61,10 +61,11 @@ def test_norm_summary_records_root_find_work(capsys, tmp_path):
                      "--weak", "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
     assert code == 0
     work = json.loads((tmp_path / "norm.json").read_text())["work"]
-    assert sorted(work) == ["binned", "bisections", "blocks", "levels", "path", "steps", "visited"]
-    assert 1 <= work["visited"] <= work["blocks"] and work["steps"] >= 2
-    assert (work["levels"], work["binned"]) == (1, False)  # an indicator has one positive value
-    assert "blocks" not in out_path.read_text()
+    assert sorted(work) == ["bisections", "certified", "levels", "path", "replay_steps", "replayed", "sorted_windows",
+                            "visited"]
+    assert work["path"] == "closed-form" and 1 <= work["bisections"] and work["replayed"] <= work["bisections"]
+    assert (work["levels"], work["sorted_windows"]) == (1, 0)  # an indicator has one positive value
+    assert "replay" not in out_path.read_text() and "levels" not in out_path.read_text()
 
 
 def test_norm_summary_records_weak_closed_form_work(capsys, tmp_path):
@@ -74,7 +75,7 @@ def test_norm_summary_records_weak_closed_form_work(capsys, tmp_path):
                      "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
     assert code == 0
     summary = json.loads((tmp_path / "norm.json").read_text())
-    assert sorted(summary["work"]) == ["bisections", "certified", "path", "sorted_windows"]
+    assert sorted(summary["work"]) == ["bisections", "certified", "path", "sorted_windows", "visited"]
     assert summary["work"]["path"] == "closed-form" and "root_find" not in summary
     assert summary["work"]["sorted_windows"] > 0 and summary["work"]["certified"] > 0
     assert "certified" not in out_path.read_text() and "sorted" not in out_path.read_text()

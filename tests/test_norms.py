@@ -34,21 +34,23 @@ from olab.norms import (
     _ball_gauge_matrices,
     _bracket,
     _illinois,
-    _level_bound,
-    _level_counts,
+    _level_gauges,
     _levels,
     _lux_gauge,
     _morrey_matrices,
     _power_form,
-    _sorted_bound,
+    _sorted_gauges,
     _strong_bound,
     _weak_gauge,
+    _weak_weights,
 )
 from olab.sampled import ball_windows, cell_window
 
 from conftest import (
     PIN_GRIDS,
     PIN_GRIDS_2D,
+    gauge_bisect,
+    lux_gauge,
     merged_weak_power_sups,
     per_ball_gauges,
     per_ball_morrey,
@@ -56,6 +58,7 @@ from conftest import (
     random_cells_2d,
     random_indicator_sum,
     stepped_function,
+    weak_gauge,
 )
 
 P2 = PowerYoung(2)
@@ -342,9 +345,11 @@ def test_overflowing_power_takes_the_root_find(weak):
     centers, radii = sampling.centers(f), sampling.radii()
     fast, work = gauge_matrix(f, P2, centers, radii, weak)
     slow = per_ball_gauges(f, P2, centers, radii, weak)
-    assert work["path"] == "column-root-find" and np.isfinite(slow).all() and slow.max() > 1e199
+    # weak: the closed form over f, not f**2, ranks the balls that are then bisected
+    path = "closed-form" if weak else "column-root-find"
+    assert (work["path"], work["bisections"] > 0) == (path, True) and np.isfinite(slow).all() and slow.max() > 1e199
     assert np.array_equal(fast.max(axis=0), slow.max(axis=0))
-    assert check_root_find(f, P2, (0.0, 0.5), weak, sampling).work["path"] == "column-root-find"
+    assert check_root_find(f, P2, (0.0, 0.5), weak, sampling).work["path"] == path
 
 
 @pytest.mark.parametrize("top", [1e200, 1e300])
@@ -526,7 +531,8 @@ def test_weak_power_sups_certify_ties_of_distinct_values():
             assert np.all(reference[c, j:] == reference[c, -1])
     assert np.any(firsts[0] != firsts[1])
     for prefactor in (None, np.ones(30)):
-        sups, counts = norms._weak_power_sups(vp, g.cell_volume, windows, np.sqrt, prefactor)
+        sups, counts = norms._weak_power_sups(vp, g.cell_volume * np.arange(vp.size, 0, -1), windows, np.sqrt,
+                                              prefactor)
         assert np.array_equal(sups, reference) if prefactor is None else np.all((sups == reference) | (sups == 0))
         assert counts["certified"] > 0
 
@@ -668,7 +674,8 @@ def test_root_find_matches_per_ball(grid, name, weak):
     f = stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)
     phi = ROOT_FIND_PHIS.get(name, P2)
     # lambda = 0 makes the prefactor tie many balls exactly
-    assert check_root_find(f, phi, (0.0, 0.5), weak, oracle_sampling(grid)).work["path"] == "column-root-find"
+    work = check_root_find(f, phi, (0.0, 0.5), weak, oracle_sampling(grid)).work
+    assert work["path"] == ("closed-form" if weak else "column-root-find") and "replayed" in work
 
 
 @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
@@ -875,60 +882,69 @@ def test_batched_strong_roots_equal_single_columns(grid, name):
 @pytest.mark.parametrize("name", ["exp_minus_one", "power_log"])
 @pytest.mark.parametrize("grid", PIN_GRIDS[:2] + PIN_GRIDS_2D[:2])
 def test_exact_level_roots_equal_the_sorted_window_roots(grid, name):
-    # with a level at every distinct value, a chunk's level root is the root
-    # of its sorted windows, which the root-find then need not find again
+    # with a level at every distinct value, the closed-form root max_i s_i W[N_i(c)] of the level counts is the
+    # closed-form root max_k v_(k) W[k] of each ball's sorted window, bit for bit
     f, phi = root_find_sample(grid, 36), ROOT_FIND_PHIS[name]
     sampling = oracle_sampling(grid)
-    centers, radii, step = sampling.centers(f), sampling.radii(), 5
+    centers, radii = np.array(sampling.centers(f)), sampling.radii()
     levels, tops = _levels(f.values, f.values.size)
     assert np.array_equal(levels, tops)
-    meas = f.grid.cell_volume * _level_counts(f, levels, centers, radii, step)
-    lo, hi = _bracket(f.values.max())
-    with np.errstate(all="ignore"):
-        coarse = _illinois(lambda lam, live: _level_bound(phi, tops, meas.reshape(-1, len(levels))[live], lam),
-                           lo, hi, meas.shape[0] * meas.shape[1])[0].reshape(meas.shape[:2])
-        for j, r in enumerate(radii):
-            for k, c0 in enumerate(range(0, len(centers), step)):
-                u = _sorted_bound(f, phi, ball_windows(grid, centers[c0 : c0 + step], r))
-                assert _illinois(lambda lam, live: u(lam).max(axis=1), lo, hi, 1)[0][0] == coarse[j, k]
+    weights, _ = _weak_weights(phi, grid.cell_volume, np.count_nonzero(f.values), f.values.size)
+    closed, lower = _level_gauges(f, levels, tops, weights, centers, radii)
+    assert np.array_equal(closed, lower)
+    for j, r in enumerate(radii):
+        assert np.array_equal(closed[:, j], _sorted_gauges(f.values, weights, ball_windows(grid, centers, r)))
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS[:2] + PIN_GRIDS_2D[:1]),
-       st.sampled_from(sorted(ROOT_FIND_PHIS)), st.integers(min_value=1, max_value=6),
-       st.floats(min_value=1e-3, max_value=1e3))
+       st.sampled_from(sorted(ROOT_FIND_PHIS)), st.integers(min_value=1, max_value=6))
 @settings(max_examples=40, deadline=None)
-def test_level_bound_covers_the_sorted_windows(seed, grid, name, budget, scale):
-    # U_c(lam) = max_i phi(t_i / lam) cellvol N_i(c) >= the sorted-window bound
-    # of every ball, and == it when every distinct value is a level
+def test_level_bound_covers_the_sorted_windows(seed, grid, name, budget):
+    # max_i s_i W[N_i(c)] <= the sorted-window closed form of every ball <= max_i t_i W[N_i(c)], with == on
+    # both sides when every distinct value is a level
     rng = np.random.default_rng(seed)
     f = random_cells_2d(grid, rng) if grid.n == 2 else (
         stepped_function(grid, rng) if seed % 2 else random_indicator_sum(grid, rng))
     phi, radius = ROOT_FIND_PHIS[name], float(rng.uniform(0.2, 3)) * grid.h
     assume(f.values.max() > 0)
-    centers = MorreySampling(r_min=grid.h, r_max=grid.h, center_stride=int(rng.integers(1, 4))).centers(f)
-    lam = scale * f.values.max()
-    sorted_bound = _sorted_bound(f, phi, ball_windows(grid, centers, radius))(np.array([lam]))[0]
+    centers = np.array(MorreySampling(r_min=grid.h, r_max=grid.h, center_stride=int(rng.integers(1, 4))).centers(f))
+    weights, _ = _weak_weights(phi, grid.cell_volume, np.count_nonzero(f.values), f.values.size)
+    closed = _sorted_gauges(f.values, weights, ball_windows(grid, centers, radius))
     for levels, tops in (_levels(f.values, budget), _levels(f.values, f.values.size)):
-        meas = grid.cell_volume * _level_counts(f, levels, centers, [radius], 1)[0, :, :]
-        with np.errstate(all="ignore"):
-            level_bound = _level_bound(phi, tops, meas, lam)
-        assert np.all(level_bound >= sorted_bound)
+        upper, lower = _level_gauges(f, levels, tops, weights, centers, [radius])[:, :, 0]
+        assert np.all((lower <= closed) & (closed <= upper))
         if np.array_equal(levels, tops):
-            assert np.array_equal(level_bound, sorted_bound)
+            assert np.array_equal(upper, closed) and np.array_equal(lower, closed)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS[:2] + PIN_GRIDS_2D[:1]),
+       st.sampled_from(sorted(ROOT_FIND_PHIS) + ["power", "composed"]))
+@settings(max_examples=20, deadline=None)
+def test_weak_closed_form_brackets_the_bisection(seed, grid, name):
+    # phi_inv checks out, and g / s <= the bisected weak gauge <= g * s, g the closed form and s = _SLACK
+    rng = np.random.default_rng(seed)
+    f = random_cells_2d(grid, rng) if grid.n == 2 else random_indicator_sum(grid, rng)
+    phi = {"power": P2, "composed": PowerLogYoung(2, 1).compose_power(0.5)}.get(name) or ROOT_FIND_PHIS[name]
+    assume(f.values.max() > 0)
+    centers = np.array(MorreySampling(r_min=grid.h, r_max=grid.h, center_stride=2).centers(f))
+    radius = float(rng.uniform(0.5, 2 * grid.extent))
+    weights, checked = _weak_weights(phi, grid.cell_volume, np.count_nonzero(f.values), f.values.size)
+    closed = _sorted_gauges(f.values, weights, ball_windows(grid, centers, radius))
+    exact = per_ball_gauges(f, phi, centers, [radius], True)[:, 0]
+    assert checked and np.all((closed / norms._SLACK <= exact) & (exact <= closed * norms._SLACK))
 
 
 @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
 @pytest.mark.parametrize("grid", [PIN_GRIDS[1], PIN_GRIDS_2D[0]], ids=["1d", "2d"])
 def test_binned_levels_match_per_ball(grid, weak, monkeypatch):
-    # more distinct values than the level budget: the weak root-find bins them
-    # and finds each visited block's own root; values and witnesses stay exact
+    # more distinct values than the level budget: the weak closed form bins them
+    # and sorts the windows whose level bound can win; values and witnesses stay exact
     rng, sampling = np.random.default_rng(37), oracle_sampling(grid)
     f = SampledFunction(grid, rng.uniform(0, 2, grid.shape()) * (rng.random(grid.shape()) < 0.7))
     monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * len(sampling.centers(f)) * sampling.n_radii)  # 3 levels
     for phi in (ExpMinusOneYoung(), PowerLogYoung(2, 1)):
         ev = check_root_find(f, phi, (0.0, 0.5), weak, sampling)
-        assert ev.work["levels"] == (3 if weak else None)
-        assert ev.work["binned"] == weak
+        assert ev.work.get("levels") == (3 if weak else None)
 
 
 @pytest.mark.parametrize("binned", [False, True], ids=["exact", "binned"])
@@ -948,7 +964,7 @@ def test_weak_levels_count_whole_rows_of_128_cells(grid, binned, monkeypatch):
         for varphi in (PowerGrowth(-grid.n), growth_from_lambda(phi, 0.5, n=grid.n)):
             ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=True, sampling=sampling)
             assert (ev.value, ev.witness) == per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)[1:]
-            assert ev.work["binned"] == (binned and values.min() < values.max())
+            assert ev.work["levels"] == min(3 if binned else values.size, len(np.unique(values)))
 
 
 @pytest.mark.parametrize("gauge", [_lux_gauge, _weak_gauge])
@@ -963,18 +979,23 @@ def test_subnormal_morrey_norm_through_the_root_find(weak):
     grid = PIN_GRIDS_2D[0]
     for values in (np.full(grid.shape(), 5e-324), random_cells_2d(grid, np.random.default_rng(38)).values * 5e-324):
         ev = check_root_find(SampledFunction(grid, values), ExpMinusOneYoung(), (0.0, 0.5), weak, oracle_sampling(grid))
-        assert ev.work["path"] == "column-root-find" and ev.value > 0
+        assert ev.work["path"] == ("closed-form" if weak else "column-root-find") and ev.value > 0
 
 
 def test_norm_records_its_root_find_work(unit_indicator):
     sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
     phi = PowerLogYoung(2, 1)
     strong = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), sampling=sampling).work
-    assert strong == {"path": "column-root-find", "bisections": strong["bisections"], "blocks": 12,
-                      "visited": strong["visited"], "steps": strong["steps"], "levels": None, "binned": False}
-    assert 1 <= strong["visited"] <= 12 and strong["steps"] >= 2
-    weak = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), weak=True, sampling=sampling)
-    assert (weak.work["levels"], weak.work["binned"]) == (1, False)  # one distinct value
+    assert strong == {"path": "column-root-find", "blocks": 12, "visited": strong["visited"], "steps": strong["steps"],
+                      "bisections": strong["bisections"], "replayed": strong["replayed"],
+                      "replay_steps": strong["replay_steps"]}
+    assert 1 <= strong["visited"] <= 12 and strong["steps"] >= 2 and strong["replayed"] <= strong["bisections"]
+    weak = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), weak=True, sampling=sampling).work
+    # one distinct value: the level counts give every ball's closed form, and the balls at the sup are bisected
+    assert weak == {"path": "closed-form", "levels": 1, "visited": 12 * len(sampling.centers(unit_indicator)),
+                    "sorted_windows": 0, "certified": 0, "bisections": weak["bisections"],
+                    "replayed": weak["replayed"], "replay_steps": weak["replay_steps"]}
+    assert 1 <= weak["bisections"] and weak["replayed"] <= weak["bisections"]
     assert generalized_orlicz_morrey_norm(unit_indicator, P2, PowerGrowth(-0.25)).work == {"path": "closed-form",
                                                                                            "bisections": 0}
 
@@ -1040,18 +1061,21 @@ def test_norm_reports_its_path(unit_indicator):
     assert luxemburg_norm(unit_indicator, P2).work is None
 
 
-def test_norm_records_its_weak_closed_form_work(unit_indicator):
-    # only the weak 1-D power closed form sorts windows; at lambda = 0 it certifies the tied runs
+def test_norm_records_its_weak_closed_form_work(unit_indicator, monkeypatch):
+    # the weak 1-D power closed form sorts windows and bisects no ball; at lambda = 0 it certifies the tied runs
     sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
     weak = generalized_orlicz_morrey_norm(unit_indicator, P2, growth_from_lambda(P2, 0.0), weak=True, sampling=sampling)
     work = weak.work
+    assert sorted(work) == ["bisections", "certified", "path", "sorted_windows", "visited"]
     assert (work["path"], work["bisections"]) == ("closed-form", 0) and work["sorted_windows"] > 0
-    assert work["certified"] > 0
+    assert work["certified"] > 0 and work["visited"] >= work["sorted_windows"]
     strong = generalized_orlicz_morrey_norm(unit_indicator, P2, growth_from_lambda(P2, 0.0), sampling=sampling)
-    generic = generalized_orlicz_morrey_norm(unit_indicator, PowerLogYoung(2, 1), PowerGrowth(-0.25), weak=True,
-                                             sampling=sampling)
-    for ev in (strong, generic):
-        assert "sorted_windows" not in ev.work and "certified" not in ev.work
+    assert "sorted_windows" not in strong.work and "certified" not in strong.work
+    # more distinct values than levels: the 1-D closed form of every kind sorts windows too, then bisects
+    f = SampledFunction(unit_indicator.grid, unit_indicator.values * np.exp(-unit_indicator.grid.axis_centers() ** 2))
+    monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * 12 * len(sampling.centers(f)))  # 3 levels
+    generic = generalized_orlicz_morrey_norm(f, PowerLogYoung(2, 1), PowerGrowth(-0.25), weak=True, sampling=sampling)
+    assert (generic.work["levels"], generic.work["sorted_windows"] > 0, generic.work["bisections"] > 0) == (3, True, True)
 
 
 def test_weak_gauge_needs_no_jump_terms():
@@ -1073,4 +1097,91 @@ def test_weak_gauge_needs_no_jump_terms():
                             best = max(best, float(phi(np.array([t / lam]))[0]) * d)
                 return best
 
-            assert _weak_gauge(vals, g.cell_volume, phi) == norms._gauge_bisect(with_jumps, float(pos[0]))
+            assert _weak_gauge(vals, g.cell_volume, phi) == gauge_bisect(with_jumps, float(pos[0]))
+
+
+# -- per-ball bisections replayed from a guess, against the copied loop ---------
+
+# the six kinds: a power, power_log, exp_minus_one, linear_capped, a composed power and a tabulated conjugate
+SIX_KINDS = {"power": P2, "power_log": PowerLogYoung(2, 1), "exp_minus_one": ExpMinusOneYoung(),
+             "linear_capped": LinearCappedYoung(), "composed_power": PowerLogYoung(2, 1).compose_power(0.5),
+             "conjugate": PowerLogYoung(2, 1).conjugate()}
+GUESS_FACTORS = [1.0, 1 + 1e-12, 1 - 1e-12, 1 + 1e-7, 1 - 1e-7, 10.0, 0.1]
+
+
+def check_replay(vals, cellvol, phi, factors=GUESS_FACTORS):
+    """Each gauge with no guess and with guesses at the oracle's root times ``factors`` is the oracle's bit for
+    bit; the root itself as guess settles the bisection in one pass."""
+    for gauge, oracle in ((_lux_gauge, lux_gauge), (_weak_gauge, weak_gauge)):
+        root = oracle(vals, cellvol, phi)
+        assert gauge(vals, cellvol, phi) == root
+        for factor in factors:
+            work = {"replayed": 0, "replay_steps": 0}
+            assert gauge(vals, cellvol, phi, root * factor, work) == root
+            assert work["replayed"] == 1 or factor != 1.0
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 100, 4097])
+@pytest.mark.parametrize("name", sorted(SIX_KINDS))
+def test_gauge_replay_is_the_loop_bit_for_bit(name, size):
+    rng = np.random.default_rng(size)
+    vals = rng.choice([0.0, 0.5, 1.0, 2.5], size) * rng.uniform(0.5, 1.5, size)  # zeros, and ties at 0.5 or 1
+    vals[0] = 2.0
+    check_replay(vals, 1 / 256, SIX_KINDS[name])
+
+
+@pytest.mark.parametrize("name", sorted(SIX_KINDS))
+def test_gauge_replay_over_a_default_grid_ball(name):
+    # 65,536 values, the largest ball of the default 2-D grid: the batched row sums and maxima of the one pass
+    # are those of the loop's one row
+    vals = np.random.default_rng(7).uniform(0, 3, 2**16)
+    check_replay(vals, 1 / 256, SIX_KINDS[name], [1.0])
+
+
+def test_gauge_replay_at_the_bracket_ends():
+    # a root at the lower bracket end (phi tiny at 1e12), at the upper one (phi(1e-12) > 1: inf), and roots
+    # among the subnormals
+    vals = np.array([1.0, 3.0, 0.0, 2.0])
+    for phi in (PowerYoung(1, scale=1e-20), TabulatedYoung(np.array([1e-14, 1.0]), np.array([1.0, 2e14]))):
+        check_replay(vals, 0.125, phi)
+    assert _lux_gauge(vals, 0.125, PowerYoung(1, scale=1e-20)) == 3e-12
+    assert _weak_gauge(vals, 0.125, TabulatedYoung(np.array([1e-14, 1.0]), np.array([1.0, 2e14]))) == np.inf
+    for tiny in ([5e-324] * 3, [5e-324, 1e-320, 0.0]):
+        for phi in (P2, ExpMinusOneYoung()):
+            check_replay(np.array(tiny), 0.125, phi)
+
+
+# -- the weak closed form against the per-ball bisection ------------------------
+
+def weak_oracle_gauges(f, phi, centers, radii):
+    """The weak gauges that olab reports per ball: the closed form of a 1-D power, else the bisection."""
+    if f.grid.n == 1 and _power_form(phi) is not None:
+        return per_ball_weak_power_gauges(f, phi, centers, radii)
+    return per_ball_gauges(f, phi, centers, radii, True)
+
+
+@pytest.mark.parametrize("grid", [PIN_GRIDS[0], PIN_GRIDS_2D[0]], ids=["1d-68-cells", "8x8-cells"])
+@pytest.mark.parametrize("name", sorted(SIX_KINDS))
+def test_weak_closed_form_matches_per_ball(grid, name, monkeypatch):
+    # a handful of distinct values (one level each), and many, binned into 3 levels: the 1-D sups over radii,
+    # and in 2-D the sorted windows of the balls whose level bounds can reach the sup; every column maximum,
+    # value and witness is the oracle's
+    rng, phi, sampling = np.random.default_rng(51), SIX_KINDS[name], oracle_sampling(grid)
+    few = root_find_sample(grid, 52)
+    many = (maximal(stepped_function(grid, rng), alpha=0.25) if grid.n == 1 else
+            SampledFunction(grid, random_cells_2d(grid, rng).values * rng.uniform(1, 1.1, grid.shape())))
+    for f, binned in ((few, False), (many, True)):
+        centers, radii = sampling.centers(f), sampling.radii()
+        if binned:
+            monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * len(centers) * len(radii))  # 3 levels
+        gauges = weak_oracle_gauges(f, phi, centers, radii)
+        fast, work = gauge_matrix(f, phi, centers, radii, True)
+        assert np.array_equal(fast.max(axis=0), gauges.max(axis=0))
+        for lam in (0.0, 0.5):
+            varphi = growth_from_lambda(phi, lam, n=grid.n)
+            ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=True, sampling=sampling)
+            assert (ev.value, ev.witness) == per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)[1:]
+        if "levels" in work:  # not the 1-D power closed form
+            assert work["path"] == "closed-form" and (work["levels"] == 3) == binned
+            assert (work["sorted_windows"] > 0) == binned and work["bisections"] > 0
+        monkeypatch.undo()
