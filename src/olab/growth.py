@@ -19,6 +19,13 @@ __all__ = [
 ]
 
 
+def _finite(name: str, value: float) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
+    return value
+
+
 class GrowthFunction:
     """Base class; concrete kinds implement ``_eval`` on positive arrays."""
 
@@ -44,7 +51,7 @@ class PowerGrowth(GrowthFunction):
     """phi(t) = t**exponent."""
 
     def __init__(self, exponent: float):
-        self.exponent = float(exponent)
+        self.exponent = _finite("exponent", exponent)
 
     def _eval(self, t):
         return t**self.exponent
@@ -60,8 +67,8 @@ class PowerLogGrowth(GrowthFunction):
     """phi(t) = t**exponent * log(e + t)**log_exponent."""
 
     def __init__(self, exponent: float, log_exponent: float):
-        self.exponent = float(exponent)
-        self.log_exponent = float(log_exponent)
+        self.exponent = _finite("exponent", exponent)
+        self.log_exponent = _finite("log exponent", log_exponent)
 
     def _eval(self, t):
         return t**self.exponent * np.log(np.e + t) ** self.log_exponent
@@ -86,7 +93,7 @@ class LambdaGrowth(GrowthFunction):
         if n not in (1, 2):
             raise ParameterError(f"dimension must be 1 or 2, got {n}")
         self.phi = phi
-        self.lam = float(lam)
+        self.lam = _finite("lambda", lam)
         self.n = int(n)
         self.measure_based = bool(measure_based)
 
@@ -116,7 +123,7 @@ class PowerOfGrowth(GrowthFunction):
 
     def __init__(self, base: GrowthFunction, beta: float):
         self.base = base
-        self.beta = float(beta)
+        self.beta = _finite("beta", beta)
 
     def _eval(self, t):
         return self.base._eval(t) ** self.beta

@@ -29,8 +29,6 @@ __all__ = [
 # r*s - phi(s) is concave in s).
 _TAB_LO, _TAB_HI, _TAB_N = 1e-8, 1e8, 2048
 
-_INVERSE_ABS_TOL = 1e-12
-
 
 def _as_array(t):
     arr = np.asarray(t, dtype=float)
@@ -53,14 +51,14 @@ class YoungFunction:
     def inverse(self, s):
         """Generalized inverse inf{r >= 0 : phi(r) > s} for s in [0, inf]."""
         arr, scalar = _as_array(s)
-        if np.any(arr < 0):
+        if not np.all(arr >= 0):  # a nan too
             raise DomainError("inverse argument must be in [0, inf]")
         out = np.asarray(self._inverse(np.atleast_1d(arr)), dtype=float).reshape(arr.shape)
         return float(out) if scalar else out
 
     def _inverse(self, s: np.ndarray) -> np.ndarray:
-        # Monotone bisection fallback; exact kinds override with closed forms.
-        return _bisect_inverse(self, s)
+        # A search over the floats; exact kinds override with closed forms.
+        return _float_inverse(self, s)
 
     def conjugate(self) -> "TabulatedYoung":
         """Convex conjugate sup_s {r s - phi(s)}, tabulated on a log grid."""
@@ -74,117 +72,58 @@ class YoungFunction:
         raise NotImplementedError
 
 
-def _bisect_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
-    """inf{r : phi(r) > s} on strictly increasing phi, bit for bit as the vectorized bisection
-    ``_bisection`` finds it.  Every point it evaluates is >= 0 by construction, so it calls ``phi._eval``
-    without the domain check of ``phi(...)``.
-
-    The bisection's step count is batch-wide (the first n at which every interval is at most
-    _INVERSE_ABS_TOL wide), so an element's bits depend on its batch: ``PowerLogYoung(2, 1).inverse(3.7)``
-    is 1.5914540134740491 alone and 1.5914540134742832 next to 1e9.
-    """
-    s = np.asarray(s, dtype=float)
-    with np.errstate(all="ignore"):  # the ladder's extremes may overflow or underflow phi
-        vals = phi._eval(_LADDER)
-    inf_mask = np.isinf(s)
-    done = inf_mask | (vals[0] > s)  # the inverse is inf, or 0 where phi(0) > s
-    if not done.any():
-        return _verified_bisection(phi, s.ravel(), vals).reshape(s.shape)
-    out = np.where(inf_mask, np.inf, 0.0)
-    if not done.all():
-        out[~done] = _verified_bisection(phi, s[~done], vals)
-    return out
-
-
-def _bisection(phi: YoungFunction, sv: np.ndarray) -> np.ndarray:
-    """Double hi from 1 while phi(hi) <= s, then halve [0, hi] (phi(lo) <= s < phi(hi)) until every
-    interval is at most _INVERSE_ABS_TOL wide, at most 200 times each; the midpoints of the last ones."""
-    hi = np.ones_like(sv)
-    for _ in range(200):
-        grow = phi._eval(hi) <= sv
-        if not np.any(grow):
-            break
-        hi[grow] *= 2.0
-    lo = np.zeros_like(sv)
-    for _ in range(200):
-        if np.all(hi - lo <= _INVERSE_ABS_TOL):
-            break
-        mid = 0.5 * (lo + hi)
-        below = phi._eval(mid) <= sv
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _bisection_steps(width: float) -> int:
-    """Halvings ``_bisection`` makes from [0, width], width a power of two: the first n with width 2^-n <=
-    _INVERSE_ABS_TOL, at most 200."""
-    n = 0
-    while n < 200 and width > _INVERSE_ABS_TOL:
-        width, n = 0.5 * width, n + 1
-    return n
-
-
-# A bisection from [0, 2^k] computes every midpoint exactly while it makes at most 52 halvings (each is an
-# odd multiple of hi 2^-n below 2^(k+1)), i.e. for k <= 12.  0 and the powers of two 2^-52 .. 2^12 are the
-# ladder on which ``_bisect_inverse`` finds phi(0) and ``_verified_bisection`` each hi and each crossing's
-# bracket; _ONE is the index of 2^0.
-_EXACT_STEPS = np.finfo(float).nmant
-_LADDER_EXP = np.arange(-_EXACT_STEPS - 1.0, _EXACT_STEPS - _bisection_steps(1.0) + 1.0)
-_LADDER_EXP[0] = -np.inf
+# 0, the powers of two 2^-1074 .. 2^1023, and inf.  Nonnegative floats order as their int64 bit patterns, so two
+# consecutive nodes bound one binade, at most 2^52 floats.
+_LADDER_EXP = np.concatenate([[-np.inf], np.arange(-1074.0, 1024.0), [np.inf]])
 _LADDER = np.exp2(_LADDER_EXP)
-_ONE = _EXACT_STEPS + 1
-_LADDER_STEPS = [_bisection_steps(hi) for hi in _LADDER.tolist()]
-_HALVES = np.exp2(-np.arange(_EXACT_STEPS + 1.0))  # 2^-n for n = 0 .. 52
+_LADDER_BITS = _LADDER.view(np.int64)
+_WINDOW = np.arange(-4, 5)  # the floats within 4 ulps of a guess
 
 
-def _verified_bisection(phi: YoungFunction, sv: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``_bisection(phi, sv)``, bit for bit, from one evaluation of phi over the midpoints it would visit;
-    phi(0) <= s < inf, and ``vals`` is phi over the ladder.
+def _float_inverse(phi: YoungFunction, s: np.ndarray) -> np.ndarray:
+    """For each s alone, the float r with phi(prev r) <= s < phi(r): on a phi nondecreasing in floats, the least
+    float with phi(r) > s, inf{r : phi(r) > s} on the floats.  It evaluates phi at points >= 0 only, by ``_eval``.
 
-    The ladder gives each element its hi = 2^k, the first power of two from 1 on above s, as the doubling
-    does (the ladder must be nondecreasing and reach past every s; else ``_bisection`` runs as it is),
-    and so the batch's halving count N.  Within the exact regime (hi <= 2^12) the interval after n
-    halvings is [lo_n, lo_n + d_n], d_n = hi 2^-n, with lo_n a multiple of d_n, so the final interval
-    fixes the whole path: for a guess x of the crossing, lo_n = floor(x / d_n) d_n, and step n compares
-    phi at mid_n = lo_(n-1) + d_n, going up exactly where x >= mid_n.  One evaluation of phi over the
-    N midpoints of every element checks each guessed comparison; an element whose N comparisons all
-    hold gets the midpoint lo_N + d_N / 2 of its guessed final interval, the bisection's value.  An element
-    with a wrong comparison is bisected on from the interval that its first wrong midpoint leaves, for the
-    halvings that remain of its N.
+    One evaluation of phi over the ladder brackets each s by its last node with phi <= s and the next one (0 where
+    phi(0) > s, inf where phi(inf) <= s).  ``_window_bracket`` narrows the bracket around a guess of the crossing
+    (``_crossing_guess``), and the elements still open bisect over bit patterns until lo and hi are adjacent.  A
+    ladder that is not nondecreasing brackets each s by [0, inf] (0 where phi(0) > s) and gives no guess.
     """
-    c = np.searchsorted(vals, sv, side="right")  # ladder nodes with phi <= s, 0 among them
-    top = max(int(c.max()), _ONE)  # the ladder index of the batch's largest hi
-    if top == len(_LADDER) or not np.all(vals[1:] >= vals[:-1]):
-        return _bisection(phi, sv)
-    hi = _LADDER[np.maximum(c, _ONE)]
-    n = _LADDER_STEPS[top]
-    d = hi[:, None] * _HALVES[: n + 1]  # d[:, n] = hi 2^-n
-    x = np.minimum(np.fmax(_crossing_guess(phi, sv, c, vals), 0.0), hi - d[:, -1])  # a nan guess is 0
-    mids = x[:, None] / d[:, :-1]
-    np.floor(mids, out=mids)
-    mids += 0.5
-    mids *= d[:, :-1]  # mids[:, n - 1] = mid_n = (floor(x / d_(n-1)) + 1/2) d_(n-1)
-    below = phi._eval(mids.ravel()).reshape(mids.shape) <= sv[:, None]
-    wrong = below != (mids <= x[:, None])
-    out = (np.floor(x / d[:, -1]) + 0.5) * d[:, -1]
-    if not wrong.any():
-        return out
-    bad = np.flatnonzero(wrong.any(axis=1))
-    j = wrong[bad].argmax(axis=1)  # step j + 1 compares wrong
-    mid, width = mids[bad, j], d[bad, j + 1]
-    lo = np.where(below[bad, j], mid, mid - width)
-    hi, s, rest = lo + width, sv[bad], n - 1 - j
-    for step in range(int(rest.max())):
-        mid = 0.5 * (lo + hi)
-        up = phi._eval(mid) <= s
-        lo, hi = np.where(up & (step < rest), mid, lo), np.where(~up & (step < rest), mid, hi)
-    out[bad] = 0.5 * (lo + hi)
-    return out
+    sv = s.ravel()
+    with np.errstate(all="ignore"):  # the ladder's extremes, and guesses, may overflow or underflow phi
+        vals = phi._eval(_LADDER)
+        if np.all(vals[1:] >= vals[:-1]):
+            c = np.searchsorted(vals, sv, side="right")  # ladder nodes with phi <= s
+            lo, hi = _LADDER_BITS[np.maximum(c - 1, 0)], _LADDER_BITS[np.minimum(c, len(_LADDER) - 1)]
+            todo = np.flatnonzero(hi - lo > 1)
+            if todo.size:
+                lo[todo], hi[todo] = _window_bracket(phi, sv[todo], lo[todo], hi[todo],
+                                                     _crossing_guess(phi, sv[todo], c[todo], vals))
+        else:
+            lo, hi = np.zeros(sv.shape, np.int64), np.where(vals[0] > sv, 0, _LADDER_BITS[-1])
+        todo = np.flatnonzero(hi - lo > 1)
+        while todo.size:
+            a, b = lo[todo], hi[todo]
+            mid = a + (b - a) // 2  # (a + b) // 2 overflows int64 for floats >= 2
+            below = phi._eval(mid.view(float)) <= sv[todo]
+            lo[todo], hi[todo] = np.where(below, mid, a), np.where(below, b, mid)
+            todo = todo[hi[todo] - lo[todo] > 1]
+    return hi.view(float).reshape(s.shape)
+
+
+def _window_bracket(phi: YoungFunction, sv: np.ndarray, lo: np.ndarray, hi: np.ndarray, guess: np.ndarray):
+    """[lo, hi] (bit patterns, phi(lo) <= s < phi(hi)) narrowed by the 9 floats around each guess, clipped to it:
+    to the first of them with phi > s (else hi) and the float before it.  A nan guess is lo."""
+    g = np.fmin(np.fmax(guess, lo.view(float)), hi.view(float)).view(np.int64)
+    w = np.concatenate([lo[:, None], np.clip(g[:, None] + _WINDOW, lo[:, None], hi[:, None]), hi[:, None]], axis=1)
+    below = phi._eval(w.view(float)) <= sv[:, None]
+    below[:, [0, -1]] = True, False  # the bracket's ends as the ladder found them
+    j, rows = below.argmin(axis=1), np.arange(len(sv))  # the first float with phi > s
+    return w[rows, j - 1], w[rows, j]
 
 
 def _crossing_guess(phi: YoungFunction, sv: np.ndarray, c: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Approximate crossings phi(x) = s, which only steer ``_verified_bisection``: log2 phi interpolated
+    """Approximate crossings phi(x) = s, which only steer ``_float_inverse``: log2 phi interpolated
     linearly in log2 x between the ladder nodes around s (exact for a power), then three Newton steps in x
     whose derivative is a forward difference over x 2^-26, the square root of the float spacing."""
     with np.errstate(all="ignore"):
@@ -202,10 +141,10 @@ class PowerYoung(YoungFunction):
     """phi(t) = scale * t**p with p >= 1, scale > 0."""
 
     def __init__(self, p: float, scale: float = 1.0):
-        if p < 1:
-            raise ParameterError(f"power exponent must be >= 1, got {p}")
-        if scale <= 0:
-            raise ParameterError(f"scale must be positive, got {scale}")
+        if not 1 <= p < np.inf:
+            raise ParameterError(f"power exponent must be finite and >= 1, got {p}")
+        if not 0 < scale < np.inf:
+            raise ParameterError(f"scale must be positive and finite, got {scale}")
         self.p = float(p)
         self.scale = float(scale)
 
@@ -230,10 +169,10 @@ class PowerLogYoung(YoungFunction):
     """phi(t) = t**p * log(e + t)**a with p >= 1, a >= 0."""
 
     def __init__(self, p: float, a: float):
-        if p < 1:
-            raise ParameterError(f"power exponent must be >= 1, got {p}")
-        if a < 0:
-            raise ParameterError(f"log exponent must be >= 0, got {a}")
+        if not 1 <= p < np.inf:
+            raise ParameterError(f"power exponent must be finite and >= 1, got {p}")
+        if not 0 <= a < np.inf:
+            raise ParameterError(f"log exponent must be finite and >= 0, got {a}")
         self.p = float(p)
         self.a = float(a)
 

@@ -109,37 +109,19 @@ def sweep_maximal_2d(f, alphas, radii=None):
     return out
 
 
-def bisection_inverse(phi, s):
-    """Reference generalized inverse inf{r : phi(r) > s} of a strictly increasing phi: the vectorized bisection
-    that ``young._bisect_inverse`` reproduces.  hi doubles from 1 while phi(hi) <= s; then [0, hi] halves until
-    every interval of the batch is at most 1e-12 wide (at most 200 times), and each element gets the midpoint
-    of its last interval, so an element's bits depend on its batch."""
+def bit_pattern_inverse(phi, s):
+    """Reference generalized inverse inf{r : phi(r) > s} of a phi nondecreasing in floats: the least float r with
+    phi(r) > s (0 where phi(0) > s), by a bisection over the int64 bit patterns of [0, inf], which order as the
+    nonnegative floats.  No ladder and no guess; vectorized over the batch, each element bisected alone."""
     s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    inf_mask = np.isinf(s)
-    out[inf_mask] = np.inf
-    zero_mask = ~inf_mask & (phi._eval(np.zeros(1))[0] > s)
-    out[zero_mask] = 0.0
-    todo = ~inf_mask & ~zero_mask
-    if not np.any(todo):
-        return out
-    sv = s[todo]
-    hi = np.ones_like(sv)
-    for _ in range(200):
-        grow = phi._eval(hi) <= sv
-        if not np.any(grow):
-            break
-        hi[grow] *= 2.0
-    lo = np.zeros_like(sv)
-    for _ in range(200):
-        if np.all(hi - lo <= 1e-12):
-            break
-        mid = 0.5 * (lo + hi)
-        below = phi._eval(mid) <= sv
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out[todo] = 0.5 * (lo + hi)
-    return out
+    lo = np.zeros(s.shape, np.int64)
+    hi = np.where(phi._eval(np.zeros(1))[0] > s, 0, np.array(np.inf).view(np.int64))
+    with np.errstate(all="ignore"):
+        for _ in range(63):  # inf's bit pattern is below 2^63
+            mid = lo + (hi - lo) // 2
+            below = phi._eval(mid.view(float)) <= s
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return hi.view(float)
 
 
 def direct_riesz_2d(f, alpha):

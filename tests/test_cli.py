@@ -153,6 +153,28 @@ def test_non_finite_term_weight_is_status_2(capsys, weight):
     assert "weight" in err
 
 
+@pytest.mark.parametrize("young, growth", [
+    ('{"kind":"power_log","p":2,"a":1}', ["--lambda", "nan"]),
+    (P2, ["--lambda", "nan"]),
+    (P2, ["--lambda=-inf"]),
+    ('{"kind":"power","p":NaN}', ["--lambda", "0.5"]),
+    ('{"kind":"power","p":Infinity}', []),
+    ('{"kind":"power","p":2,"scale":NaN}', ["--lambda", "0.5"]),
+    ('{"kind":"power_log","p":2,"a":NaN}', ["--lambda", "0.5"]),
+    (P2, ["--growth", '{"kind":"power","exponent":NaN}']),
+    (P2, ["--growth", '{"kind":"power_log","exponent":-0.5,"log_exponent":Infinity}']),
+    (P2, ["--growth", '{"kind":"power_of","base":{"kind":"power","exponent":-0.5},"beta":NaN}']),
+], ids=["power_log-lambda-nan", "power-lambda-nan", "power-lambda-minus-inf", "p-nan", "p-inf", "scale-nan", "a-nan",
+        "exponent-nan", "log_exponent-inf", "beta-nan"])
+def test_non_finite_young_or_growth_parameter_is_status_3(capsys, young, growth):
+    # once: power_log with lambda nan exited 0 with 5.14890616e-13, and a nan a with inf; power kinds died with an
+    # IndexError traceback
+    code, out, err = run(capsys, "norm", "--input", BALL, "--young", young, *growth,
+                         "--grid-h", "0.125", "--grid-extent", "4")
+    assert code == 3 and out == ""
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--grid-h", "nan"), ("--grid-h", "inf"), ("--grid-extent", "inf")])
 def test_non_finite_grid_is_status_3(capsys, flag, value):
     code, _, err = run(capsys, "operators", "--alpha", "0.5", "--input", BALL, flag, value)

@@ -12,12 +12,13 @@ from olab import (
     PowerLogYoung,
     PowerYoung,
     TabulatedYoung,
+    YoungFunction,
     classify_growth,
     young_from_config,
 )
 from olab.errors import ConfigError
 
-from conftest import bisection_inverse
+from conftest import bit_pattern_inverse
 
 FINITE_KINDS = [
     PowerYoung(1.5),
@@ -57,6 +58,14 @@ def test_inverse_at_infinity():
         assert phi.inverse(np.inf) == np.inf
 
 
+@pytest.mark.parametrize("s", [np.nan, -1.0, [1.0, np.nan]])
+def test_inverse_rejects_nan_and_negative(s):
+    # a nan once gave 4.5e-13 for power_log and nan for power
+    for phi in FINITE_KINDS + [LinearCappedYoung()]:
+        with pytest.raises(DomainError):
+            phi.inverse(s)
+
+
 BISECTED_KINDS = [PowerLogYoung(2, 1), PowerLogYoung(1, 0), PowerLogYoung(1, 3), PowerLogYoung(3, 2.5),
                   PowerLogYoung(1.5, 5), PowerLogYoung(7, 3)]
 
@@ -64,29 +73,60 @@ BISECTED_KINDS = [PowerLogYoung(2, 1), PowerLogYoung(1, 0), PowerLogYoung(1, 3),
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(BISECTED_KINDS + [None]),
        st.integers(min_value=1, max_value=80))
 @settings(max_examples=200, deadline=None)
-def test_bisected_inverse_is_the_reference_loop_bit_for_bit(seed, phi, size):
-    # batches of s in [1e-12, 1e6] (past 2^12 the bisection runs as it is) with 0, inf and tiny values mixed
-    # in; None stands for a composed kind over power_log, which inverts through its base
+def test_searched_inverse_is_the_least_float_past_s(seed, phi, size):
+    # batches of s in [1e-12, 1e9] with 0, inf, tiny and huge values mixed in; None stands for a composed kind
+    # over power_log, which inverts through its base
     rng = np.random.default_rng(seed)
-    s = 10.0 ** rng.uniform(-12, 6 if seed % 4 == 0 else 3.5, size)
+    s = 10.0 ** rng.uniform(-12, 9 if seed % 4 == 0 else 3.5, size)
     s[rng.random(size) < 0.1] = 0.0
     s[rng.random(size) < 0.05] = np.inf
     s[rng.random(size) < 0.05] = 10.0 ** rng.uniform(-300, -12)
+    s[rng.random(size) < 0.05] = 10.0 ** rng.uniform(9, 300)
     if phi is None:
         psi = ComposedPowerYoung(PowerLogYoung(2, 1), 0.5)
-        assert np.array_equal(psi.inverse(s), bisection_inverse(psi.base, s) ** 0.5)
-    else:
-        assert np.array_equal(phi.inverse(s), bisection_inverse(phi, s))
+        assert np.array_equal(psi.inverse(s), bit_pattern_inverse(psi.base, s) ** 0.5)
+        phi = psi.base
+    r = phi.inverse(s)
+    assert np.array_equal(r, bit_pattern_inverse(phi, s))
+    crossed = (r > 0) & np.isfinite(r)
+    assert np.all(phi(np.nextafter(r[crossed], 0)) <= s[crossed]) and np.all(s[crossed] < phi(r[crossed]))
 
 
-def test_bisected_inverse_keeps_its_batch_wide_step_count():
-    # 1e9 needs hi = 2^15, and so more halvings for every element of its batch
+def test_searched_inverse_is_a_function_of_each_element():
     phi = PowerLogYoung(2, 1)
-    assert phi.inverse(3.7) == 1.5914540134740491
-    assert phi.inverse(np.array([3.7, 1e9]))[0] == 1.5914540134742832
-    for s in ([3.7], [3.7, 1e9], np.geomspace(1e-12, 3e3, 64), [0.0, 1e-300, 5.0, np.inf],
+    assert phi.inverse(3.7) == phi.inverse(np.array([3.7, 1e9]))[0] == 1.5914540134742834
+    for s in (np.geomspace(1e-12, 3e3, 64), [0.0, 1e-300, 5.0, np.inf, 1e9, 1e300],
               np.geomspace(1e-3, 1e3, 12).reshape(3, 4)):
-        assert np.array_equal(phi.inverse(np.asarray(s)), bisection_inverse(phi, np.asarray(s)))
+        s = np.asarray(s)
+        assert np.array_equal(phi.inverse(s), np.reshape([phi.inverse(x) for x in s.ravel()], s.shape))
+
+
+def test_searched_inverse_of_prefactors_takes_few_phi_calls(monkeypatch):
+    # the 64 prefactor arguments 1/(2r) of a 1-D norm's radii on [1/16, 32], plus one far past them
+    calls, plain = [], PowerLogYoung._eval
+
+    def counted(self, t):
+        calls.append(t.size)
+        return plain(self, t)
+
+    monkeypatch.setattr(PowerLogYoung, "_eval", counted)
+    PowerLogYoung(2, 1).inverse(np.append(0.5 / np.geomspace(1 / 16, 32, 64), 1e9))
+    assert len(calls) <= 10
+
+
+class NotNondecreasingYoung(YoungFunction):
+    """t^2 with a dip to 0 at the ladder node 2^-10."""
+
+    def _eval(self, t):
+        return np.where(t == 2.0**-10, 0.0, t * t)
+
+
+def test_searched_inverse_of_a_ladder_that_is_not_nondecreasing():
+    # the ladder gives no bracket: each s bisects [0, inf] with no guess, as the reference does
+    phi, s = NotNondecreasingYoung(), np.geomspace(1e-30, 1e30, 41)
+    r = phi.inverse(s)
+    assert np.array_equal(r, bit_pattern_inverse(phi, s))
+    assert np.all(phi(np.nextafter(r, 0)) <= s) and np.all(s < phi(r))
 
 
 def test_compose_power():
