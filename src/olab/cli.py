@@ -118,8 +118,8 @@ def _setup_from_config(cfg: dict) -> AdamsSetup:
         else:
             raise ConfigError("setup needs either 'growth' or 'lambda'")
         return AdamsSetup(phi, varphi, float(cfg["alpha"]), float(cfg["beta"]), n=n)
-    except KeyError as exc:
-        raise ConfigError(f"setup config missing key {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a key missing, or int("two"), float("x")
+        raise ConfigError(f"setup config missing a key or holding a non-number: {exc!r}") from exc
 
 
 def _parse_range(text: str):

@@ -164,6 +164,6 @@ def growth_from_config(cfg: dict, phi: YoungFunction | None = None, n: int = 1) 
             )
         if kind == "power_of":
             return PowerOfGrowth(growth_from_config(cfg["base"], phi=phi, n=n), cfg["beta"])
-    except KeyError as exc:
-        raise ConfigError(f"missing parameter {exc} for growth kind {kind!r}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a parameter missing, or not a number
+        raise ConfigError(f"missing or invalid parameter for growth kind {kind!r}: {exc!r}") from exc
     raise ConfigError(f"unknown growth kind {kind!r}")

@@ -5,21 +5,19 @@ integral by sup_t phi(t/lam) d_f(t) with d_f the distribution function.  General
 suprema of phi_inv(|B|^{-1}) * ||f||_{L^Phi(B)} / varphi(r) over a sampled family of balls; the attaining ball
 is returned as a witness.
 
-Power kinds scale * t**p take closed forms unless f**p or its sum overflows: the strong gauge
-(scale * cellvol * S) ** (1 / p), S the ``ball_sums`` of f**p, and on 1-D grids the weak gauge
-max_k v_(k)**p * cellvol * k, v_(k) the ball's k-th largest value, bisected over each center's nested radii
-(``_weak_power_sups``).
+Strong power gauges scale * t**p take the closed form (scale * cellvol * S) ** (1 / p), S the ``ball_sums`` of
+f**p, unless f**p or its sum overflows.
 
-Every other weak gauge is bisected where its closed form ranks it near the sup.  As phi(u) <= s exactly when
-u <= phi_inv(s), the least lam with max_k phi(v_(k)/lam) * k * cellvol <= 1 is g = max_k v_(k) * W[k], with
-W[k] = 1 / phi_inv(1 / (k * cellvol)) nondecreasing.  With each phi_inv checked against phi to 1e-9, convexity
-puts the bisection ``_weak_gauge`` (width 1e-9) within the factor s = 1 + 4e-9 of g either way, bracket ends
-permitting (checked).  Levels s_0 < ... < s_L over f's positive values, t_i the largest value of the bin
-[s_i, s_(i+1)) and N_i(c) = #{x in B_c : f(x) >= s_i} give max_i s_i * W[N_i(c)] <= g <= max_i t_i * W[N_i(c)],
-both g where every distinct value is a level.  Past the level budget, 1-D balls take ``_weak_power_sups`` with
-W for cellvol * k, and the 2-D balls whose upper bound times s**2 reaches the largest lower bound (times the
-prefactor) take g over their sorted windows.  Those whose g * prefactor times s**2 reaches the sup (each
-column's, with no prefactor) are bisected; the rest lie strictly below it and read 0.
+A weak gauge has the closed form g = max_k v_(k) * W[k], v_(k) the ball's k-th largest value: as phi(u) <= s
+exactly when u <= phi_inv(s), the least lam with max_k phi(v_(k)/lam) * k * cellvol <= 1 is g with W[k] =
+1 / phi_inv(1 / (k * cellvol)) nondecreasing.  It is ranked in one of two ways: by exact level counts, g =
+max_i s_i * W[N_i(c)] over the distinct positive values s_i with N_i(c) = #{x in B_c : f(x) >= s_i}, when they
+fit the level budget; else by ``_weak_power_sups``, a bisection over each center's nested radii.  With each
+phi_inv checked against phi to 1e-9, convexity puts the bisection ``_weak_gauge`` (width 1e-9) within the factor
+s = 1 + 4e-9 of g either way, bracket ends permitting (checked).  The balls whose g * prefactor times s**2
+reaches the sup (each column's, with no prefactor) are bisected; the rest lie strictly below it and read 0.  On
+1-D grids a power kind whose f**p sums finitely is the exact case: values v**p and W[k] = cellvol * k give
+(scale * g) ** (1 / p), with no bisection.
 
 Other strong gauges take a column root-find: a batched Illinois iteration finds per radius
 lam* = min{lam : max_c U_c(lam) <= 1}, U_c >= F_c the ball sums of phi(f/lam) plus their rounding bound.  Where
@@ -295,21 +293,21 @@ class MorreySampling:
         return cs, len(shared)
 
 
-# Balls whose windows the weak 2-D closed form sorts together, in arrays of _CENTER_CHUNK x (window width).
-_CENTER_CHUNK = 32
-# Entries of one array of gathered ball windows: the weak 1-D power closed form, the weak level counts.
+# Entries of one array of gathered ball windows: the weak radius bisection, the weak level counts.
 _BATCH = 2**16
 # Bytes of one array of window indices or sums that the strong power closed form holds: it takes its radii in
 # groups, or on large 2-D grids one radius over chunks of centers.  A 1-D triviality probe on the default grid
 # (513 centers x 309 radii) peaks at 1.7 MiB traced, against 6.1 MiB with every radius at once.
 _SUM_BYTES = 2**16
-# The strong root-find: the ball windows it holds at once, in index bytes (larger sets of radii are split
-# into groups, each with its own batched root-find), and the row_prefix slots plus windows of the columns
-# that one step stacks into one table (one column on large grids, where a wider table falls out of cache).
+# The ball windows held at once, in index bytes: the strong root-find's (larger sets of radii are split into
+# groups, each with its own batched root-find) and the weak tie certificate's (centers in chunks); and the
+# row_prefix slots plus windows of the columns that one root-find step stacks into one table (one column on
+# large grids, where a wider table falls out of cache).
 _WINDOW_BYTES, _STACK_SLOTS = 2**24, 2**15
-# The weak closed form's level count, at least 1, keeps levels x balls within _LEVEL_BALLS and levels x balls x
-# rows (the row windows that its counts read) within _LEVEL_ROWS.  Provisional: set by single runs on 128x128
-# and 256x256 grids; no benchmarked op has more distinct positive values than the budget.
+# The weak closed form ranks by exact level counts when f has at most as many distinct positive values as keep
+# levels x balls within _LEVEL_BALLS and levels x balls x rows (the row windows that its counts read) within
+# _LEVEL_ROWS, else by the radius bisection of ``_weak_power_sups``.  Provisional: set by single runs on 128x128
+# and 256x256 grids.
 _LEVEL_BALLS, _LEVEL_ROWS = 2**21, 2**28
 # Relative margin by which the bound on a skipped run of weak entries stays below the best exact
 # entry; it covers any p-th root that rounds out of order (the weak closed form adds its slack).
@@ -319,13 +317,21 @@ _RUN_MARGIN = 1e-12
 _FLAT_PREFACTOR = 1e-9
 
 
-def _weak_power_batch(table, rank_vol, start, stop, levels=False):
-    """max_k v_(k) * W[k] over the 1-D windows (start, stop] of ``table``, v_(k) the k-th largest; with
-    ``levels`` the value v_(k) of one k that attains it (else zeros); and the number of windows sorted.
+def _best_terms(rows, rank_vol):
+    """max_k v_(k) * W[k] per row of gathered ball values, v_(k) the k-th largest and W[k] = ``rank_vol[-k]``, and
+    the value v_(k) of one k that attains it.  Rows are sorted in place: padding zeros sort first, are taken as
+    ranks beyond the positive values and add 0 terms."""
+    rows.sort(axis=1)
+    terms = rows * rank_vol[len(rank_vol) - rows.shape[1] :]
+    k = np.arange(len(rows)), np.argmax(terms, axis=1)
+    return terms[k], rows[k]
 
-    ``rank_vol[-k]`` holds W[k], nondecreasing in k.  Each distinct window is read anew: the cells after its end
-    are zeroed, and zeros sort first, are taken as ranks beyond the positive values and add 0 terms.
-    Windows are batched by width, within a factor 2."""
+
+def _weak_power_batch(table, rank_vol, start, stop):
+    """``_best_terms`` of the 1-D windows (start, stop] of ``table``, and the number of windows sorted.
+
+    Each distinct window is read anew, as a sliding window with the cells after its end zeroed.  Windows are
+    batched by width, within a factor 2."""
     _, first, inverse = np.unique(start * len(table) + stop, return_index=True, return_inverse=True)
     start, width = start[first], stop[first] - start[first]
     out, level = np.zeros(len(width)), np.zeros(len(width))
@@ -338,62 +344,74 @@ def _weak_power_batch(table, rank_vol, start, stop, levels=False):
         for batch in np.array_split(np.arange(len(group)), -(-len(group) * top // _BATCH)):
             rows = view[start[group[batch]] + 1]
             rows[np.arange(top) >= w[batch, None]] = 0.0
-            rows.sort(axis=1)
-            if levels:
-                terms = rows * rank_vol[len(rank_vol) - top :]
-                k = (np.arange(len(batch)), np.argmax(terms, axis=1))
-                out[group[batch]], level[group[batch]] = terms[k], rows[k]
-            else:
-                out[group[batch]] = np.max(rows * rank_vol[len(rank_vol) - top :], axis=1)
+            out[group[batch]], level[group[batch]] = _best_terms(rows, rank_vol)
     return out[inverse], level[inverse], int(np.count_nonzero(width))
 
 
-def _tie_starts(vp, start, stop, level):
-    """Per row of 1-D windows (start, stop], nested as the row goes on, the first index j with N(j) = N(last),
-    N(j) the cells of window j with vp >= that row's ``level``: exact int counts, each row read at its own
-    level through ``level_counts`` (of as many distinct levels at a time as keep their sets in _BATCH cells)."""
-    levels = distinct(level)
-    which, counts, per = np.searchsorted(levels, level), np.empty(start.shape, int), max(1, _BATCH // len(vp))
+def _tie_starts(values, windows, level):
+    """Per ball row of ``windows`` (start, stop), each (N, radii, rows) and nested as the radius grows, the first
+    index j with N(j) = N(last), N(j) the cells of ball j with values >= that row's ``level``: exact int counts,
+    each row read at its own level through ``level_counts`` (of as many distinct levels at a time as keep their
+    sets in _BATCH cells)."""
+    levels, per = distinct(level), max(1, _BATCH // values.size)
+    which, counts = np.searchsorted(levels, level), np.empty(windows[0].shape[:2], int)
     for a in range(0, len(levels), per):
-        rows = np.flatnonzero((which >= a) & (which < a + per))
-        count = level_counts(vp, levels[a : a + per])
-        counts[rows] = count((start[rows][..., None], stop[rows][..., None]), (which[rows] - a)[:, None])
+        balls = np.flatnonzero((which >= a) & (which < a + per))
+        count = level_counts(values, levels[a : a + per])
+        counts[balls] = count((windows[0][balls], windows[1][balls]), (which[balls] - a)[:, None])
     return np.argmax(counts == counts[:, -1:], axis=1)
 
 
-def _weak_power_sups(vp, rank_vol, windows, to_gauge=None, prefactor=None, margin=_RUN_MARGIN):
-    """g = max_k v_(k) * W[k] over each 1-D ball of ``windows``, v_(k) the k-th largest of ``vp`` and W[k] =
-    ``rank_vol[-k]`` nondecreasing in k (cellvol * k for the values v**p of a power), and the counts of the work
-    record: entries evaluated, windows sorted and entries certified.
+def _weak_power_sups(values, rank_vol, grid, centers, radii, to_gauge=None, prefactor=None):
+    """g = max_k v_(k) * W[k] over each ball of the (N, n) array ``centers`` at nondecreasing ``radii``, v_(k) the
+    k-th largest of ``values`` and W[k] = ``rank_vol[-k]`` nondecreasing in k (cellvol * k for the values v**p of a
+    power), and the counts of the work record: entries evaluated, windows sorted and entries certified.
 
-    ``windows`` are the (N, radii, 1) ``ball_windows`` of N centers at nondecreasing radii, nested, so each
-    v_(k) and with it g(c, j) is nondecreasing in j, bit for bit (rounding is monotone in each factor).  All
-    centers are bisected over their radius indices together: the first and last radius are evaluated, and a
-    run lo < j < hi between two exact entries takes g(c, lo) if g(c, lo) == g(c, hi), else is split at its
-    middle.  Given a ``prefactor`` per radius, a run is skipped (its entries read 0) when to_gauge(g(c, hi))
-    * max(prefactor over the run) * (1 + margin) falls below the best to_gauge(g) * prefactor of an exact
-    entry (to_gauge: the identity if None).
+    1-D windows are made once for every ball and read as sliding windows of the row table
+    (``_weak_power_batch``); 2-D ones per radius, for the balls evaluated only, and gathered through
+    ``window_values``.  The balls of a center are nested, so each v_(k) and with it g(c, j) is
+    nondecreasing in j, bit for bit (rounding is monotone in each factor).  All centers are bisected over their
+    radius indices together: the first and last radius are evaluated, and a run lo < j < hi between two exact
+    entries takes g(c, lo) if g(c, lo) == g(c, hi), else is split at its middle.  Given a ``prefactor`` per
+    radius, a run is skipped (its entries read 0) when to_gauge(g(c, hi)) * max(prefactor over the run) *
+    (1 + margin) falls below the best to_gauge(g) * prefactor of an exact entry: margin = _RUN_MARGIN, or with no
+    ``to_gauge`` (the identity: a closed form that only ranks) that times the slack squared of the bisection.
 
     Tied runs are certified: the last radius gives v*, the value of one term that attains g(c, last),
-    and N(c, j) = #{x in B(c, r_j) : vp >= v*}, which never falls as j grows.  Where N(c, j) = N(c, last),
+    and N(c, j) = #{x in B(c, r_j) : values >= v*}, which never falls as j grows.  Where N(c, j) = N(c, last),
     the N-th largest value is >= v*, so g(c, j) >= fl(v* * W[N]) = g(c, last) >= g(c, j): the run
     from the first such j0 to the last radius holds g(c, last) bit for bit, unsorted.  A run (lo, last)
     that is neither flat nor skipped takes the certificate where the prefactor does not rise over
     lo < j < last (by more than _FLAT_PREFACTOR, far above rounding; no prefactor is flat), and becomes
-    (lo, j0), evaluated at j0 - 1 instead of its middle so that the skip rule can prune the rest.
+    (lo, j0), evaluated at j0 - 1 instead of its middle so that the skip rule can prune the rest.  The
+    certificate reads the windows of the tied centers at every radius, in chunks within _WINDOW_BYTES.
     """
-    table = row_table(vp)[0]
-    start, stop = windows[0][..., 0], windows[1][..., 0]
+    if grid.n == 1:
+        table, (start, stop) = row_table(values)[0], (w[..., 0] for w in ball_windows(grid, centers, radii))
+
+        def evaluate(c, j):
+            return _weak_power_batch(table, rank_vol, start[c, j], stop[c, j])
+    else:
+        def evaluate(c, j):  # in batches of about _BATCH gathered cells, each disk's band at most side x side
+            out, level = np.zeros(len(c)), np.zeros(len(c))
+            for k in distinct(j):
+                at, side = np.flatnonzero(j == k), int(min(2 * radii[k] / grid.h + 1, grid.cells_per_axis))
+                for part in np.array_split(at, -(-len(at) * side**2 // _BATCH)):
+                    windows = ball_windows(grid, centers[c[part]], radii[k])
+                    out[part], level[part] = _best_terms(window_values(values, windows), rank_vol)
+            return out, level, len(c)
+
+    margin = _RUN_MARGIN if to_gauge else _SLACK**2 * (1 + _RUN_MARGIN) - 1
     to_gauge = to_gauge or (lambda sups: sups)
-    out, certified = np.zeros(start.shape), 0
-    last = start.shape[1] - 1
-    ends = np.arange(len(start)).repeat(2), np.tile([0, last], len(start))
+    out, certified = np.zeros((len(centers), len(radii))), 0
+    last = len(radii) - 1
+    ends = np.arange(len(centers)).repeat(2), np.tile([0, last], len(centers))
     pref = np.ones(last + 1) if prefactor is None else prefactor
     # flat_to_last[lo]: max(prefactor[lo + 1 : last]) stays within _FLAT_PREFACTOR of prefactor[last]
     flat_to_last = np.maximum.accumulate(pref[last - 1 : 0 : -1])[::-1] <= pref[last] * (1 + _FLAT_PREFACTOR)
-    certify = flat_to_last.any()  # else the bisection runs alone
-    out[ends], tops, windows_sorted = _weak_power_batch(table, rank_vol, start[ends], stop[ends], certify)
-    tops, visited = tops[1::2], len(ends[0])  # v* of each center's last radius
+    out[ends], v_star, windows_sorted = evaluate(*ends)
+    v_star, visited = v_star[1::2], len(ends[0])  # v* of each center's last radius
+    per = max(1, _WINDOW_BYTES // (16 * len(radii) * grid.cells_per_axis ** (grid.n - 1)))  # centers per chunk
     if prefactor is not None:
         # runs[k, a] = max(prefactor[a : a + 2**k]); a run a..b is two such blocks that overlap
         runs = np.full((int(last + 1).bit_length(), last + 1), np.nan)
@@ -412,7 +430,7 @@ def _weak_power_sups(vp, rank_vol, windows, to_gauge=None, prefactor=None, margi
         at = np.arange(n_in.sum()) - np.repeat(np.cumsum(n_in) - n_in, n_in)
         out[np.repeat(c, n_in), np.repeat(a, n_in) + at] = np.repeat(value, n_in)
 
-    c, lo, hi = np.arange(len(start)), np.zeros(len(start), int), np.full(len(start), last)
+    c, lo, hi = np.arange(len(centers)), np.zeros(len(centers), int), np.full(len(centers), last)
     while len(c := c[(live := hi - lo > 1)]):
         lo, hi = lo[live], hi[live]
         flat = out[c, lo] == out[c, hi]
@@ -423,14 +441,15 @@ def _weak_power_sups(vp, rank_vol, windows, to_gauge=None, prefactor=None, margi
             best = np.nanmax(to_gauge(out[c, lo][flat]) * run_max(lo[flat] + 1, hi[flat] - 1), initial=best)
             split &= ~(to_gauge(out[c, hi]) * run_max(lo + 1, hi - 1) * (1 + margin) < best)
         c, lo, hi, mid = c[split], lo[split], hi[split], (lo[split] + hi[split]) // 2
-        if certify and (tied := (hi == last) & flat_to_last[lo]).any():
+        if (tied := (hi == last) & flat_to_last[lo]).any():
             ct = c[tied]
-            j0 = _tie_starts(vp, start[ct], stop[ct], tops[ct])
+            j0 = np.concatenate([_tie_starts(values, ball_windows(grid, centers[ct[a : a + per]], radii),
+                                             v_star[ct[a : a + per]]) for a in range(0, len(ct), per)])
             fill(ct, j0, last - j0, out[ct, last])
             certified += int((last - j0).sum())
             hi[tied], mid[tied] = j0, j0 - 1
             c, lo, hi, mid = c[keep := mid > lo], lo[keep], hi[keep], mid[keep]
-        out[c, mid], _, n = _weak_power_batch(table, rank_vol, start[c, mid], stop[c, mid])
+        out[c, mid], _, n = evaluate(c, mid)
         windows_sorted, visited = windows_sorted + n, visited + len(c)
         if prefactor is not None:
             best = np.nanmax(to_gauge(out[c, mid]) * prefactor[mid], initial=best)
@@ -443,17 +462,16 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
     work record from the path that computed its gauges.
 
     ``centers`` holds each function's centers, the first ``shared`` of them common to every function
-    (``MorreySampling.center_stack``); their windows are made once.  Power kinds take the closed forms of
-    the module docstring while f**p and its sum stay finite: the strong gauges of every such function are
-    read from one stacked ``row_prefix`` table with the arithmetic of ``ball_sums``, in blocks of centers
-    and radii whose windows and sums stay within _SUM_BYTES, and the weak 1-D ones come from
-    ``_weak_power_sups``.  Other weak gauges take ``_weak_closed_gauges`` and other strong ones
-    ``_root_find_gauges``, a function at a time: they give the entries that can attain the sup of gauge *
-    prefactor (with no prefactor, each column's maximum), and the rest read 0, strictly below it.
+    (``MorreySampling.center_stack``).  Power kinds take the closed forms of the module docstring while f**p and
+    its sum stay finite (decided on f itself, before its infinite cells are zeroed): the strong gauges of every
+    such function are read from one stacked ``row_prefix`` table with the arithmetic of ``ball_sums``, in blocks
+    of centers and radii whose windows (made once for the shared centers) and sums stay within _SUM_BYTES.  Weak
+    gauges take ``_weak_closed_gauges`` and other strong ones ``_root_find_gauges``, a function at a time: they
+    give the entries that can attain the sup of gauge * prefactor (with no prefactor, each column's maximum), and
+    the rest read 0, strictly below it.
 
     The work record is one dict on every path: its ``path`` ("closed-form" or "column-root-find") and the
-    per-ball ``bisections``; the weak 1-D power form adds ``visited``, ``sorted_windows`` and ``certified``,
-    and the paths that bisect balls the counts of ``_work``.
+    per-ball ``bisections``, then the counts of ``_work`` for the weak closed form and the root-find.
     """
     grid = fs[0].grid
     cellvol = grid.cell_volume
@@ -461,28 +479,17 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
     power, vps = _power_form(phi) if grid.n == 1 or not weak else None, {}
     if power is not None:
         p, scale = power
-
-        def to_gauge(sups):
-            return (scale * sups) ** (1.0 / p)
-
         with np.errstate(over="ignore"):
             for i, f in enumerate(fs):
                 vp = f.values**p
                 if np.isfinite(2 * scale * cellvol * vp.sum()):  # f**p or a ball's sup of it may overflow
                     vps[i] = vp
-    closed, works = list(vps), [{"path": "closed-form", "bisections": 0} for _ in fs]
-
-    if closed and weak:  # the windows before the output: making them takes the most memory
-        # of the shared centers, and of each closed-form function's own centers
-        order = np.argsort(radii, kind="stable")
-        common = ball_windows(grid, centers[0, :shared], radii[order])
-        own = [w.reshape((len(closed), -1) + w.shape[1:])
-               for w in ball_windows(grid, centers[closed, shared:].reshape(-1, grid.n), radii[order])]
+    closed, works = [] if weak else list(vps), [{"path": "closed-form", "bisections": 0} for _ in fs]
     out = np.zeros(centers.shape[:2] + radii.shape)
     for i, f in enumerate(fs):
-        if i not in vps:  # the root-find divides by lam first
-            out[i], works[i] = _bisected_gauges(f, phi, centers[i], radii, weak, prefactor)
-    if closed and not weak:
+        if i not in closed:  # the root-find divides by lam first
+            out[i], works[i] = _bisected_gauges(f, phi, centers[i], radii, weak, prefactor, vps.get(i))
+    if closed:
         # the sums of ``ball_sums`` over each ball's row windows (a 1-D ball has one row), function i's read from
         # grid i of one stacked ``row_prefix`` table, then (scale * cellvol * sums) ** (1 / p) in place
         table = row_prefix(np.stack([vps[i] for i in closed])).reshape(len(closed), -1)
@@ -509,19 +516,13 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
                 for a in range(shared, centers.shape[1], step):
                     at = slice(a, a + step)
                     out[i, at, part] = gauges(row, ball_windows(grid, centers[i, at], radii[part]))
-    for row, i in enumerate(closed if weak else []):
-        windows = tuple(np.concatenate([c, o[row]]) for c, o in zip(common, own))
-        sups, counts = _weak_power_sups(vps[i], cellvol * np.arange(vps[i].size, 0, -1), windows, to_gauge,
-                                        None if prefactor is None else prefactor[order])
-        out[i] = to_gauge(sups[:, np.argsort(order)])
-        works[i] |= counts
     return out, works
 
 
 def _work(weak=False, **counts) -> dict:
-    """The work record of a path that bisects balls (``_gauge_bisect``): the weak closed form's level count, balls
-    whose closed form it read (``visited``), of them the windows sorted, and entries certified, or the strong
-    root-find's column blocks, blocks visited and batched steps; then the bisections and their replays."""
+    """The work record of the weak closed form, its levels counted (0 where the radius bisection ranks), balls whose
+    closed form it read (``visited``), of them the windows sorted, and entries certified, or of the strong
+    root-find, its column blocks, blocks visited and batched steps; then the bisections and their replays."""
     path = ({"path": "closed-form", "levels": 0, "visited": 0, "sorted_windows": 0, "certified": 0} if weak else
             {"path": "column-root-find", "blocks": 0, "visited": 0, "steps": 0})
     return path | {"bisections": 0, "replayed": 0, "replay_steps": 0} | counts
@@ -549,17 +550,6 @@ def _strong_bound(f, phi, centers, radii):
     return bound
 
 
-def _levels(values, budget):
-    """Levels s_0 < ... < s_L over the distinct positive values, and the largest value t_i of each bin
-    [s_i, s_(i+1)): every distinct value (t = s) when at most ``budget``, else ``budget`` bins of about
-    equally many distinct values."""
-    v = distinct(values[values > 0])
-    if len(v) <= budget:
-        return v, v
-    first = np.arange(budget) * len(v) // budget
-    return v[first], v[np.append(first[1:], len(v)) - 1]
-
-
 def _weak_weights(phi, cellvol, npos, size):
     """W[k] = 1 / phi_inv(1 / (k * cellvol)) for the ranks k = 1 .. npos, made nondecreasing, then W[npos] up to
     rank ``size``, W[0] = 0; and whether it may prune (module docstring): each r = phi_inv(s) checks out as
@@ -573,22 +563,15 @@ def _weak_weights(phi, cellvol, npos, size):
         checked and w[0] >= 1e-12 * _SLACK and w[-1] * _SLACK < 1e11)
 
 
-def _level_gauges(f, levels, tops, weights, centers, radii):
-    """max_i t_i * W[N_i(c)] and max_i s_i * W[N_i(c)] per ball (centers, radii), N_i(c) = #{x in B_c : f(x) >=
-    s_i}, read through ``level_counts``: the closed form twice where every distinct value is a level (t = s),
-    else bounds on it from above and below."""
-    rows, count = f.grid.cells_per_axis ** (f.grid.n - 1), level_counts(f.values, levels)
-    per, out = max(1, _BATCH // (len(levels) * len(centers) * rows)), np.empty((2, len(centers), len(radii)))
+def _level_gauges(values, grid, levels, weights, centers, radii):
+    """max_i s_i * W[N_i(c)] per ball (centers, radii), N_i(c) = #{x in B_c : values(x) >= s_i} for the levels s_i,
+    read through ``level_counts``: the closed form where every distinct positive value is a level."""
+    rows, count = grid.cells_per_axis ** (grid.n - 1), level_counts(values, levels)
+    per, out = max(1, _BATCH // (len(levels) * len(centers) * rows)), np.empty((len(centers), len(radii)))
     for k in range(0, len(radii), per):
-        w = weights[count(row_band(ball_windows(f.grid, centers, radii[k : k + per])))]  # (centers, radii, levels)
-        out[:, :, k : k + per] = np.max(tops * w, axis=-1), np.max(levels * w, axis=-1)
+        w = weights[count(row_band(ball_windows(grid, centers, radii[k : k + per])))]  # (centers, radii, levels)
+        out[:, k : k + per] = np.max(levels * w, axis=-1)
     return out
-
-
-def _sorted_gauges(values, weights, windows):
-    """max_k v_(k) * W[k] over each ball of ``windows``, its values gathered and sorted once."""
-    (v := window_values(values, windows)).sort(axis=1)  # in place: a sorted copy costs page faults
-    return np.max(v * weights[v.shape[1] : 0 : -1].copy(), axis=1)  # the padding zeros add 0 terms
 
 
 def _bisector(f, phi, gauge, centers, radii, out, work):
@@ -611,8 +594,8 @@ def _bisector(f, phi, gauge, centers, radii, out, work):
     return exact
 
 
-def _bisected_gauges(f, phi, centers, radii, weak, prefactor):
-    """``_weak_closed_gauges`` or ``_root_find_gauges`` of f, its infinite cells zeroed (module docstring)."""
+def _bisected_gauges(f, phi, centers, radii, weak, prefactor, vp=None):
+    """``_weak_closed_gauges`` (given ``vp``, its exact power case) or ``_root_find_gauges`` of f, inf cells zeroed."""
     inf = np.isinf(f.values)
     if inf.any():  # balls over an infinite cell have gauge inf; zeroing those cells changes no other ball
         hit = np.stack([window_key(inf, ball_windows(f.grid, centers, r)).any(axis=1) for r in radii], axis=1)
@@ -620,39 +603,44 @@ def _bisected_gauges(f, phi, centers, radii, weak, prefactor):
             SampledFunction(f.grid, np.where(inf, 0.0, f.values)), phi, centers, radii, weak, prefactor)
         return np.where(hit, np.inf, out), work
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (_weak_closed_gauges if weak else _root_find_gauges)(f, phi, centers, radii, prefactor)
+        return (_weak_closed_gauges(f, phi, centers, radii, prefactor, vp) if weak else
+                _root_find_gauges(f, phi, centers, radii, prefactor))
 
 
-def _weak_closed_gauges(f, phi, centers, radii, prefactor):
-    """The weak closed form of the module docstring, bisected near the sup: (gauges, ``_work`` record)."""
+def _weak_closed_gauges(f, phi, centers, radii, prefactor, vp=None):
+    """The weak closed form of the module docstring, ranked by exact level counts or by the radius bisection
+    ``_weak_power_sups``, then bisected near the sup; or, given the values ``vp`` = f**p of a power kind
+    scale * t**p, the exact power case (scale * g) ** (1 / p): (gauges, ``_work`` record)."""
     grid, out, every_column = f.grid, np.zeros((len(centers), len(radii))), prefactor is None
     balls, rows = out.size, grid.cells_per_axis ** (grid.n - 1)
-    levels, tops = _levels(f.values, max(1, min(_LEVEL_BALLS // balls, _LEVEL_ROWS // (balls * rows))))
-    work = _work(True, levels=len(levels))
+    values = f.values if vp is None else vp
+    levels, work = distinct(values[values > 0]), _work(True)
     if not len(levels):  # f = 0
         return out, work
-    (weights, sane), slack = _weak_weights(phi, grid.cell_volume, np.count_nonzero(f.values), f.values.size), _SLACK
+    if vp is None:
+        (weights, sane), to_gauge = _weak_weights(phi, grid.cell_volume, np.count_nonzero(values), values.size), None
+    else:
+        (p, scale), weights, sane = _power_form(phi), grid.cell_volume * np.arange(values.size + 1), True
+
+        def to_gauge(sups):
+            return (scale * sups) ** (1.0 / p)
+
     pref, g = np.ones(len(radii)) if every_column else prefactor, np.zeros(out.shape)
-    if sane and (grid.n == 2 or np.array_equal(levels, tops)):
-        g, lower = _level_gauges(f, levels, tops, weights, centers, radii)  # binned: bounds on each ball's
-    if not sane or np.array_equal(levels, tops):
-        work["visited"] = balls if sane else 0
-    elif grid.n == 1:
+    if sane and len(levels) <= max(1, min(_LEVEL_BALLS // balls, _LEVEL_ROWS // (balls * rows))):
+        g = _level_gauges(values, grid, levels, weights, centers, radii)
+        work |= {"levels": len(levels), "visited": balls}
+    elif sane:
         order = np.argsort(radii, kind="stable")
-        g, counts = _weak_power_sups(f.values, weights[:0:-1].copy(), ball_windows(grid, centers, radii[order]), None,
-                                     None if every_column else pref[order], slack**2 * (1 + _RUN_MARGIN) - 1)
+        g, counts = _weak_power_sups(values, weights[:0:-1].copy(), grid, centers, radii[order], to_gauge,
+                                     None if every_column else pref[order])
         g, work = g[:, np.argsort(order)], work | counts
-    else:  # 2-D: g over the sorted windows of the balls whose bound can reach the best lower bound
-        reach, g = ~(g * pref * slack**2 < np.max(lower * pref, axis=0 if every_column else None)), np.zeros(out.shape)
-        for j in np.flatnonzero(reach.any(axis=0)):
-            for cs in np.array_split(np.flatnonzero(reach[:, j]), -(-np.count_nonzero(reach[:, j]) // _CENTER_CHUNK)):
-                g[cs, j] = _sorted_gauges(f.values, weights, ball_windows(grid, centers[cs], radii[j]))
-        work["visited"] = work["sorted_windows"] = int(reach.sum())
+    if vp is not None:
+        return to_gauge(g), work
     # bisect the balls whose closed form lies within the slack of the sup (of each column's)
     keys, exact = g * pref, _bisector(f, phi, _weak_gauge, centers, radii, out, work)
     top = np.max(keys, axis=0 if every_column else None)
     prune = sane & np.isfinite(top) & (top >= _KEY_FLOOR * pref.max())
-    candidate = ~(keys * slack**2 < top) | ~prune
+    candidate = ~(keys * _SLACK**2 < top) | ~prune
     for j in np.flatnonzero(candidate.any(axis=0)):
         exact(j, np.flatnonzero(candidate[:, j]), g[candidate[:, j], j])
     return out, work

@@ -416,7 +416,10 @@ def _radial_dist2(grid: GridSpec, center) -> np.ndarray:
 
 
 def _finite(value, name: str) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"formula {name} must be a number, got {value!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"formula {name} must be finite, got {name} {value}")
     return value

@@ -391,8 +391,8 @@ def young_from_config(cfg: dict) -> YoungFunction:
         raise ConfigError(f"unknown Young function kind {kind!r}")
     try:
         return _YOUNG_KINDS[kind](cfg)
-    except KeyError as exc:
-        raise ConfigError(f"missing parameter {exc} for Young kind {kind!r}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a parameter missing, or not a number
+        raise ConfigError(f"missing or invalid parameter for Young kind {kind!r}: {exc!r}") from exc
 
 
 _NABLA2_CANDIDATES = np.geomspace(1.0, 2.0**10, 41)  # contains 2 exactly

@@ -8,7 +8,7 @@ from scipy.signal import convolve2d
 from olab import Ball, GridSpec, SampledFunction, ball_measure, sample_function
 from olab.norms import _argmax_witness, _power_form
 from olab.operators import _radius_set_2d
-from olab.sampled import ball_sums, ball_windows, row_table
+from olab.sampled import ball_sums, ball_windows, row_table, window_values
 
 
 @pytest.fixture(scope="session")
@@ -232,6 +232,13 @@ def per_ball_morrey(f, phi, varphi, centers, radii, weak=False, gauges=None):
     vals = gauges * (phi.inverse(1.0 / measures) / varphi(radii))[None, :]
     best, witness = _argmax_witness(vals, centers, radii)
     return vals, best, witness if np.isfinite(best) else None
+
+
+def sorted_gauges(values, weights, windows):
+    """Reference weak closed form max_k v_(k) * W[k] over each ball of ``windows``, v_(k) its k-th largest value
+    and W[k] = ``weights[k]``: its values gathered and sorted once (the padding zeros add 0 terms)."""
+    v = np.sort(window_values(values, windows), axis=1)
+    return np.max(v * weights[v.shape[1] : 0 : -1], axis=1)
 
 
 def merged_weak_power_sups(vp, cellvol, windows):

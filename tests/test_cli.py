@@ -68,14 +68,17 @@ def test_norm_summary_records_root_find_work(capsys, tmp_path):
     assert "replay" not in out_path.read_text() and "levels" not in out_path.read_text()
 
 
-def test_norm_summary_records_weak_closed_form_work(capsys, tmp_path):
-    # lambda = 0: every center's largest balls tie the sup, and a level count certifies them unsorted
+def test_norm_summary_records_weak_closed_form_work(capsys, tmp_path, monkeypatch):
+    # lambda = 0 and a gaussian past a budget of one level: the radius bisection ranks the balls, every
+    # center's largest balls tie the sup, and a level count certifies them unsorted
+    monkeypatch.setattr(olab.norms, "_LEVEL_BALLS", 1)
     out_path = tmp_path / "norm.csv"
-    code, _, _ = run(capsys, "norm", "--input", BALL, "--young", P2, "--lambda", "0", "--weak",
+    code, _, _ = run(capsys, "norm", "--input", '{"type":"gaussian"}', "--young", P2, "--lambda", "0", "--weak",
                      "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
     assert code == 0
     summary = json.loads((tmp_path / "norm.json").read_text())
-    assert sorted(summary["work"]) == ["bisections", "certified", "path", "sorted_windows", "visited"]
+    assert sorted(summary["work"]) == ["bisections", "certified", "levels", "path", "replay_steps", "replayed",
+                                       "sorted_windows", "visited"]
     assert summary["work"]["path"] == "closed-form" and "root_find" not in summary
     assert summary["work"]["sorted_windows"] > 0 and summary["work"]["certified"] > 0
     assert "certified" not in out_path.read_text() and "sorted" not in out_path.read_text()
@@ -102,6 +105,24 @@ def test_malformed_json_is_status_2_no_output(capsys, tmp_path):
     assert code == 2
     assert not out_path.exists()
     assert "parse error" in err
+
+
+SETUP = {"young": {"kind": "power", "p": 2}, "lambda": 0.5, "alpha": 0.25, "beta": 0.5, "n": 1}
+GRID = ["--grid-h", "0.125", "--grid-extent", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--input", BALL, "--young", '{"kind":"power","p":"2"}', "--lambda", "0.5"],
+    ["norm", "--input", BALL, "--young", '{"kind":"power","p":null}', "--lambda", "0.5"],
+    ["norm", "--input", BALL, "--young", '{"kind":"power","p":[2]}', "--lambda", "0.5"],
+    ["norm", "--input", BALL, "--young", P2, "--growth", '{"kind":"power","exponent":"x"}'],
+    ["norm", "--input", '{"type":"gaussian","scale":"big"}', "--young", P2, "--lambda", "0.5"],
+    ["check", "--condition", "adams-necessary", "--setup", json.dumps(SETUP | {"alpha": "x"})],
+    ["check", "--condition", "adams-necessary", "--setup", json.dumps(SETUP | {"n": "two"})],
+], ids=["young-string", "young-null", "young-list", "growth-string", "formula-string", "alpha-string", "n-string"])
+def test_non_numeric_config_value_is_status_2(capsys, argv):
+    code, out, err = run(capsys, *argv, *GRID)
+    assert (code, out) == (2, "") and "config error" in err
 
 
 def test_unknown_formula_is_status_2(capsys):

@@ -35,16 +35,15 @@ from olab.norms import (
     _bracket,
     _illinois,
     _level_gauges,
-    _levels,
     _lux_gauge,
     _morrey_matrices,
     _power_form,
-    _sorted_gauges,
     _strong_bound,
     _weak_gauge,
     _weak_weights,
+    _work,
 )
-from olab.sampled import ball_windows, cell_window
+from olab.sampled import ball_windows, cell_window, distinct
 
 from conftest import (
     PIN_GRIDS,
@@ -57,6 +56,7 @@ from conftest import (
     per_ball_power_gauges,
     random_cells_2d,
     random_indicator_sum,
+    sorted_gauges,
     stepped_function,
     weak_gauge,
 )
@@ -459,15 +459,18 @@ def weak_oracle_samples(grid, rng):
 
 
 @pytest.mark.parametrize("grid", PIN_GRIDS)
-def test_weak_power_sups_equal_the_merged_windows(grid):
-    # with no prefactor nothing is skipped: every entry, flat runs included, is the reference's
+def test_weak_power_sups_equal_the_merged_windows(grid, monkeypatch):
+    # with no prefactor nothing is skipped: every entry, flat runs included, is the reference's, whether exact
+    # level counts rank the balls or (a budget of one level: any two distinct values) the radius bisection
     rng = np.random.default_rng(41)
     sampling = pin_sampling(grid)
-    for f in weak_oracle_samples(grid, rng):
-        centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
-        for phi in WEAK_PHIS:
-            fast, _ = gauge_matrix(f, phi, centers, radii, weak=True)
-            assert np.array_equal(fast, merged_weak_power_gauges(f, phi, centers, radii))
+    for budget in (norms._LEVEL_BALLS, 1):
+        monkeypatch.setattr(norms, "_LEVEL_BALLS", budget)
+        for f in weak_oracle_samples(grid, rng):
+            centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
+            for phi in WEAK_PHIS:
+                fast, _ = gauge_matrix(f, phi, centers, radii, weak=True)
+                assert np.array_equal(fast, merged_weak_power_gauges(f, phi, centers, radii))
 
 
 def lambda_zero_prefactor(radii, rng):
@@ -485,14 +488,19 @@ PREFACTORS = {
 
 
 @pytest.mark.parametrize("shape", PREFACTORS)
-@pytest.mark.parametrize("grid", PIN_GRIDS)
-def test_weak_power_sups_skip_only_balls_below_the_sup(grid, shape):
-    # every kept entry is the reference's; a skipped one reads 0 and lies strictly below the sup, so
-    # the value and the witness are the reference's
+@pytest.mark.parametrize("grid", PIN_GRIDS + PIN_GRIDS_2D[:1])
+def test_weak_power_sups_skip_only_balls_below_the_sup(grid, shape, monkeypatch):
+    # one level: every sample with two distinct values takes the radius bisection.  Every kept entry is the
+    # reference's; a skipped one reads 0 and lies strictly below the sup, so the value and the witness are
+    # the reference's: in 1-D the exact power case, in 2-D the per-ball bisection of the balls that can
+    # reach the sup
+    monkeypatch.setattr(norms, "_LEVEL_BALLS", 1)
     rng = np.random.default_rng(43)
-    sampling = pin_sampling(grid)
+    sampling = pin_sampling(grid) if grid.n == 1 else oracle_sampling(grid)
+    samples = weak_oracle_samples(grid, rng) if grid.n == 1 else [random_cells_2d(grid, rng), SampledFunction(
+        grid, random_cells_2d(grid, rng).values * rng.uniform(1, 1.1, grid.shape()))]
     skipped, closed = 0, {"sorted_windows": 0, "certified": 0}
-    for f in weak_oracle_samples(grid, rng):
+    for f in samples:
         centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
         prefactor = PREFACTORS[shape](radii, rng)
         for phi in WEAK_PHIS:
@@ -500,7 +508,8 @@ def test_weak_power_sups_skip_only_balls_below_the_sup(grid, shape):
             fast = fast * prefactor
             for key in closed:
                 closed[key] += work[key]
-            slow = merged_weak_power_gauges(f, phi, centers, radii) * prefactor
+            slow = (merged_weak_power_gauges(f, phi, centers, radii) if grid.n == 1 else
+                    per_ball_gauges(f, phi, centers, radii, True)) * prefactor
             assert _argmax_witness(fast, centers, radii) == _argmax_witness(slow, centers, radii)
             kept = fast == slow
             assert np.all(kept | ((fast == 0) & (slow < slow.max())))
@@ -512,29 +521,40 @@ def test_weak_power_sups_skip_only_balls_below_the_sup(grid, shape):
     assert closed["sorted_windows"] > 0
 
 
-def test_weak_power_sups_certify_ties_of_distinct_values():
+def test_weak_power_sups_certify_ties_of_distinct_values(monkeypatch):
     # v**p of 2 at rank 1 and of 1 at rank 2 give the same term, 2 * cellvol, exactly; the runs from the
     # first count of either level to the last radius hold the last sup, and so does the closed form
-    g = GridSpec(1, 1 / 8, 2.0)
-    vp = np.zeros(g.shape())
-    vp[[9, 20, 26]] = 2.0, 1.0, 0.5
-    centers = [(float(x),) for x in g.axis_centers()]
-    windows = ball_windows(g, centers, np.geomspace(0.05, 5.0, 30))
-    reference = merged_weak_power_sups(vp, g.cell_volume, windows)
-    assert np.all(reference[:, -1] == 2 * g.cell_volume)
-    start, stop = windows[0][..., 0], windows[1][..., 0]
-    firsts = []
-    for level in (1.0, 2.0):
-        j0 = norms._tie_starts(vp, start, stop, np.full(len(centers), level))
-        firsts.append(j0)
-        for c, j in enumerate(j0):
-            assert np.all(reference[c, j:] == reference[c, -1])
-    assert np.any(firsts[0] != firsts[1])
-    for prefactor in (None, np.ones(30)):
-        sups, counts = norms._weak_power_sups(vp, g.cell_volume * np.arange(vp.size, 0, -1), windows, np.sqrt,
-                                              prefactor)
-        assert np.array_equal(sups, reference) if prefactor is None else np.all((sups == reference) | (sups == 0))
-        assert counts["certified"] > 0
+    for grid in (GridSpec(1, 1 / 8, 2.0), GridSpec(2, 1 / 8, 1.0)):
+        vp = np.zeros(grid.shape())
+        vp.flat[[9, 20, 26]] = 2.0, 1.0, 0.5
+        centers = np.array(MorreySampling(r_min=grid.h, r_max=grid.h, center_stride=1, include_centroid=False).centers(
+            SampledFunction(grid, vp)))
+        radii, weights = np.geomspace(0.05, 5.0, 30), grid.cell_volume * np.arange(vp.size + 1)
+        windows = ball_windows(grid, centers, radii)
+        reference = merged_weak_power_sups(vp, grid.cell_volume, windows) if grid.n == 1 else np.stack(
+            [sorted_gauges(vp, weights, ball_windows(grid, centers, r)) for r in radii], axis=1)
+        assert np.all(reference[:, -1] == 2 * grid.cell_volume)
+        firsts = []
+        for level in (1.0, 2.0):
+            j0 = norms._tie_starts(vp, windows, np.full(len(centers), level))
+            firsts.append(j0)
+            for c, j in enumerate(j0):
+                assert np.all(reference[c, j:] == reference[c, -1])
+        assert np.any(firsts[0] != firsts[1])
+        for prefactor in (None, np.ones(30)):
+            sups, counts = norms._weak_power_sups(vp, weights[:0:-1].copy(), grid, centers, radii, np.sqrt, prefactor)
+            assert np.array_equal(sups, reference) if prefactor is None else np.all((sups == reference) | (sups == 0))
+            assert counts["certified"] > 0
+        # a Morrey norm at lambda = 0, its three values past a budget of one level: the radius bisection certifies
+        # the tied runs, and the value and witness are the per-ball oracle's
+        monkeypatch.setattr(norms, "_LEVEL_BALLS", 1)
+        f, varphi = SampledFunction(grid, np.sqrt(vp)), growth_from_lambda(P2, 0.0, n=grid.n)
+        sampling = MorreySampling(r_min=0.05, r_max=5.0, n_radii=30, center_stride=2)
+        ev = generalized_orlicz_morrey_norm(f, P2, varphi, weak=True, sampling=sampling)
+        assert ev.work["levels"] == 0 and ev.work["certified"] > 0
+        centers, radii = sampling.centers(f), sampling.radii()
+        gauges = weak_oracle_gauges(f, P2, centers, radii)  # the exact power case in 1-D, else bisected
+        assert (ev.value, ev.witness) == per_ball_morrey(f, P2, varphi, centers, radii, gauges=gauges)[1:]
 
 
 @pytest.mark.parametrize("phi", [P2, P2.compose_power(1 / 3)])
@@ -887,34 +907,11 @@ def test_exact_level_roots_equal_the_sorted_window_roots(grid, name):
     f, phi = root_find_sample(grid, 36), ROOT_FIND_PHIS[name]
     sampling = oracle_sampling(grid)
     centers, radii = np.array(sampling.centers(f)), sampling.radii()
-    levels, tops = _levels(f.values, f.values.size)
-    assert np.array_equal(levels, tops)
+    levels = distinct(f.values[f.values > 0])
     weights, _ = _weak_weights(phi, grid.cell_volume, np.count_nonzero(f.values), f.values.size)
-    closed, lower = _level_gauges(f, levels, tops, weights, centers, radii)
-    assert np.array_equal(closed, lower)
+    closed = _level_gauges(f.values, grid, levels, weights, centers, radii)
     for j, r in enumerate(radii):
-        assert np.array_equal(closed[:, j], _sorted_gauges(f.values, weights, ball_windows(grid, centers, r)))
-
-
-@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS[:2] + PIN_GRIDS_2D[:1]),
-       st.sampled_from(sorted(ROOT_FIND_PHIS)), st.integers(min_value=1, max_value=6))
-@settings(max_examples=40, deadline=None)
-def test_level_bound_covers_the_sorted_windows(seed, grid, name, budget):
-    # max_i s_i W[N_i(c)] <= the sorted-window closed form of every ball <= max_i t_i W[N_i(c)], with == on
-    # both sides when every distinct value is a level
-    rng = np.random.default_rng(seed)
-    f = random_cells_2d(grid, rng) if grid.n == 2 else (
-        stepped_function(grid, rng) if seed % 2 else random_indicator_sum(grid, rng))
-    phi, radius = ROOT_FIND_PHIS[name], float(rng.uniform(0.2, 3)) * grid.h
-    assume(f.values.max() > 0)
-    centers = np.array(MorreySampling(r_min=grid.h, r_max=grid.h, center_stride=int(rng.integers(1, 4))).centers(f))
-    weights, _ = _weak_weights(phi, grid.cell_volume, np.count_nonzero(f.values), f.values.size)
-    closed = _sorted_gauges(f.values, weights, ball_windows(grid, centers, radius))
-    for levels, tops in (_levels(f.values, budget), _levels(f.values, f.values.size)):
-        upper, lower = _level_gauges(f, levels, tops, weights, centers, [radius])[:, :, 0]
-        assert np.all((lower <= closed) & (closed <= upper))
-        if np.array_equal(levels, tops):
-            assert np.array_equal(upper, closed) and np.array_equal(lower, closed)
+        assert np.array_equal(closed[:, j], sorted_gauges(f.values, weights, ball_windows(grid, centers, r)))
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS[:2] + PIN_GRIDS_2D[:1]),
@@ -929,7 +926,7 @@ def test_weak_closed_form_brackets_the_bisection(seed, grid, name):
     centers = np.array(MorreySampling(r_min=grid.h, r_max=grid.h, center_stride=2).centers(f))
     radius = float(rng.uniform(0.5, 2 * grid.extent))
     weights, checked = _weak_weights(phi, grid.cell_volume, np.count_nonzero(f.values), f.values.size)
-    closed = _sorted_gauges(f.values, weights, ball_windows(grid, centers, radius))
+    closed = sorted_gauges(f.values, weights, ball_windows(grid, centers, radius))
     exact = per_ball_gauges(f, phi, centers, [radius], True)[:, 0]
     assert checked and np.all((closed / norms._SLACK <= exact) & (exact <= closed * norms._SLACK))
 
@@ -937,14 +934,14 @@ def test_weak_closed_form_brackets_the_bisection(seed, grid, name):
 @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
 @pytest.mark.parametrize("grid", [PIN_GRIDS[1], PIN_GRIDS_2D[0]], ids=["1d", "2d"])
 def test_binned_levels_match_per_ball(grid, weak, monkeypatch):
-    # more distinct values than the level budget: the weak closed form bins them
-    # and sorts the windows whose level bound can win; values and witnesses stay exact
+    # more distinct values than the level budget: the weak closed form ranks the balls by the radius
+    # bisection, which sorts windows and counts no level; values and witnesses stay exact
     rng, sampling = np.random.default_rng(37), oracle_sampling(grid)
     f = SampledFunction(grid, rng.uniform(0, 2, grid.shape()) * (rng.random(grid.shape()) < 0.7))
     monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * len(sampling.centers(f)) * sampling.n_radii)  # 3 levels
     for phi in (ExpMinusOneYoung(), PowerLogYoung(2, 1)):
         ev = check_root_find(f, phi, (0.0, 0.5), weak, sampling)
-        assert ev.work.get("levels") == (3 if weak else None)
+        assert ev.work.get("levels") == (0 if weak else None)
 
 
 @pytest.mark.parametrize("binned", [False, True], ids=["exact", "binned"])
@@ -964,7 +961,8 @@ def test_weak_levels_count_whole_rows_of_128_cells(grid, binned, monkeypatch):
         for varphi in (PowerGrowth(-grid.n), growth_from_lambda(phi, 0.5, n=grid.n)):
             ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=True, sampling=sampling)
             assert (ev.value, ev.witness) == per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)[1:]
-            assert ev.work["levels"] == min(3 if binned else values.size, len(np.unique(values)))
+            count = len(np.unique(values))  # levels counted, 0 past the budget (the radius bisection)
+            assert ev.work["levels"] == (count if count <= (3 if binned else values.size) else 0)
 
 
 @pytest.mark.parametrize("gauge", [_lux_gauge, _weak_gauge])
@@ -1062,20 +1060,21 @@ def test_norm_reports_its_path(unit_indicator):
 
 
 def test_norm_records_its_weak_closed_form_work(unit_indicator, monkeypatch):
-    # the weak 1-D power closed form sorts windows and bisects no ball; at lambda = 0 it certifies the tied runs
-    sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
-    weak = generalized_orlicz_morrey_norm(unit_indicator, P2, growth_from_lambda(P2, 0.0), weak=True, sampling=sampling)
-    work = weak.work
-    assert sorted(work) == ["bisections", "certified", "path", "sorted_windows", "visited"]
-    assert (work["path"], work["bisections"]) == ("closed-form", 0) and work["sorted_windows"] > 0
-    assert work["certified"] > 0 and work["visited"] >= work["sorted_windows"]
-    strong = generalized_orlicz_morrey_norm(unit_indicator, P2, growth_from_lambda(P2, 0.0), sampling=sampling)
+    # the weak 1-D power form bisects no ball: one value takes its one level count
+    sampling, lam0 = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64), growth_from_lambda(P2, 0.0)
+    work = generalized_orlicz_morrey_norm(unit_indicator, P2, lam0, weak=True, sampling=sampling).work
+    assert work == _work(True, levels=1, visited=12 * len(sampling.centers(unit_indicator)))
+    strong = generalized_orlicz_morrey_norm(unit_indicator, P2, lam0, sampling=sampling)
     assert "sorted_windows" not in strong.work and "certified" not in strong.work
-    # more distinct values than levels: the 1-D closed form of every kind sorts windows too, then bisects
+    # more distinct values than levels: the radius bisection sorts windows, and at lambda = 0 certifies the tied
+    # runs; the power form still bisects no ball, and every other kind bisects the balls near the sup
     f = SampledFunction(unit_indicator.grid, unit_indicator.values * np.exp(-unit_indicator.grid.axis_centers() ** 2))
     monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * 12 * len(sampling.centers(f)))  # 3 levels
+    work = generalized_orlicz_morrey_norm(f, P2, lam0, weak=True, sampling=sampling).work
+    assert (work["levels"], work["bisections"]) == (0, 0) and work["sorted_windows"] > 0 and work["certified"] > 0
+    assert work["visited"] >= work["sorted_windows"]
     generic = generalized_orlicz_morrey_norm(f, PowerLogYoung(2, 1), PowerGrowth(-0.25), weak=True, sampling=sampling)
-    assert (generic.work["levels"], generic.work["sorted_windows"] > 0, generic.work["bisections"] > 0) == (3, True, True)
+    assert (generic.work["levels"], generic.work["sorted_windows"] > 0, generic.work["bisections"] > 0) == (0, True, True)
 
 
 def test_weak_gauge_needs_no_jump_terms():
@@ -1163,9 +1162,8 @@ def weak_oracle_gauges(f, phi, centers, radii):
 @pytest.mark.parametrize("grid", [PIN_GRIDS[0], PIN_GRIDS_2D[0]], ids=["1d-68-cells", "8x8-cells"])
 @pytest.mark.parametrize("name", sorted(SIX_KINDS))
 def test_weak_closed_form_matches_per_ball(grid, name, monkeypatch):
-    # a handful of distinct values (one level each), and many, binned into 3 levels: the 1-D sups over radii,
-    # and in 2-D the sorted windows of the balls whose level bounds can reach the sup; every column maximum,
-    # value and witness is the oracle's
+    # a handful of distinct values (one level each), and many, past a budget of 3 levels: the sups bisected over
+    # each center's radii; every column maximum, value and witness is the oracle's
     rng, phi, sampling = np.random.default_rng(51), SIX_KINDS[name], oracle_sampling(grid)
     few = root_find_sample(grid, 52)
     many = (maximal(stepped_function(grid, rng), alpha=0.25) if grid.n == 1 else
@@ -1181,7 +1179,7 @@ def test_weak_closed_form_matches_per_ball(grid, name, monkeypatch):
             varphi = growth_from_lambda(phi, lam, n=grid.n)
             ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=True, sampling=sampling)
             assert (ev.value, ev.witness) == per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)[1:]
-        if "levels" in work:  # not the 1-D power closed form
-            assert work["path"] == "closed-form" and (work["levels"] == 3) == binned
-            assert (work["sorted_windows"] > 0) == binned and work["bisections"] > 0
+        assert work["path"] == "closed-form" and (work["levels"] == 0) == binned
+        # the exact power case (1-D) bisects no ball
+        assert (work["sorted_windows"] > 0) == binned and (work["bisections"] > 0) == (grid.n == 2 or name != "power")
         monkeypatch.undo()
