@@ -1,6 +1,6 @@
 """Experiment runner: JSON configs in, CSV data and JSON summaries out.
 
-Exit status: 0 success, 2 config/parse error, 3 domain error, 4
+Exit status: 0 success, 2 config/parse error, 3 domain error or out of memory, 4
 unrepresentable ball.  CSV output is deterministic: identical inputs give
 byte-identical files (wall time lives only in the JSON summary).
 """
@@ -380,6 +380,9 @@ def main(argv=None) -> int:
         return 3
     except OlabError as exc:
         print(f"olab: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("olab: out of memory: take a coarser grid or fewer balls", file=sys.stderr)
         return 3
 
 

@@ -5,35 +5,27 @@ integral by sup_t phi(t/lam) d_f(t) with d_f the distribution function.  General
 suprema of phi_inv(|B|^{-1}) * ||f||_{L^Phi(B)} / varphi(r) over a sampled family of balls; the attaining ball
 is returned as a witness.
 
-Strong power gauges scale * t**p take the closed form (scale * cellvol * S) ** (1 / p), S the ``ball_sums`` of
-f**p, unless f**p or its sum overflows.
-
-A weak gauge has the closed form g = max_k v_(k) * W[k], v_(k) the ball's k-th largest value: as phi(u) <= s
+A weak gauge is the closed form g = max_k v_(k) * W[k], v_(k) the ball's k-th largest value: as phi(u) <= s
 exactly when u <= phi_inv(s), the least lam with max_k phi(v_(k)/lam) * k * cellvol <= 1 is g with W[k] =
-1 / phi_inv(1 / (k * cellvol)) nondecreasing.  It is ranked in one of two ways: by exact level counts, g =
-max_i s_i * W[N_i(c)] over the distinct positive values s_i with N_i(c) = #{x in B_c : f(x) >= s_i}, when they
-fit the level budget; else by ``_weak_power_sups``, a bisection over each center's nested radii.  With each
-phi_inv checked against phi to 1e-9, convexity puts the bisection ``_weak_gauge`` (width 1e-9) within the factor
-s = 1 + 4e-9 of g either way, bracket ends permitting (checked).  The balls whose g * prefactor times s**2
-reaches the sup (each column's, with no prefactor) are bisected; the rest lie strictly below it and read 0.  On
-1-D grids a power kind whose f**p sums finitely is the exact case: values v**p and W[k] = cellvol * k give
-(scale * g) ** (1 / p), with no bisection.
+1 / phi_inv(1 / (k * cellvol)) nondecreasing, each phi_inv checked against phi to 1e-9 (else DomainError).  A
+ball holding a positive value reads at least the least positive float.  Morrey sups rank the balls by exact
+level counts, g = max_i s_i * W[N_i(c)] over the distinct positive values s_i with N_i(c) = #{x in B_c :
+f(x) >= s_i}, when they fit the level budget; else by ``_weak_power_sups``, a bisection over each center's
+nested radii that skips the runs strictly below the sup of g * prefactor (they read 0).
 
-Other strong gauges take a column root-find: a batched Illinois iteration finds per radius
-lam* = min{lam : max_c U_c(lam) <= 1}, U_c >= F_c the ball sums of phi(f/lam) plus their rounding bound.  Where
-U_c(lam) <= 1 the bisection ``_lux_gauge`` ends below lam (1 + 2e-9), bracket ends permitting (checked).  So
-balls with U_c(mu) > 1, mu = lam* (1 - 1e-7), are bisected, and unless one reaches mu (1 + 3e-9), strictly
-above the rest, the whole column is; columns go by decreasing lam* * prefactor until that times (1 + 4e-9)
-falls below the best exact entry.
+Strong power gauges scale * t**p take the closed form (scale * cellvol * S) ** (1 / p), S the ``ball_sums`` of
+f**p, unless f**p or its sum overflows.  Other strong gauges take a column root-find: a batched Illinois
+iteration finds per radius lam* = min{lam : max_c U_c(lam) <= 1}, U_c >= F_c the ball sums of phi(f/lam) plus
+their rounding bound.  Where U_c(lam) <= 1 the bisection ``_lux_gauge`` ends below lam (1 + 2e-9), bracket ends
+permitting (checked).  So balls with U_c(mu) > 1, mu = lam* (1 - 1e-7), are bisected, and unless one reaches
+mu (1 + 3e-9), strictly above the rest, the whole column is; columns go by decreasing lam* * prefactor until
+that times (1 + 4e-9) falls below the best exact entry.  A ball's bisection (``_gauge_bisect``, its bracket's
+lower end at or above the least positive float) runs once per positive content, replayed from lam*.
 
-A ball's bisection (``_gauge_bisect``) runs once per positive content, replayed from a guess of its root (g, or
-lam*).  Balls over an infinite cell of f have gauge inf; the rest are those of f with its infinite cells
-zeroed, and need no work once one inf entry decides the sup.  Gauge brackets keep their lower end at or above
-the least positive float.
-
-``stacked_morrey_norms`` takes a family on one grid: the radii, the strided centers, the prefactor and the
-windows of their balls are made once, and each function adds its own centroid;
-``generalized_orlicz_morrey_norm`` is its stack of one.
+Balls over an infinite cell of f have gauge inf; the rest are those of f with its infinite cells zeroed, and
+need no work once one inf entry decides the sup.  ``stacked_morrey_norms`` takes a family on one grid: the
+radii, the strided centers, the prefactor and the windows of their balls are made once, and each function adds
+its own centroid; ``generalized_orlicz_morrey_norm`` is its stack of one.
 """
 
 from __future__ import annotations
@@ -43,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .growth import GrowthFunction
 from .report import ConditionReport, checked_schedule, combine_legs, node_max, track
 from .sampled import (Ball, GridSpec, SampledFunction, ball_measure, ball_windows, common_grid, default_grid,
@@ -61,22 +53,19 @@ __all__ = [
     "triviality_probe",
 ]
 
-# Relative tolerance of the gauge bisection; the returned value always sits
-# at the feasible (upper) end of the final bracket so the normalization
+# Relative tolerance of the strong gauge bisection; the returned value always
+# sits at the feasible (upper) end of the final bracket so the normalization
 # inequality integral phi(f/value) <= 1 holds exactly.
 NORM_REL_TOL = 1e-9
-# Bracket for the gauge: [1e-12, 1e12] * max|f|; outside it the norm is
-# reported as 0 or inf.
+# Bracket for the strong gauge: [1e-12, 1e12] * max|f|; outside it the norm
+# is reported as 0 or inf.
 _BRACKET_LO, _BRACKET_HI = 1e-12, 1e12
 # Relative margin below a column's root within which balls are re-bisected.
 _MARGIN = 1e-7
 _FLOAT_TINY, _FLOAT_MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
 _FLOAT_MIN = float(np.nextafter(0.0, 1.0))  # least positive float
-# The relative accuracy to which the weak closed form checks phi's generalized inverses; the factor within which
-# it brackets the bisected weak gauge (that check, the bisection's width NORM_REL_TOL, rounding); and the least
-# sup of closed form * prefactor, over the largest prefactor, from which it prunes (subnormals stay far below).
-_INVERSE_CHECK, _SLACK = 1e-9, 1 + 4e-9
-_KEY_FLOOR = 2.0**-900
+# The relative accuracy to which the weak closed form checks phi's generalized inverses.
+_INVERSE_CHECK = 1e-9
 
 
 @dataclass
@@ -203,23 +192,13 @@ def _lux_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction, guess=None,
     return _gauge_bisect(constraint, maxv, guess, work)
 
 
-def _weak_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction, guess=None, work=None) -> float:
-    pos = np.sort(vals[vals > 0])[::-1]
+def _weak_gauge(vals: np.ndarray, cellvol: float, phi: YoungFunction) -> float:
+    """The weak closed form of one ball's values (module docstring): ``_best_terms`` over ``_weak_weights``."""
+    pos = vals[vals > 0]
     if pos.size == 0:
         return 0.0
-    maxv = float(pos[0])
-    if np.isinf(maxv):
-        return np.inf
-    # measure{f >= v} for v running through the sorted values; duplicates are
-    # dominated by the last entry of their run, so no dedup is needed.  A jump
-    # of phi at t/lam adds nothing: the least value above t has rank |{f > t}|.
-    meas = cellvol * np.arange(1, pos.size + 1)
-
-    def constraint(lam):  # one row per lam
-        with np.errstate(over="ignore"):
-            return np.max(phi(pos / lam[:, None]) * meas, axis=1)
-
-    return _gauge_bisect(constraint, maxv, guess, work)
+    with np.errstate(over="ignore"):  # an infinite value reads inf
+        return float(_best_terms(pos[None, :], _weak_weights(phi, cellvol, pos.size, pos.size)[:0:-1])[0][0])
 
 
 def luxemburg_norm(f: SampledFunction, phi: YoungFunction, ball: Ball | None = None) -> NormEvaluation:
@@ -309,8 +288,7 @@ _WINDOW_BYTES, _STACK_SLOTS = 2**24, 2**15
 # _LEVEL_ROWS, else by the radius bisection of ``_weak_power_sups``.  Provisional: set by single runs on 128x128
 # and 256x256 grids.
 _LEVEL_BALLS, _LEVEL_ROWS = 2**21, 2**28
-# Relative margin by which the bound on a skipped run of weak entries stays below the best exact
-# entry; it covers any p-th root that rounds out of order (the weak closed form adds its slack).
+# Relative margin by which the bound on a skipped run of weak entries stays below the best exact entry.
 _RUN_MARGIN = 1e-12
 # Relative rise of the prefactor over a run below the last radius up to which the weak power sups certify
 # the run's tie with the last radius; far above the few ulps by which a flat (lambda = 0) prefactor wobbles.
@@ -318,13 +296,13 @@ _FLAT_PREFACTOR = 1e-9
 
 
 def _best_terms(rows, rank_vol):
-    """max_k v_(k) * W[k] per row of gathered ball values, v_(k) the k-th largest and W[k] = ``rank_vol[-k]``, and
-    the value v_(k) of one k that attains it.  Rows are sorted in place: padding zeros sort first, are taken as
-    ranks beyond the positive values and add 0 terms."""
+    """max_k v_(k) * W[k] per row of gathered ball values (v_(k) the k-th largest, W[k] = ``rank_vol[-k]``), at
+    least the least positive float where the row holds a positive value, and one v_(k) that attains it.  Rows are
+    sorted in place: padding zeros sort first, are taken as ranks beyond the positive values and add 0 terms."""
     rows.sort(axis=1)
     terms = rows * rank_vol[len(rank_vol) - rows.shape[1] :]
     k = np.arange(len(rows)), np.argmax(terms, axis=1)
-    return terms[k], rows[k]
+    return np.where(rows[:, -1] > 0, np.maximum(terms[k], _FLOAT_MIN), 0.0), rows[k]
 
 
 def _weak_power_batch(table, rank_vol, start, stop):
@@ -349,10 +327,10 @@ def _weak_power_batch(table, rank_vol, start, stop):
 
 
 def _tie_starts(values, windows, level):
-    """Per ball row of ``windows`` (start, stop), each (N, radii, rows) and nested as the radius grows, the first
-    index j with N(j) = N(last), N(j) the cells of ball j with values >= that row's ``level``: exact int counts,
-    each row read at its own level through ``level_counts`` (of as many distinct levels at a time as keep their
-    sets in _BATCH cells)."""
+    """Per ball row of ``windows`` (start, stop), each (N, radii, rows) and nested as the radius grows, the first index
+    j with N(j) = N(last), N(j) the cells of ball j with values >= that row's ``level``: exact int counts, each row
+    read at its own level through ``level_counts`` (of as many distinct levels at a time as keep their sets in _BATCH
+    cells)."""
     levels, per = distinct(level), max(1, _BATCH // values.size)
     which, counts = np.searchsorted(levels, level), np.empty(windows[0].shape[:2], int)
     for a in range(0, len(levels), per):
@@ -362,29 +340,26 @@ def _tie_starts(values, windows, level):
     return np.argmax(counts == counts[:, -1:], axis=1)
 
 
-def _weak_power_sups(values, rank_vol, grid, centers, radii, to_gauge=None, prefactor=None):
-    """g = max_k v_(k) * W[k] over each ball of the (N, n) array ``centers`` at nondecreasing ``radii``, v_(k) the
-    k-th largest of ``values`` and W[k] = ``rank_vol[-k]`` nondecreasing in k (cellvol * k for the values v**p of a
-    power), and the counts of the work record: entries evaluated, windows sorted and entries certified.
+def _weak_power_sups(values, rank_vol, grid, centers, radii, prefactor=None):
+    """g = max_k v_(k) * W[k] over each ball of the (N, n) array ``centers`` at nondecreasing ``radii``, v_(k) the k-th
+    largest of ``values`` and W[k] = ``rank_vol[-k]`` nondecreasing in k (``_best_terms``), and the counts of the work
+    record: entries evaluated, windows sorted and entries certified.
 
-    1-D windows are made once for every ball and read as sliding windows of the row table
-    (``_weak_power_batch``); 2-D ones per radius, for the balls evaluated only, and gathered through
-    ``window_values``.  The balls of a center are nested, so each v_(k) and with it g(c, j) is
-    nondecreasing in j, bit for bit (rounding is monotone in each factor).  All centers are bisected over their
-    radius indices together: the first and last radius are evaluated, and a run lo < j < hi between two exact
-    entries takes g(c, lo) if g(c, lo) == g(c, hi), else is split at its middle.  Given a ``prefactor`` per
-    radius, a run is skipped (its entries read 0) when to_gauge(g(c, hi)) * max(prefactor over the run) *
-    (1 + margin) falls below the best to_gauge(g) * prefactor of an exact entry: margin = _RUN_MARGIN, or with no
-    ``to_gauge`` (the identity: a closed form that only ranks) that times the slack squared of the bisection.
+    1-D windows are made once for every ball and read as sliding windows of the row table (``_weak_power_batch``); 2-D
+    ones per radius, for the balls evaluated only, and gathered through one ``window_values`` reader.  The balls of a
+    center are nested, so each v_(k) and with it g(c, j) is nondecreasing in j, bit for bit (rounding is monotone in
+    each factor).  All centers are bisected over their radius indices together: the first and last radius are evaluated,
+    and a run lo < j < hi between two exact entries takes g(c, lo) if g(c, lo) == g(c, hi), else is split at its middle.
+    Given a ``prefactor`` per radius, a run is skipped (its entries read 0) when g(c, hi) * max(prefactor over the run)
+    * (1 + _RUN_MARGIN) falls below the best g * prefactor of an exact entry.
 
-    Tied runs are certified: the last radius gives v*, the value of one term that attains g(c, last),
-    and N(c, j) = #{x in B(c, r_j) : values >= v*}, which never falls as j grows.  Where N(c, j) = N(c, last),
-    the N-th largest value is >= v*, so g(c, j) >= fl(v* * W[N]) = g(c, last) >= g(c, j): the run
-    from the first such j0 to the last radius holds g(c, last) bit for bit, unsorted.  A run (lo, last)
-    that is neither flat nor skipped takes the certificate where the prefactor does not rise over
-    lo < j < last (by more than _FLAT_PREFACTOR, far above rounding; no prefactor is flat), and becomes
-    (lo, j0), evaluated at j0 - 1 instead of its middle so that the skip rule can prune the rest.  The
-    certificate reads the windows of the tied centers at every radius, in chunks within _WINDOW_BYTES.
+    Tied runs are certified: the last radius gives v*, the value of one term that attains g(c, last), and N(c, j) =
+    #{x in B(c, r_j) : values >= v*}, which never falls as j grows.  Where N(c, j) = N(c, last), the N-th largest value
+    is >= v*, so g(c, j) >= fl(v* * W[N]) = g(c, last) >= g(c, j): the run from the first such j0 to the last radius
+    holds g(c, last) bit for bit, unsorted.  A run (lo, last) that is neither flat nor skipped takes the certificate
+    where the prefactor does not rise over lo < j < last (by more than _FLAT_PREFACTOR, far above rounding; no prefactor
+    is flat), and becomes (lo, j0), evaluated at j0 - 1 instead of its middle so that the skip rule can prune the rest.
+    The certificate reads the windows of the tied centers at every radius, in chunks within _WINDOW_BYTES.
     """
     if grid.n == 1:
         table, (start, stop) = row_table(values)[0], (w[..., 0] for w in ball_windows(grid, centers, radii))
@@ -392,17 +367,17 @@ def _weak_power_sups(values, rank_vol, grid, centers, radii, to_gauge=None, pref
         def evaluate(c, j):
             return _weak_power_batch(table, rank_vol, start[c, j], stop[c, j])
     else:
+        read = window_values(values)
+
         def evaluate(c, j):  # in batches of about _BATCH gathered cells, each disk's band at most side x side
             out, level = np.zeros(len(c)), np.zeros(len(c))
             for k in distinct(j):
                 at, side = np.flatnonzero(j == k), int(min(2 * radii[k] / grid.h + 1, grid.cells_per_axis))
                 for part in np.array_split(at, -(-len(at) * side**2 // _BATCH)):
                     windows = ball_windows(grid, centers[c[part]], radii[k])
-                    out[part], level[part] = _best_terms(window_values(values, windows), rank_vol)
+                    out[part], level[part] = _best_terms(read(windows), rank_vol)
             return out, level, len(c)
 
-    margin = _RUN_MARGIN if to_gauge else _SLACK**2 * (1 + _RUN_MARGIN) - 1
-    to_gauge = to_gauge or (lambda sups: sups)
     out, certified = np.zeros((len(centers), len(radii))), 0
     last = len(radii) - 1
     ends = np.arange(len(centers)).repeat(2), np.tile([0, last], len(centers))
@@ -424,7 +399,7 @@ def _weak_power_sups(values, rank_vol, grid, centers, radii, to_gauge=None, pref
             k = np.frexp(b - a + 1)[1] - 1
             return np.maximum(runs[k, a], runs[k, b + 1 - 2**k])
 
-        best = np.nanmax(to_gauge(out[ends]) * prefactor[ends[1]], initial=-np.inf)
+        best = np.nanmax(out[ends] * prefactor[ends[1]], initial=-np.inf)
 
     def fill(c, a, n_in, value):  # out[c, a : a + n_in] = value, per run
         at = np.arange(n_in.sum()) - np.repeat(np.cumsum(n_in) - n_in, n_in)
@@ -438,8 +413,8 @@ def _weak_power_sups(values, rank_vol, grid, centers, radii, to_gauge=None, pref
         split = ~flat
         if prefactor is not None:
             # exact entries only: a run's best is its largest prefactor times its one gauge
-            best = np.nanmax(to_gauge(out[c, lo][flat]) * run_max(lo[flat] + 1, hi[flat] - 1), initial=best)
-            split &= ~(to_gauge(out[c, hi]) * run_max(lo + 1, hi - 1) * (1 + margin) < best)
+            best = np.nanmax(out[c, lo][flat] * run_max(lo[flat] + 1, hi[flat] - 1), initial=best)
+            split &= ~(out[c, hi] * run_max(lo + 1, hi - 1) * (1 + _RUN_MARGIN) < best)
         c, lo, hi, mid = c[split], lo[split], hi[split], (lo[split] + hi[split]) // 2
         if (tied := (hi == last) & flat_to_last[lo]).any():
             ct = c[tied]
@@ -452,31 +427,31 @@ def _weak_power_sups(values, rank_vol, grid, centers, radii, to_gauge=None, pref
         out[c, mid], _, n = evaluate(c, mid)
         windows_sorted, visited = windows_sorted + n, visited + len(c)
         if prefactor is not None:
-            best = np.nanmax(to_gauge(out[c, mid]) * prefactor[mid], initial=best)
+            best = np.nanmax(out[c, mid] * prefactor[mid], initial=best)
         c, lo, hi = np.concatenate([c, c]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
     return out, {"visited": visited, "sorted_windows": windows_sorted, "certified": certified}
 
 
 def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
-    """Ball Orlicz gauges per (function, center, radius) triple of a family on one grid, and each function's
-    work record from the path that computed its gauges.
+    """Ball Orlicz gauges per (function, center, radius) triple of a family on one grid, and each function's work record
+    from the path that computed its gauges.
 
     ``centers`` holds each function's centers, the first ``shared`` of them common to every function
-    (``MorreySampling.center_stack``).  Power kinds take the closed forms of the module docstring while f**p and
-    its sum stay finite (decided on f itself, before its infinite cells are zeroed): the strong gauges of every
-    such function are read from one stacked ``row_prefix`` table with the arithmetic of ``ball_sums``, in blocks
-    of centers and radii whose windows (made once for the shared centers) and sums stay within _SUM_BYTES.  Weak
-    gauges take ``_weak_closed_gauges`` and other strong ones ``_root_find_gauges``, a function at a time: they
-    give the entries that can attain the sup of gauge * prefactor (with no prefactor, each column's maximum), and
-    the rest read 0, strictly below it.
+    (``MorreySampling.center_stack``).  Strong power kinds take the closed form of the module docstring while f**p and
+    its sum stay finite (decided on f itself, before its infinite cells are zeroed): the gauges of every such function
+    are read from one stacked ``row_prefix`` table with the arithmetic of ``ball_sums``, in blocks of centers and radii
+    whose windows (made once for the shared centers) and sums stay within _SUM_BYTES.  Weak gauges take
+    ``_weak_closed_gauges`` and other strong ones ``_root_find_gauges``, a function at a time: they give the entries
+    that can attain the sup of gauge * prefactor (with no prefactor, each column's maximum), and the rest read 0,
+    strictly below it.
 
-    The work record is one dict on every path: its ``path`` ("closed-form" or "column-root-find") and the
-    per-ball ``bisections``, then the counts of ``_work`` for the weak closed form and the root-find.
+    The work record is one dict on every path: its ``path`` ("closed-form" or "column-root-find") and the per-ball
+    ``bisections``, then the counts of ``_work`` for the weak closed form and the root-find.
     """
     grid = fs[0].grid
     cellvol = grid.cell_volume
     radii = np.asarray(radii, dtype=float)
-    power, vps = _power_form(phi) if grid.n == 1 or not weak else None, {}
+    power, vps = None if weak else _power_form(phi), {}
     if power is not None:
         p, scale = power
         with np.errstate(over="ignore"):
@@ -484,11 +459,11 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
                 vp = f.values**p
                 if np.isfinite(2 * scale * cellvol * vp.sum()):  # f**p or a ball's sup of it may overflow
                     vps[i] = vp
-    closed, works = [] if weak else list(vps), [{"path": "closed-form", "bisections": 0} for _ in fs]
+    closed, works = list(vps), [{"path": "closed-form", "bisections": 0} for _ in fs]
     out = np.zeros(centers.shape[:2] + radii.shape)
     for i, f in enumerate(fs):
         if i not in closed:  # the root-find divides by lam first
-            out[i], works[i] = _bisected_gauges(f, phi, centers[i], radii, weak, prefactor, vps.get(i))
+            out[i], works[i] = _bisected_gauges(f, phi, centers[i], radii, weak, prefactor)
     if closed:
         # the sums of ``ball_sums`` over each ball's row windows (a 1-D ball has one row), function i's read from
         # grid i of one stacked ``row_prefix`` table, then (scale * cellvol * sums) ** (1 / p) in place
@@ -521,11 +496,11 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
 
 def _work(weak=False, **counts) -> dict:
     """The work record of the weak closed form, its levels counted (0 where the radius bisection ranks), balls whose
-    closed form it read (``visited``), of them the windows sorted, and entries certified, or of the strong
-    root-find, its column blocks, blocks visited and batched steps; then the bisections and their replays."""
-    path = ({"path": "closed-form", "levels": 0, "visited": 0, "sorted_windows": 0, "certified": 0} if weak else
-            {"path": "column-root-find", "blocks": 0, "visited": 0, "steps": 0})
-    return path | {"bisections": 0, "replayed": 0, "replay_steps": 0} | counts
+    closed form it read (``visited``), of them the windows sorted, entries certified, and no bisection; or of the strong
+    root-find, its column blocks, blocks visited and batched steps, then the bisections and their replays."""
+    path = ({"path": "closed-form", "levels": 0, "sorted_windows": 0, "certified": 0} if weak else
+            {"path": "column-root-find", "blocks": 0, "steps": 0, "replayed": 0, "replay_steps": 0})
+    return path | {"visited": 0, "bisections": 0} | counts
 
 
 def _strong_bound(f, phi, centers, radii):
@@ -551,42 +526,44 @@ def _strong_bound(f, phi, centers, radii):
 
 
 def _weak_weights(phi, cellvol, npos, size):
-    """W[k] = 1 / phi_inv(1 / (k * cellvol)) for the ranks k = 1 .. npos, made nondecreasing, then W[npos] up to
-    rank ``size``, W[0] = 0; and whether it may prune (module docstring): each r = phi_inv(s) checks out as
-    phi(r (1 - _INVERSE_CHECK)) <= s < phi(r (1 + _INVERSE_CHECK)), and the bisection's brackets lie past the slack."""
+    """W[k] = 1 / phi_inv(1 / (k * cellvol)) for the ranks k = 1 .. npos, made nondecreasing, then W[npos] up to rank
+    ``size``, W[0] = 0.  DomainError unless each r = phi_inv(s) checks out as phi(r (1 - _INVERSE_CHECK)) <= s <
+    phi(r (1 + _INVERSE_CHECK))."""
     s = 1.0 / (cellvol * np.arange(1, npos + 1))
     r = phi.inverse(s)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        checked = np.all(phi(r * (1 - _INVERSE_CHECK)) <= s) and np.all(phi(r * (1 + _INVERSE_CHECK)) > s)
+        bad = np.flatnonzero(~((phi(r * (1 - _INVERSE_CHECK)) <= s) & (phi(r * (1 + _INVERSE_CHECK)) > s)))
         w = np.maximum.accumulate(1.0 / r)
-    return np.concatenate([[0.0], w, np.full(size - npos, w[-1])]), bool(
-        checked and w[0] >= 1e-12 * _SLACK and w[-1] * _SLACK < 1e11)
+    if len(bad):
+        raise DomainError(f"{phi!r}.inverse({s[bad[0]]!r}) = {r[bad[0]]!r} is not its generalized inverse to 1e-9")
+    return np.concatenate([[0.0], w, np.full(size - npos, w[-1])])
 
 
 def _level_gauges(values, grid, levels, weights, centers, radii):
-    """max_i s_i * W[N_i(c)] per ball (centers, radii), N_i(c) = #{x in B_c : values(x) >= s_i} for the levels s_i,
-    read through ``level_counts``: the closed form where every distinct positive value is a level."""
+    """max_i s_i * W[N_i(c)] per ball (centers, radii), N_i(c) = #{x in B_c : values(x) >= s_i} for the levels s_i, read
+    through ``level_counts``: the closed form where every distinct positive value is a level, at least the least
+    positive float where the ball holds one (N of the least level > 0)."""
     rows, count = grid.cells_per_axis ** (grid.n - 1), level_counts(values, levels)
     per, out = max(1, _BATCH // (len(levels) * len(centers) * rows)), np.empty((len(centers), len(radii)))
     for k in range(0, len(radii), per):
         w = weights[count(row_band(ball_windows(grid, centers, radii[k : k + per])))]  # (centers, radii, levels)
-        out[:, k : k + per] = np.max(levels * w, axis=-1)
+        out[:, k : k + per] = np.where(w[..., 0] > 0, np.maximum(np.max(levels * w, axis=-1), _FLOAT_MIN), 0.0)
     return out
 
 
-def _bisector(f, phi, gauge, centers, radii, out, work):
-    """exact(j, balls, guesses): ``gauge`` of each ball of column j into ``out``, its root guessed at its positive
-    finite entry of ``guesses``; balls over the same positive cells, or of equal content, share a bisection."""
-    cache, contents = {}, {}  # gauges by positive content, and contents by positive cells
+def _bisector(f, phi, centers, radii, out, work):
+    """exact(j, balls, guess): ``_lux_gauge`` of each ball of column j into ``out``, its root guessed at ``guess``;
+    balls over the same positive cells, or of equal content, share a bisection."""
+    cache, contents, read = {}, {}, window_values(f.values)  # gauges by positive content, contents by positive cells
 
-    def exact(j, balls, guesses):
+    def exact(j, balls, guess):
         start, stop = ball_windows(f.grid, centers[balls], radii[j])
-        cells = window_key(f.values > 0, (start, stop))
-        for k, guess in enumerate(np.broadcast_to(guesses, balls.shape).tolist()):
+        cells, guess = window_key(f.values > 0, (start, stop)), guess if 0 < guess < np.inf else None
+        for k in range(len(balls)):
             if (key := cells[k].tobytes()) not in contents:
-                vals = window_values(f.values, (start[k : k + 1], stop[k : k + 1]))[0]  # in ``ball_values`` order
+                vals = read((start[k : k + 1], stop[k : k + 1]))[0]  # in ``ball_values`` order
                 if (content := contents.setdefault(key, vals[vals > 0].tobytes())) not in cache:
-                    cache[content] = gauge(vals, f.grid.cell_volume, phi, guess if 0 < guess < np.inf else None, work)
+                    cache[content] = _lux_gauge(vals, f.grid.cell_volume, phi, guess, work)
             out[balls[k], j] = cache[contents[key]]
         work["bisections"] = len(cache)
         return out[balls, j]
@@ -594,8 +571,8 @@ def _bisector(f, phi, gauge, centers, radii, out, work):
     return exact
 
 
-def _bisected_gauges(f, phi, centers, radii, weak, prefactor, vp=None):
-    """``_weak_closed_gauges`` (given ``vp``, its exact power case) or ``_root_find_gauges`` of f, inf cells zeroed."""
+def _bisected_gauges(f, phi, centers, radii, weak, prefactor):
+    """``_weak_closed_gauges`` or ``_root_find_gauges`` of f, its infinite cells zeroed."""
     inf = np.isinf(f.values)
     if inf.any():  # balls over an infinite cell have gauge inf; zeroing those cells changes no other ball
         hit = np.stack([window_key(inf, ball_windows(f.grid, centers, r)).any(axis=1) for r in radii], axis=1)
@@ -603,47 +580,25 @@ def _bisected_gauges(f, phi, centers, radii, weak, prefactor, vp=None):
             SampledFunction(f.grid, np.where(inf, 0.0, f.values)), phi, centers, radii, weak, prefactor)
         return np.where(hit, np.inf, out), work
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (_weak_closed_gauges(f, phi, centers, radii, prefactor, vp) if weak else
+        return (_weak_closed_gauges(f, phi, centers, radii, prefactor) if weak else
                 _root_find_gauges(f, phi, centers, radii, prefactor))
 
 
-def _weak_closed_gauges(f, phi, centers, radii, prefactor, vp=None):
+def _weak_closed_gauges(f, phi, centers, radii, prefactor):
     """The weak closed form of the module docstring, ranked by exact level counts or by the radius bisection
-    ``_weak_power_sups``, then bisected near the sup; or, given the values ``vp`` = f**p of a power kind
-    scale * t**p, the exact power case (scale * g) ** (1 / p): (gauges, ``_work`` record)."""
-    grid, out, every_column = f.grid, np.zeros((len(centers), len(radii))), prefactor is None
-    balls, rows = out.size, grid.cells_per_axis ** (grid.n - 1)
-    values = f.values if vp is None else vp
-    levels, work = distinct(values[values > 0]), _work(True)
+    ``_weak_power_sups``: (gauges, ``_work`` record)."""
+    grid, values = f.grid, f.values
+    balls, rows = len(centers) * len(radii), grid.cells_per_axis ** (grid.n - 1)
+    levels = distinct(values[values > 0])
     if not len(levels):  # f = 0
-        return out, work
-    if vp is None:
-        (weights, sane), to_gauge = _weak_weights(phi, grid.cell_volume, np.count_nonzero(values), values.size), None
-    else:
-        (p, scale), weights, sane = _power_form(phi), grid.cell_volume * np.arange(values.size + 1), True
-
-        def to_gauge(sups):
-            return (scale * sups) ** (1.0 / p)
-
-    pref, g = np.ones(len(radii)) if every_column else prefactor, np.zeros(out.shape)
-    if sane and len(levels) <= max(1, min(_LEVEL_BALLS // balls, _LEVEL_ROWS // (balls * rows))):
-        g = _level_gauges(values, grid, levels, weights, centers, radii)
-        work |= {"levels": len(levels), "visited": balls}
-    elif sane:
+        return np.zeros((len(centers), len(radii))), _work(True)
+    weights = _weak_weights(phi, grid.cell_volume, np.count_nonzero(values), values.size)
+    if len(levels) > max(1, min(_LEVEL_BALLS // balls, _LEVEL_ROWS // (balls * rows))):  # past the level budget
         order = np.argsort(radii, kind="stable")
-        g, counts = _weak_power_sups(values, weights[:0:-1].copy(), grid, centers, radii[order], to_gauge,
-                                     None if every_column else pref[order])
-        g, work = g[:, np.argsort(order)], work | counts
-    if vp is not None:
-        return to_gauge(g), work
-    # bisect the balls whose closed form lies within the slack of the sup (of each column's)
-    keys, exact = g * pref, _bisector(f, phi, _weak_gauge, centers, radii, out, work)
-    top = np.max(keys, axis=0 if every_column else None)
-    prune = sane & np.isfinite(top) & (top >= _KEY_FLOOR * pref.max())
-    candidate = ~(keys * _SLACK**2 < top) | ~prune
-    for j in np.flatnonzero(candidate.any(axis=0)):
-        exact(j, np.flatnonzero(candidate[:, j]), g[candidate[:, j], j])
-    return out, work
+        g, counts = _weak_power_sups(values, weights[:0:-1].copy(), grid, centers, radii[order],
+                                     None if prefactor is None else prefactor[order])
+        return g[:, np.argsort(order)], _work(True, **counts)
+    return _level_gauges(values, grid, levels, weights, centers, radii), _work(True, levels=len(levels), visited=balls)
 
 
 def _root_find_gauges(f, phi, centers, radii, prefactor):
@@ -659,7 +614,7 @@ def _root_find_gauges(f, phi, centers, radii, prefactor):
         found, steps = _illinois(lambda lam, live: bound(lam, live).max(axis=1), lo, hi, len(part))
         stars.append(found)
         work["steps"] += steps
-    stars, exact = np.concatenate(stars), _bisector(f, phi, _lux_gauge, centers, radii, out, work)
+    stars, exact = np.concatenate(stars), _bisector(f, phi, centers, radii, out, work)
     # no per-ball bisection can end at its upper bracket end, inf
     sane, every_column = cellvol * f.values.size * phi(2 * _BRACKET_LO) < 0.5, prefactor is None
     pref, best = np.ones(len(radii)) if every_column else prefactor, -np.inf

@@ -283,13 +283,18 @@ def row_band(windows):
     return np.take_along_axis(start, np.minimum(rows, last), -1), np.take_along_axis(stop, np.minimum(rows, last), -1)
 
 
-def window_values(values: np.ndarray, windows) -> np.ndarray:
-    """Per ball of ``windows``, the values of the cells it covers, row by row over the band of rows it
-    reaches (``row_band``), padded with zeros."""
-    start, stop = row_band(windows)
-    k = np.arange(max((stop - start).max(), 1))
-    v = row_table(values).ravel()[np.minimum(start[..., None] + 1 + k, stop[..., None])]
-    return np.where(k < (stop - start)[..., None], v, 0.0).reshape(len(start), -1)
+def window_values(values: np.ndarray):
+    """A reader of ball values: ``read(windows)`` gives, per ball of ``windows``, the values of the cells it covers,
+    row by row over the band of rows it reaches (``row_band``), padded with zeros.  The row table is made once."""
+    table = row_table(values).ravel()
+
+    def read(windows):
+        start, stop = row_band(windows)
+        k = np.arange(max((stop - start).max(), 1))
+        v = table[np.minimum(start[..., None] + 1 + k, stop[..., None])]
+        return np.where(k < (stop - start)[..., None], v, 0.0).reshape(len(start), -1)
+
+    return read
 
 
 def window_key(cells: np.ndarray, windows) -> np.ndarray:

@@ -245,10 +245,10 @@ class ComposedPowerYoung(YoungFunction):
 class TabulatedYoung(YoungFunction):
     """Piecewise-linear Young function on log-spaced nodes.
 
-    ``values`` is nondecreasing and may end in an infinite tail.  Between the
-    last finite node and the first infinite one the function continues with
-    the last finite slope; past the first infinite node it is inf.  Below the
-    first node it is linear through the origin.
+    ``values`` is nondecreasing and ends in an infinite tail or a positive
+    slope (phi tends to inf).  Between the last finite node and the first
+    infinite one the function continues with the last finite slope; past the
+    first infinite node it is inf.  Below the first node it is linear through 0.
     """
 
     def __init__(self, nodes: np.ndarray, values: np.ndarray):
@@ -271,6 +271,8 @@ class TabulatedYoung(YoungFunction):
             self._tail_slope = (f_vals[-1] - f_vals[-2]) / (f_nodes[-1] - f_nodes[-2])
         else:
             self._tail_slope = 0.0
+        if self._n_finite == len(nodes) and self._tail_slope == 0:
+            raise ParameterError("tabulated values must tend to inf: end in an infinite value or a positive slope")
 
     @property
     def _first_inf_node(self) -> float:

@@ -201,6 +201,36 @@ def weak_gauge(vals, cellvol, phi):
     return gauge_bisect(constraint, maxv)
 
 
+def weak_weights(phi, cellvol, ranks):
+    """Reference weights W[k] = 1 / phi_inv(1 / (k * cellvol)) of the ranks k = 1 .. ``ranks``, made nondecreasing."""
+    return np.maximum.accumulate(1.0 / phi.inverse(1.0 / (cellvol * np.arange(1, ranks + 1))))
+
+
+def weak_closed_gauge(vals, cellvol, phi, weights=None):
+    """Reference weak closed form of one ball's values: its positive values sorted in decreasing order times
+    ``weak_weights`` (given, or made for this ball), the largest product, and at least 5e-324 (the bisection's
+    lowest bracket end) where the ball holds a positive value."""
+    pos = np.sort(vals[vals > 0])[::-1]
+    if pos.size == 0:
+        return 0.0
+    if np.isinf(pos[0]):
+        return np.inf
+    w = weak_weights(phi, cellvol, pos.size) if weights is None else weights[: pos.size]
+    with np.errstate(over="ignore"):
+        return max(float(np.max(pos * w)), _FLOAT_MIN)
+
+
+def per_ball_weak_gauges(f, phi, centers, radii):
+    """Reference weak gauges: the closed form ``weak_closed_gauge`` of every (center, radius) ball's
+    ``ball_values`` (the mask path), the weights made once for f's positive cells."""
+    weights = weak_weights(phi, f.grid.cell_volume, max(np.count_nonzero(f.values), 1))
+    out = np.zeros((len(centers), len(radii)))
+    for i, c in enumerate(centers):
+        for j, r in enumerate(radii):
+            out[i, j] = weak_closed_gauge(f.ball_values(Ball(c, float(r))), f.grid.cell_volume, phi, weights)
+    return out
+
+
 def per_ball_gauges(f, phi, centers, radii, weak):
     """Reference ball gauges: every (center, radius) ball bisected on its own (``weak_gauge``, ``lux_gauge``)."""
     gauge = weak_gauge if weak else lux_gauge
@@ -223,12 +253,17 @@ def per_ball_power_gauges(f, phi, centers, radii):
     return (scale * f.grid.cell_volume * sums) ** (1.0 / p)
 
 
+def per_ball_oracle(f, phi, centers, radii, weak):
+    """The gauges olab reports, ball by ball: ``per_ball_weak_gauges`` or the strong ``per_ball_gauges``."""
+    return per_ball_weak_gauges(f, phi, centers, radii) if weak else per_ball_gauges(f, phi, centers, radii, False)
+
+
 def per_ball_morrey(f, phi, varphi, centers, radii, weak=False, gauges=None):
-    """Reference Morrey matrix from ``per_ball_gauges`` (or the given gauges), and its value and witness."""
+    """Reference Morrey matrix from ``per_ball_oracle`` (or the given gauges), and its value and witness."""
     radii = np.asarray(radii, dtype=float)
     measures = np.array([ball_measure(f.grid.n, r) for r in radii])
     if gauges is None:
-        gauges = per_ball_gauges(f, phi, centers, radii, weak)
+        gauges = per_ball_oracle(f, phi, centers, radii, weak)
     vals = gauges * (phi.inverse(1.0 / measures) / varphi(radii))[None, :]
     best, witness = _argmax_witness(vals, centers, radii)
     return vals, best, witness if np.isfinite(best) else None
@@ -237,26 +272,28 @@ def per_ball_morrey(f, phi, varphi, centers, radii, weak=False, gauges=None):
 def sorted_gauges(values, weights, windows):
     """Reference weak closed form max_k v_(k) * W[k] over each ball of ``windows``, v_(k) its k-th largest value
     and W[k] = ``weights[k]``: its values gathered and sorted once (the padding zeros add 0 terms)."""
-    v = np.sort(window_values(values, windows), axis=1)
+    v = np.sort(window_values(values)(windows), axis=1)
     return np.max(v * weights[v.shape[1] : 0 : -1], axis=1)
 
 
-def merged_weak_power_sups(vp, cellvol, windows):
-    """Reference weak 1-D power sups, every ball exact: max_k v_(k)**p * cellvol * k per ball of ``windows``.
+def merged_weak_sups(values, weights, windows):
+    """Reference weak 1-D closed forms, every ball exact: max_k v_(k) * W[k] per ball of ``windows``, v_(k) its k-th
+    largest value and W[k] = ``weights[k]`` (``weights[0]`` unused), at least 5e-324 where the ball holds a positive
+    value.
 
     For a fixed center the windows are nested as the radius grows, so each row keeps the window's values
     sorted ascending, and every radius appends only the newly covered cells and re-sorts with a stable
     sort (a linear merge of the two runs).  Rows are padded at the front with zeros, which sort first and
     add 0 terms; leading columns zero in every row are trimmed after each sort.
     """
-    table, n_pos = row_table(vp)[0], ball_sums(np.where(vp > 0, 1.0, 0.0), windows)[0].astype(int)
+    table, n_pos = row_table(values)[0], ball_sums(np.where(values > 0, 1.0, 0.0), windows)[0].astype(int)
     start, stop = windows[0][..., 0], windows[1][..., 0]
     # cells added by each radius: the slots (start, prev_start] on the left and (prev_stop, stop]
     # on the right; after an empty window both parts name the slots (start, stop]
     n_left = np.concatenate([start[:, :1], start[:, :-1]], axis=1) - start
     prev_stop = np.concatenate([start[:, :1], stop[:, :-1]], axis=1)
     n_new = n_left + stop - prev_stop
-    rank_vol = cellvol * np.arange(len(vp), 0, -1)  # cellvol * rank, ranks counted from the end
+    rank_vol = np.asarray(weights)[len(values) : 0 : -1]  # W by rank, ranks counted from the end
     out = np.zeros(start.shape)
     for c0 in range(0, len(start), 32):
         chunk = slice(c0, c0 + 32)
@@ -272,5 +309,7 @@ def merged_weak_power_sups(vp, cellvol, windows):
                 rows.sort(axis=1, kind="stable")
                 rows = rows[:, rows.shape[1] - n_pos[chunk, j].max() :]
             if rows.shape[1]:
-                out[chunk, j] = np.max(rows * rank_vol[len(vp) - rows.shape[1] :], axis=1)
+                with np.errstate(over="ignore"):
+                    best = np.max(rows * rank_vol[len(values) - rows.shape[1] :], axis=1)
+                out[chunk, j] = np.where(rows[:, -1] > 0, np.maximum(best, _FLOAT_MIN), 0.0)
     return out

@@ -33,7 +33,7 @@ from olab.characterize import CONDITION_KINDS, RatioRow
 from olab.errors import ConfigError
 from olab.sampled import default_grid
 
-from conftest import (per_ball_gauges, per_ball_morrey, per_ball_power_gauges, random_cells_2d, random_indicator_sum,
+from conftest import (per_ball_morrey, per_ball_power_gauges, per_ball_weak_gauges, random_cells_2d, random_indicator_sum,
                       stepped_function)
 
 P2 = PowerYoung(2)
@@ -329,11 +329,11 @@ def test_stacked_2d_family_rows_equal_member_by_member_rows(target, operator):
 
 def rows_from_oracles(setup, family, operator, target, sampling):
     """Ratio rows built from the per-ball oracles: strong power gauges ball by ball in closed form
-    (``per_ball_power_gauges``), weak ones by the per-ball bisection (``per_ball_gauges``)."""
+    (``per_ball_power_gauges``), weak ones by the per-ball closed form (``per_ball_weak_gauges``)."""
 
     def norm(f, phi, varphi, weak):
         centers, radii = sampling.centers(f), sampling.radii()
-        gauges = (per_ball_gauges(f, phi, centers, radii, True) if weak
+        gauges = (per_ball_weak_gauges(f, phi, centers, radii) if weak
                   else per_ball_power_gauges(f, phi, centers, radii))
         _, value, witness = per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)
         return value, witness

@@ -61,9 +61,8 @@ def test_norm_summary_records_root_find_work(capsys, tmp_path):
                      "--weak", "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
     assert code == 0
     work = json.loads((tmp_path / "norm.json").read_text())["work"]
-    assert sorted(work) == ["bisections", "certified", "levels", "path", "replay_steps", "replayed", "sorted_windows",
-                            "visited"]
-    assert work["path"] == "closed-form" and 1 <= work["bisections"] and work["replayed"] <= work["bisections"]
+    assert sorted(work) == ["bisections", "certified", "levels", "path", "sorted_windows", "visited"]
+    assert work["path"] == "closed-form" and work["bisections"] == 0
     assert (work["levels"], work["sorted_windows"]) == (1, 0)  # an indicator has one positive value
     assert "replay" not in out_path.read_text() and "levels" not in out_path.read_text()
 
@@ -77,8 +76,7 @@ def test_norm_summary_records_weak_closed_form_work(capsys, tmp_path, monkeypatc
                      "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
     assert code == 0
     summary = json.loads((tmp_path / "norm.json").read_text())
-    assert sorted(summary["work"]) == ["bisections", "certified", "levels", "path", "replay_steps", "replayed",
-                                       "sorted_windows", "visited"]
+    assert sorted(summary["work"]) == ["bisections", "certified", "levels", "path", "sorted_windows", "visited"]
     assert summary["work"]["path"] == "closed-form" and "root_find" not in summary
     assert summary["work"]["sorted_windows"] > 0 and summary["work"]["certified"] > 0
     assert "certified" not in out_path.read_text() and "sorted" not in out_path.read_text()
@@ -540,25 +538,42 @@ def test_maximal_conditions_and_probes_load_no_numpy_ma():
     assert [name for name, loaded in seen.items() if loaded] == []
 
 
-_CAPPED_DELTA_PRIME = """
-import contextlib, io, json, resource
+_CAPPED = """
+import contextlib, io, json, resource, sys
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
 cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
 resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
 import olab.cli
-with contextlib.redirect_stderr(io.StringIO()) as err:
-    code = olab.cli.main(["classify", "--young", '{"kind":"power","p":2}', "--class", "delta_prime",
-                          "--range", "1e-3:1e3:1000"])
-print(json.dumps([code, err.getvalue()]))
+with contextlib.redirect_stderr(io.StringIO()) as err, contextlib.redirect_stdout(io.StringIO()) as out:
+    code = olab.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue(), err.getvalue()]))
 """
 
 
 def test_delta_prime_past_its_pair_bound_is_status_3():
     # about 20k nodes, 8,000 in the first window: 488 MiB per array of the outer product, so under a
     # 1 GiB address-space cap a missing guard fails at once with a MemoryError
-    code, err = _fresh_python(_CAPPED_DELTA_PRIME)
+    argv = ["classify", "--young", '{"kind":"power","p":2}', "--class", "delta_prime", "--range", "1e-3:1e3:1000"]
+    code, _, err = _fresh_python(_CAPPED, json.dumps(argv))
     assert code == 3
     assert "pairs" in err
+
+
+def test_out_of_memory_is_status_3():
+    # 16,000 x 16,000 cells, 2 GiB per array of samples: under a 1 GiB address-space cap numpy raises a
+    # MemoryError, once a traceback with exit 1
+    argv = ["operators", "--alpha", "0.5", "--input", '{"type":"gaussian"}', "--grid-n", "2", "--grid-h", "0.001"]
+    code, out, err = _fresh_python(_CAPPED, json.dumps(argv))
+    assert (code, out) == (3, "") and err.startswith("olab: out of memory") and "Traceback" not in err
+
+
+def test_bounded_tabulated_young_is_status_3(capsys):
+    # finite values that end flat: phi stays bounded, and every Morrey sup was nan (an IndexError, exit 1)
+    young = '{"kind":"tabulated","nodes":[1,2],"values":[0,0]}'
+    for weak in ([], ["--weak"]):
+        code, out, err = run(capsys, "norm", "--input", BALL, "--young", young, "--lambda", "0.5", "--grid-h", "0.125",
+                             "--grid-extent", "2", *weak)
+        assert (code, out) == (3, "") and "tend to inf" in err
 
 
 _REUSE_PROBE = """

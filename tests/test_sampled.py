@@ -279,7 +279,7 @@ def test_value_at_edge_goes_to_upper_cell(grid64, unit_indicator):
 
 def window_cells(grid, windows, i):
     """Cells of ball i of ``ball_windows``, read back through ``window_values`` of the cell numbers 1, 2, ..."""
-    numbers = window_values(np.arange(1.0, grid.cells_per_axis**grid.n + 1).reshape(grid.shape()), windows)[i]
+    numbers = window_values(np.arange(1.0, grid.cells_per_axis**grid.n + 1).reshape(grid.shape()))(windows)[i]
     numbers = numbers[numbers > 0].astype(int) - 1
     assert len(set(numbers)) == len(numbers)  # no cell twice
     return np.isin(np.arange(grid.cells_per_axis**grid.n), numbers).reshape(grid.shape())

@@ -141,6 +141,13 @@ def test_compose_power():
     assert PowerYoung(2).inverse(16.0) ** 0.5 == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("values", [[0.0, 0.0], [0.5, 1.0, 1.0], [3.0]])
+def test_bounded_tabulated_is_refused(values):
+    # a Young function tends to inf: finite values that end flat (or one finite node) bound it
+    with pytest.raises(ParameterError, match="tend to inf"):
+        TabulatedYoung(np.arange(1.0, len(values) + 1), np.array(values))
+
+
 def test_compose_power_rejects_bad_beta():
     for beta in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ParameterError):
@@ -305,7 +312,7 @@ def per_element_inverse(phi: TabulatedYoung, s: float) -> float:
 TABULATED_KINDS = {
     "inner and tail slope": TabulatedYoung(np.array([0.3, 0.7, 1.9, 4.1]), np.array([0.11, 0.93, 3.7, 8.3])),
     "zero first value": TabulatedYoung(np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.5, 3.0])),
-    "zero tail slope": TabulatedYoung(np.array([0.5, 1.0, 2.0]), np.array([0.25, 1.0, 1.0])),
+    "zero tail slope": TabulatedYoung(np.array([0.5, 1.0, 2.0, 4.0]), np.array([0.25, 1.0, 1.0, np.inf])),
     "infinite tail": TabulatedYoung(np.array([0.5, 1.0, 2.0, 4.0]), np.array([0.25, 1.0, 4.0, np.inf])),
     "single finite node": TabulatedYoung(np.array([0.5, 1.0]), np.array([2.0, np.inf])),
     "conjugate": ExpMinusOneYoung().conjugate(),
