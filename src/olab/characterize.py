@@ -93,6 +93,8 @@ _MAX_LOG_NODES = 2**22
 
 def _log_grid(t_min: float, t_max: float, per_octave: int = 32) -> np.ndarray:
     """Nodes t_min * 2^(k / per_octave) up to t_max; the one node t_min when t_max == t_min."""
+    if isinstance(per_octave, bool) or not isinstance(per_octave, (int, np.integer)) or per_octave < 1:
+        raise ConfigError(f"per_octave must be a positive integer, got {per_octave!r}")
     if t_min <= 0 or t_max < t_min:
         raise ConfigError("need 0 < t_min <= t_max")
     with np.errstate(over="ignore"):
@@ -141,7 +143,7 @@ def check_condition(
         t_grid = _log_grid(2.0**-10, 2.0**10, per_octave)
     t_grid = checked_t_grid(t_grid)
     top = max(schedule)
-    if not t_grid[window(t_grid, 1.0 / top, top)].size:  # every window would read 0, a vacuous holds-stable
+    if not t_grid[window(t_grid, 1.0 / top, top)].size:  # t nodes: ``track`` sees the nodes s_all only
         raise ConfigError(f"no node of the t grid [{t_grid[0]:g}, {t_grid[-1]:g}] lies in the widest window "
                           f"(1/{top:g}, {top:g}) of the schedule")
     r_final = max(top, t_grid[-1])
@@ -219,11 +221,11 @@ def check_membership(
 
     if membership == "omega":
         inv_meas = phi.inverse(1.0 / np.array([ball_measure(n, x) for x in t_grid]))
-        # the legs' strict edges r > t0 and r < 1 as -inf values
+        # the legs' strict edges r > t0 and r < 1 as -inf values; the lower leg is empty for r_max <= 1 (reads 0)
         upper_ratio = np.where(t_grid > t_grid[0], inv_meas / pv, -np.inf)
         lower_ratio = np.where(t_grid < 1.0, 1.0 / pv, -np.inf)
         upper, _, v_up = track(t_grid, [(t_grid[0], r_max) for r_max in schedule], node_max(t_grid, upper_ratio))
-        lower, _, v_low = track(t_grid, [(1.0 / r_max, 1.0) for r_max in schedule], node_max(t_grid, lower_ratio))
+        lower, _, v_low = track(t_grid, [(1.0 / r, 1.0) for r in schedule], node_max(t_grid, lower_ratio), True)
         return ConditionReport(
             condition="membership-omega",
             params=params,

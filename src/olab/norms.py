@@ -8,10 +8,10 @@ is returned as a witness.
 A weak gauge is the closed form g = max_k v_(k) * W[k], v_(k) the ball's k-th largest value: as phi(u) <= s
 exactly when u <= phi_inv(s), the least lam with max_k phi(v_(k)/lam) * k * cellvol <= 1 is g with W[k] =
 1 / phi_inv(1 / (k * cellvol)) nondecreasing, each phi_inv checked against phi to 1e-9 (else DomainError).  A
-ball holding a positive value reads at least the least positive float.  Morrey sups rank the balls by exact
-level counts, g = max_i s_i * W[N_i(c)] over the distinct positive values s_i with N_i(c) = #{x in B_c :
-f(x) >= s_i}, when they fit the level budget; else by ``_weak_power_sups``, a bisection over each center's
-nested radii that skips the runs strictly below the sup of g * prefactor (they read 0).
+ball holding a positive value reads at least the least positive float.  Morrey sups rank the balls by
+``_weak_power_sups``, a bisection over each center's nested radii that skips the runs strictly below the sup of
+g * prefactor (they read 0).  It reads a ball's g from level counts, max_i s_i * W[N_i(c)] over the distinct
+positive values s_i with N_i(c) = #{x in B_c : f(x) >= s_i}, where f has at most _LEVELS of them, else by sorting.
 
 Strong power gauges scale * t**p take the closed form (scale * cellvol * S) ** (1 / p), S the ``ball_sums`` of
 f**p, unless f**p or its sum overflows.  Other strong gauges take a column root-find: a batched Illinois
@@ -272,7 +272,7 @@ class MorreySampling:
         return cs, len(shared)
 
 
-# Entries of one array of gathered ball windows: the weak radius bisection, the weak level counts.
+# Entries of one array of gathered ball windows or level counts: the weak radius bisection.
 _BATCH = 2**16
 # Bytes of one array of window indices or sums that the strong power closed form holds: it takes its radii in
 # groups, or on large 2-D grids one radius over chunks of centers.  A 1-D triviality probe on the default grid
@@ -283,11 +283,8 @@ _SUM_BYTES = 2**16
 # row_prefix slots plus windows of the columns that one root-find step stacks into one table (one column on
 # large grids, where a wider table falls out of cache).
 _WINDOW_BYTES, _STACK_SLOTS = 2**24, 2**15
-# The weak closed form ranks by exact level counts when f has at most as many distinct positive values as keep
-# levels x balls within _LEVEL_BALLS and levels x balls x rows (the row windows that its counts read) within
-# _LEVEL_ROWS, else by the radius bisection of ``_weak_power_sups``.  Provisional: set by single runs on 128x128
-# and 256x256 grids.
-_LEVEL_BALLS, _LEVEL_ROWS = 2**21, 2**28
+# Distinct positive values of f up to which the weak radius bisection reads a ball from level counts, not its window.
+_LEVELS = 64
 # Relative margin by which the bound on a skipped run of weak entries stays below the best exact entry.
 _RUN_MARGIN = 1e-12
 # Relative rise of the prefactor over a run below the last radius up to which the weak power sups certify
@@ -340,43 +337,58 @@ def _tie_starts(values, windows, level):
     return np.argmax(counts == counts[:, -1:], axis=1)
 
 
-def _weak_power_sups(values, rank_vol, grid, centers, radii, prefactor=None):
-    """g = max_k v_(k) * W[k] over each ball of the (N, n) array ``centers`` at nondecreasing ``radii``, v_(k) the k-th
-    largest of ``values`` and W[k] = ``rank_vol[-k]`` nondecreasing in k (``_best_terms``), and the counts of the work
-    record: entries evaluated, windows sorted and entries certified.
+def _weak_power_sups(values, weights, grid, centers, radii, prefactor=None):
+    """g = max_k v_(k) * W[k] over each ball of the (N, n) array ``centers`` at nondecreasing ``radii`` (v_(k) the k-th
+    largest of ``values``, W = ``weights`` of ``_weak_weights``), and the counts of the work record.
 
-    1-D windows are made once for every ball and read as sliding windows of the row table (``_weak_power_batch``); 2-D
-    ones per radius, for the balls evaluated only, and gathered through one ``window_values`` reader.  The balls of a
-    center are nested, so each v_(k) and with it g(c, j) is nondecreasing in j, bit for bit (rounding is monotone in
-    each factor).  All centers are bisected over their radius indices together: the first and last radius are evaluated,
-    and a run lo < j < hi between two exact entries takes g(c, lo) if g(c, lo) == g(c, hi), else is split at its middle.
-    Given a ``prefactor`` per radius, a run is skipped (its entries read 0) when g(c, hi) * max(prefactor over the run)
-    * (1 + _RUN_MARGIN) falls below the best g * prefactor of an exact entry.
+    An entry is read from level counts where ``values`` has at most _LEVELS distinct positive values s_i: max_i s_i *
+    W[N_i], N_i = #{x in B : values(x) >= s_i} (one ``level_counts`` reader; 2-D windows cut to their ``row_band``),
+    the products of the sorted form.  Else its window is sorted (``_best_terms``): in 1-D a sliding window of the row
+    table (``_weak_power_batch``), in 2-D gathered by one ``window_values`` reader.  1-D windows are made once for every
+    ball, 2-D ones per radius for the balls evaluated.  The balls of a center are nested, so g(c, j) is nondecreasing in
+    j, bit for bit (rounding is monotone in each factor).  All centers are bisected over their radius indices together:
+    the first and last radius are evaluated, and a run lo < j < hi between two exact entries takes g(c, lo) if g(c, lo)
+    == g(c, hi), else is split at its middle.  Given a ``prefactor`` per radius, a run is skipped (its entries read 0)
+    when g(c, hi) * max(prefactor over the run) * (1 + _RUN_MARGIN) falls below the best exact g * prefactor.
 
-    Tied runs are certified: the last radius gives v*, the value of one term that attains g(c, last), and N(c, j) =
-    #{x in B(c, r_j) : values >= v*}, which never falls as j grows.  Where N(c, j) = N(c, last), the N-th largest value
-    is >= v*, so g(c, j) >= fl(v* * W[N]) = g(c, last) >= g(c, j): the run from the first such j0 to the last radius
-    holds g(c, last) bit for bit, unsorted.  A run (lo, last) that is neither flat nor skipped takes the certificate
-    where the prefactor does not rise over lo < j < last (by more than _FLAT_PREFACTOR, far above rounding; no prefactor
-    is flat), and becomes (lo, j0), evaluated at j0 - 1 instead of its middle so that the skip rule can prune the rest.
-    The certificate reads the windows of the tied centers at every radius, in chunks within _WINDOW_BYTES.
+    Where windows are sorted, tied runs are certified (level counts bisect them: a few counts beat one per radius): the
+    last radius gives v*, the value of one term that attains g(c, last), and N(c, j) = #{x in B(c, r_j) : values >= v*},
+    which never falls as j grows.  Where N(c, j) = N(c, last), the N-th largest value is >= v*, so g(c, j) >= fl(v* *
+    W[N]) = g(c, last) >= g(c, j): the run from the first such j0 to the last radius holds g(c, last) bit for bit,
+    unsorted.  A run (lo, last) that is neither flat nor skipped takes the certificate where the prefactor does not rise
+    over lo < j < last (by more than _FLAT_PREFACTOR, far above rounding; no prefactor is flat), and becomes (lo, j0),
+    evaluated at j0 - 1 instead of its middle so that the skip rule can prune the rest.  The certificate reads the
+    windows of the tied centers at every radius, in chunks within _WINDOW_BYTES.
     """
+    rank_vol, levels = weights[:0:-1].copy(), distinct(values[values > 0])
+    counted = len(levels) <= _LEVELS
+    count, read = (level_counts(values, levels), None) if counted else (None, window_values(values))
+
+    def rank(windows):  # on level counts max_i s_i * W[N_i], at least the least positive float where N_1 > 0, no v*
+        if not counted:
+            return _best_terms(read(windows), rank_vol)
+        n = count(windows if grid.n == 1 else row_band(windows))
+        return np.where(n[:, 0] > 0, np.maximum(np.max(levels * weights[n], axis=1), _FLOAT_MIN), 0.0), 0.0
+
     if grid.n == 1:
-        table, (start, stop) = row_table(values)[0], (w[..., 0] for w in ball_windows(grid, centers, radii))
+        table, (start, stop) = row_table(values)[0], ball_windows(grid, centers, radii)
 
-        def evaluate(c, j):
-            return _weak_power_batch(table, rank_vol, start[c, j], stop[c, j])
+        def evaluate(c, j):  # level counts in batches of about _BATCH
+            if not counted:
+                return _weak_power_batch(table, rank_vol, start[c, j, 0], stop[c, j, 0])
+            out, level, per = np.zeros(len(c)), np.zeros(len(c)), _BATCH // len(levels)
+            for part in (slice(a, a + per) for a in range(0, len(c), per)):
+                out[part], level[part] = rank((start[c[part], j[part]], stop[c[part], j[part]]))
+            return out, level, 0
     else:
-        read = window_values(values)
-
-        def evaluate(c, j):  # in batches of about _BATCH gathered cells, each disk's band at most side x side
+        def evaluate(c, j):  # in batches of about _BATCH window rows and level counts, or gathered cells
             out, level = np.zeros(len(c)), np.zeros(len(c))
-            for k in distinct(j):
+            for k in distinct(j):  # each band of at most side rows
                 at, side = np.flatnonzero(j == k), int(min(2 * radii[k] / grid.h + 1, grid.cells_per_axis))
-                for part in np.array_split(at, -(-len(at) * side**2 // _BATCH)):
-                    windows = ball_windows(grid, centers[c[part]], radii[k])
-                    out[part], level[part] = _best_terms(read(windows), rank_vol)
-            return out, level, len(c)
+                size = max(side * len(levels), grid.cells_per_axis) if counted else side * side
+                for part in np.array_split(at, -(-len(at) * size // _BATCH)):
+                    out[part], level[part] = rank(ball_windows(grid, centers[c[part]], radii[k]))
+            return out, level, 0 if counted else len(c)
 
     out, certified = np.zeros((len(centers), len(radii))), 0
     last = len(radii) - 1
@@ -416,7 +428,7 @@ def _weak_power_sups(values, rank_vol, grid, centers, radii, prefactor=None):
             best = np.nanmax(out[c, lo][flat] * run_max(lo[flat] + 1, hi[flat] - 1), initial=best)
             split &= ~(out[c, hi] * run_max(lo + 1, hi - 1) * (1 + _RUN_MARGIN) < best)
         c, lo, hi, mid = c[split], lo[split], hi[split], (lo[split] + hi[split]) // 2
-        if (tied := (hi == last) & flat_to_last[lo]).any():
+        if not counted and (tied := (hi == last) & flat_to_last[lo]).any():
             ct = c[tied]
             j0 = np.concatenate([_tie_starts(values, ball_windows(grid, centers[ct[a : a + per]], radii),
                                              v_star[ct[a : a + per]]) for a in range(0, len(ct), per)])
@@ -429,7 +441,8 @@ def _weak_power_sups(values, rank_vol, grid, centers, radii, prefactor=None):
         if prefactor is not None:
             best = np.nanmax(out[c, mid] * prefactor[mid], initial=best)
         c, lo, hi = np.concatenate([c, c]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    return out, {"visited": visited, "sorted_windows": windows_sorted, "certified": certified}
+    return out, {"levels": len(levels) if counted else 0, "visited": visited, "sorted_windows": windows_sorted,
+                 "certified": certified}
 
 
 def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
@@ -495,8 +508,8 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
 
 
 def _work(weak=False, **counts) -> dict:
-    """The work record of the weak closed form, its levels counted (0 where the radius bisection ranks), balls whose
-    closed form it read (``visited``), of them the windows sorted, entries certified, and no bisection; or of the strong
+    """The work record of the weak closed form, its levels counted (0 where windows are sorted), entries evaluated
+    (``visited``), windows sorted (0 on level counts), entries certified, and no bisection; or of the strong
     root-find, its column blocks, blocks visited and batched steps, then the bisections and their replays."""
     path = ({"path": "closed-form", "levels": 0, "sorted_windows": 0, "certified": 0} if weak else
             {"path": "column-root-find", "blocks": 0, "steps": 0, "replayed": 0, "replay_steps": 0})
@@ -539,18 +552,6 @@ def _weak_weights(phi, cellvol, npos, size):
     return np.concatenate([[0.0], w, np.full(size - npos, w[-1])])
 
 
-def _level_gauges(values, grid, levels, weights, centers, radii):
-    """max_i s_i * W[N_i(c)] per ball (centers, radii), N_i(c) = #{x in B_c : values(x) >= s_i} for the levels s_i, read
-    through ``level_counts``: the closed form where every distinct positive value is a level, at least the least
-    positive float where the ball holds one (N of the least level > 0)."""
-    rows, count = grid.cells_per_axis ** (grid.n - 1), level_counts(values, levels)
-    per, out = max(1, _BATCH // (len(levels) * len(centers) * rows)), np.empty((len(centers), len(radii)))
-    for k in range(0, len(radii), per):
-        w = weights[count(row_band(ball_windows(grid, centers, radii[k : k + per])))]  # (centers, radii, levels)
-        out[:, k : k + per] = np.where(w[..., 0] > 0, np.maximum(np.max(levels * w, axis=-1), _FLOAT_MIN), 0.0)
-    return out
-
-
 def _bisector(f, phi, centers, radii, out, work):
     """exact(j, balls, guess): ``_lux_gauge`` of each ball of column j into ``out``, its root guessed at ``guess``;
     balls over the same positive cells, or of equal content, share a bisection."""
@@ -585,20 +586,14 @@ def _bisected_gauges(f, phi, centers, radii, weak, prefactor):
 
 
 def _weak_closed_gauges(f, phi, centers, radii, prefactor):
-    """The weak closed form of the module docstring, ranked by exact level counts or by the radius bisection
-    ``_weak_power_sups``: (gauges, ``_work`` record)."""
-    grid, values = f.grid, f.values
-    balls, rows = len(centers) * len(radii), grid.cells_per_axis ** (grid.n - 1)
-    levels = distinct(values[values > 0])
-    if not len(levels):  # f = 0
+    """The weak closed form of the module docstring by ``_weak_power_sups``: (gauges, ``_work`` record)."""
+    values, order = f.values, np.argsort(radii, kind="stable")
+    if not (values > 0).any():  # f = 0
         return np.zeros((len(centers), len(radii))), _work(True)
-    weights = _weak_weights(phi, grid.cell_volume, np.count_nonzero(values), values.size)
-    if len(levels) > max(1, min(_LEVEL_BALLS // balls, _LEVEL_ROWS // (balls * rows))):  # past the level budget
-        order = np.argsort(radii, kind="stable")
-        g, counts = _weak_power_sups(values, weights[:0:-1].copy(), grid, centers, radii[order],
-                                     None if prefactor is None else prefactor[order])
-        return g[:, np.argsort(order)], _work(True, **counts)
-    return _level_gauges(values, grid, levels, weights, centers, radii), _work(True, levels=len(levels), visited=balls)
+    weights = _weak_weights(phi, f.grid.cell_volume, np.count_nonzero(values), values.size)
+    g, counts = _weak_power_sups(values, weights, f.grid, centers, radii[order],
+                                 None if prefactor is None else prefactor[order])
+    return g[:, np.argsort(order)], _work(True, **counts)
 
 
 def _root_find_gauges(f, phi, centers, radii, prefactor):

@@ -91,17 +91,20 @@ def assess(constants) -> str:
     return INCONCLUSIVE
 
 
-def track(nodes, windows, measure):
+def track(nodes, windows, measure, empty_ok=False):
     """(constants, witnesses, verdict) of ``measure`` over windows (lo, hi) of the sorted ``nodes``.
 
     ``measure`` maps the slice of nodes in one window to (constant, witness),
     empty windows included; the constants are made nondecreasing, as suprema
     over nested windows, before ``assess`` reads them.  Each window must
-    contain the one before it (ConfigError otherwise).
+    contain the one before it, and the widest a node unless ``empty_ok``
+    (ConfigError otherwise: every constant would read 0, a vacuous verdict).
     """
-    lo, hi = np.asarray(windows, dtype=float).reshape(-1, 2).T
+    nodes, (lo, hi) = np.asarray(nodes, dtype=float), np.asarray(windows, dtype=float).reshape(-1, 2).T
     if np.any(lo[1:] > lo[:-1]) or np.any(hi[1:] < hi[:-1]):
         raise ConfigError(f"each probed window must contain the one before it, got {list(windows)}")
+    if not (empty_ok or nodes[window(nodes, lo[-1], hi[-1])].size):
+        raise ConfigError(f"no node of [{nodes[0]:g}, {nodes[-1]:g}] is in the widest window ({lo[-1]:g}, {hi[-1]:g})")
     found = [measure(window(nodes, lo, hi)) for lo, hi in windows]
     constants = np.maximum.accumulate(np.array([c for c, _ in found], dtype=float)).tolist()
     return constants, [w for _, w in found], assess(constants)

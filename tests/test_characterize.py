@@ -6,6 +6,7 @@ import pytest
 from olab import (
     AdamsSetup,
     DomainError,
+    ExpMinusOneYoung,
     GridSpec,
     MorreySampling,
     ParameterError,
@@ -227,6 +228,33 @@ def test_t_grid_outside_the_widest_window_is_a_config_error(kind):
     # one node inside the widest window alone is enough
     rep = check_condition(kind, balanced_setup(4), t_grid=np.array([0.1, 3.0]), schedule=[2.0, 4.0])
     assert len(rep.constants) == 2
+
+
+def test_classify_range_outside_the_widest_window_is_a_config_error():
+    # no node of 2000 .. 4000 lies in (1/1024, 1024): once holds-stable (C = 0)
+    with pytest.raises(ConfigError, match=r"no node of \[2000, 4000\] is in the widest window \(0.000976562, 1024\)"):
+        classify_growth(ExpMinusOneYoung(), "delta2", t_grid=np.geomspace(2000.0, 4000.0, 5))
+
+
+def test_triviality_probe_with_an_empty_upper_window_is_a_config_error():
+    # r_max = 0.05 lies below r_min = 4h = 0.0625: the upper leg's one window (4h, 0.05) is empty, once holds-stable
+    # where the default schedule gives diverges
+    with pytest.raises(ConfigError, match=r"widest window \(0.0625, 0.05\)"):
+        triviality_probe(P2, growth_from_lambda(P2, -1.0), schedule=[0.05])
+
+
+def test_membership_g_range_outside_the_widest_window_is_a_config_error():
+    # no node of 8 .. 16 lies in (1/4, 4)
+    with pytest.raises(ConfigError, match=r"no node of \[8, 16\] is in the widest window \(0.25, 4\)"):
+        check_membership(PHI_L0, P2, "g", t_grid=np.geomspace(8.0, 16.0, 9), schedule=[2.0, 4.0])
+
+
+@pytest.mark.parametrize("per_octave", [0, -2, True, 2.5, "4"])
+def test_per_octave_must_be_a_positive_int(per_octave):
+    # 0 once divided 0 by 0 in the log grid, and True counted as 1
+    with pytest.raises(ConfigError, match="per_octave must be a positive integer"):
+        check_condition("adams-necessary", balanced_setup(4), per_octave=per_octave)
+    assert check_condition("adams-necessary", balanced_setup(4), per_octave=np.int64(4)).verdict
 
 
 BAD_SCHEDULES = [[], [np.nan, 32.0], [0.0, 16.0], [16.0, np.inf]]

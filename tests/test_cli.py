@@ -68,9 +68,9 @@ def test_norm_summary_records_root_find_work(capsys, tmp_path):
 
 
 def test_norm_summary_records_weak_closed_form_work(capsys, tmp_path, monkeypatch):
-    # lambda = 0 and a gaussian past a budget of one level: the radius bisection ranks the balls, every
+    # lambda = 0 and a gaussian past a budget of one level: the radius bisection sorts windows, every
     # center's largest balls tie the sup, and a level count certifies them unsorted
-    monkeypatch.setattr(olab.norms, "_LEVEL_BALLS", 1)
+    monkeypatch.setattr(olab.norms, "_LEVELS", 1)
     out_path = tmp_path / "norm.csv"
     code, _, _ = run(capsys, "norm", "--input", '{"type":"gaussian"}', "--young", P2, "--lambda", "0", "--weak",
                      "--grid-h", "0.125", "--grid-extent", "4", "--out", str(out_path))
@@ -243,6 +243,14 @@ def test_range_outside_the_widest_window_is_status_2(capsys, tmp_path, spec):
                          "--range", spec, "--rmax-schedule", "4")
     assert code == 2 and out == ""
     assert "widest window (1/4, 4)" in err and "t grid [" in err
+
+
+def test_classify_range_outside_the_widest_window_is_status_2(capsys):
+    # no node of 2000 .. 4000 lies in (1/1024, 1024): once exit 0 with holds-stable (C = 0)
+    code, out, err = run(capsys, "classify", "--young", '{"kind":"exp_minus_one"}', "--class", "delta2",
+                         "--range", "2000:4000:4")
+    assert code == 2 and out == ""
+    assert "no node of [2000, 4000] is in the widest window" in err
 
 
 @pytest.mark.parametrize("command", ["classify", "check"])

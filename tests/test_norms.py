@@ -34,7 +34,6 @@ from olab.norms import (
     _ball_gauge_matrices,
     _bracket,
     _illinois,
-    _level_gauges,
     _lux_gauge,
     _morrey_matrices,
     _power_form,
@@ -43,7 +42,7 @@ from olab.norms import (
     _weak_weights,
     _work,
 )
-from olab.sampled import ball_windows, cell_window, distinct
+from olab.sampled import ball_windows, cell_window
 
 from conftest import (
     PIN_GRIDS,
@@ -466,11 +465,11 @@ def weak_oracle_samples(grid, rng):
 @pytest.mark.parametrize("grid", PIN_GRIDS)
 def test_weak_power_sups_equal_the_merged_windows(grid, monkeypatch):
     # with no prefactor nothing is skipped: every entry, flat runs included, is the reference's, whether exact
-    # level counts rank the balls or (a budget of one level: any two distinct values) the radius bisection
+    # level counts evaluate the balls or (a budget of one level: any two distinct values) sorted windows
     rng = np.random.default_rng(41)
     sampling = pin_sampling(grid)
-    for budget in (norms._LEVEL_BALLS, 1):
-        monkeypatch.setattr(norms, "_LEVEL_BALLS", budget)
+    for budget in (norms._LEVELS, 1):
+        monkeypatch.setattr(norms, "_LEVELS", budget)
         for f in weak_oracle_samples(grid, rng):
             centers, radii = sampling.centers(f), rng.permutation(sampling.radii())
             for phi in WEAK_PHIS:
@@ -495,10 +494,10 @@ PREFACTORS = {
 @pytest.mark.parametrize("shape", PREFACTORS)
 @pytest.mark.parametrize("grid", PIN_GRIDS + PIN_GRIDS_2D[:1])
 def test_weak_power_sups_skip_only_balls_below_the_sup(grid, shape, monkeypatch):
-    # one level: every sample with two distinct values takes the radius bisection.  Every kept entry is the
+    # one level: every sample with two distinct values sorts its windows.  Every kept entry is the
     # reference's; a skipped one reads 0 and lies strictly below the sup, so the value and the witness are
     # the reference's: in 1-D the merged windows, in 2-D the per-ball closed form
-    monkeypatch.setattr(norms, "_LEVEL_BALLS", 1)
+    monkeypatch.setattr(norms, "_LEVELS", 1)
     rng = np.random.default_rng(43)
     sampling = pin_sampling(grid) if grid.n == 1 else oracle_sampling(grid)
     samples = weak_oracle_samples(grid, rng) if grid.n == 1 else [random_cells_2d(grid, rng), SampledFunction(
@@ -545,13 +544,16 @@ def test_weak_power_sups_certify_ties_of_distinct_values(monkeypatch):
             for c, j in enumerate(j0):
                 assert np.all(reference[c, j:] == reference[c, -1])
         assert np.any(firsts[0] != firsts[1])
-        for prefactor in (None, np.ones(30)):
-            sups, counts = norms._weak_power_sups(vp, weights[:0:-1].copy(), grid, centers, radii, prefactor)
-            assert np.array_equal(sups, reference) if prefactor is None else np.all((sups == reference) | (sups == 0))
-            assert counts["certified"] > 0
+        # the three values read from their level counts, which bisect the tied runs, then (a budget of one level)
+        # from sorted windows, which certify them
+        for budget in (norms._LEVELS, 1):
+            monkeypatch.setattr(norms, "_LEVELS", budget)
+            for prefactor in (None, np.ones(30)):
+                sups, counts = norms._weak_power_sups(vp, weights, grid, centers, radii, prefactor)
+                assert np.array_equal(sups, reference) if prefactor is None else np.all((sups == reference) | (sups == 0))
+                assert (counts["certified"] > 0) == (counts["levels"] == 0) == (budget == 1)
         # a Morrey norm at lambda = 0, its three values past a budget of one level: the radius bisection certifies
         # the tied runs, and the value and witness are the per-ball oracle's
-        monkeypatch.setattr(norms, "_LEVEL_BALLS", 1)
         f, varphi = SampledFunction(grid, np.sqrt(vp)), growth_from_lambda(P2, 0.0, n=grid.n)
         sampling = MorreySampling(r_min=0.05, r_max=5.0, n_radii=30, center_stride=2)
         ev = generalized_orlicz_morrey_norm(f, P2, varphi, weak=True, sampling=sampling)
@@ -904,19 +906,25 @@ def test_batched_strong_roots_equal_single_columns(grid, name):
         assert finite.any() and np.all(bound(together[finite], np.flatnonzero(finite)).max(axis=1) <= 1)
 
 
-@pytest.mark.parametrize("name", ["exp_minus_one", "power_log"])
+@pytest.mark.parametrize("name", sorted(SIX_KINDS))
 @pytest.mark.parametrize("grid", PIN_GRIDS[:2] + PIN_GRIDS_2D[:2])
-def test_exact_level_roots_equal_the_sorted_window_roots(grid, name):
-    # with a level at every distinct value, the closed-form root max_i s_i W[N_i(c)] of the level counts is the
-    # closed-form root max_k v_(k) W[k] of each ball's sorted window, bit for bit
-    f, phi = root_find_sample(grid, 36), ROOT_FIND_PHIS[name]
+def test_exact_level_roots_equal_the_sorted_window_roots(grid, name, monkeypatch):
+    # with a level at every distinct value, the closed form max_i s_i W[N_i(c)] of the level counts is the closed
+    # form max_k v_(k) W[k] of each ball's sorted window, bit for bit: the radius bisection gives the same full
+    # matrix (no prefactor) with either evaluator, and so each sorted window's reference
+    f, phi = root_find_sample(grid, 36), SIX_KINDS[name]
     sampling = oracle_sampling(grid)
     centers, radii = np.array(sampling.centers(f)), sampling.radii()
-    levels = distinct(f.values[f.values > 0])
     weights = _weak_weights(phi, grid.cell_volume, np.count_nonzero(f.values), f.values.size)
-    closed = _level_gauges(f.values, grid, levels, weights, centers, radii)
+    matrices = []
+    for budget in (f.values.size, 0):
+        monkeypatch.setattr(norms, "_LEVELS", budget)
+        sups, counts = norms._weak_power_sups(f.values, weights, grid, centers, radii)
+        assert (counts["levels"] > 0, counts["sorted_windows"] > 0) == ((True, False) if budget else (False, True))
+        matrices.append(sups)
+    assert np.array_equal(*matrices)
     for j, r in enumerate(radii):
-        assert np.array_equal(closed[:, j], sorted_gauges(f.values, weights, ball_windows(grid, centers, r)))
+        assert np.array_equal(matrices[0][:, j], sorted_gauges(f.values, weights, ball_windows(grid, centers, r)))
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS[:2] + PIN_GRIDS_2D[:1]),
@@ -941,11 +949,11 @@ def test_weak_closed_form_brackets_the_bisection(seed, grid, name):
 @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
 @pytest.mark.parametrize("grid", [PIN_GRIDS[1], PIN_GRIDS_2D[0]], ids=["1d", "2d"])
 def test_binned_levels_match_per_ball(grid, weak, monkeypatch):
-    # more distinct values than the level budget: the weak closed form ranks the balls by the radius
-    # bisection, which sorts windows and counts no level; values and witnesses stay exact
+    # more distinct values than the level budget: the radius bisection sorts windows and counts no level;
+    # values and witnesses stay exact
     rng, sampling = np.random.default_rng(37), oracle_sampling(grid)
     f = SampledFunction(grid, rng.uniform(0, 2, grid.shape()) * (rng.random(grid.shape()) < 0.7))
-    monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * len(sampling.centers(f)) * sampling.n_radii)  # 3 levels
+    monkeypatch.setattr(norms, "_LEVELS", 3)
     for phi in (ExpMinusOneYoung(), PowerLogYoung(2, 1)):
         ev = check_root_find(f, phi, (0.0, 0.5), weak, sampling)
         assert ev.work.get("levels") == (0 if weak else None)
@@ -960,7 +968,7 @@ def test_weak_levels_count_whole_rows_of_128_cells(grid, binned, monkeypatch):
     sampling = MorreySampling(r_min=grid.h, r_max=3 * grid.extent, n_radii=6, center_stride=4 if grid.n == 1 else 32)
     centers, radii = sampling.centers(SampledFunction(grid, np.ones(grid.shape()))), sampling.radii()
     if binned:
-        monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * len(centers) * len(radii))  # 3 levels
+        monkeypatch.setattr(norms, "_LEVELS", 3)
     phi = ExpMinusOneYoung()
     for values in (np.ones(grid.shape()), np.exp(-sum(a * a for a in x))):
         f = SampledFunction(grid, values)
@@ -968,8 +976,8 @@ def test_weak_levels_count_whole_rows_of_128_cells(grid, binned, monkeypatch):
         for varphi in (PowerGrowth(-grid.n), growth_from_lambda(phi, 0.5, n=grid.n)):
             ev = generalized_orlicz_morrey_norm(f, phi, varphi, weak=True, sampling=sampling)
             assert (ev.value, ev.witness) == per_ball_morrey(f, phi, varphi, centers, radii, gauges=gauges)[1:]
-            count = len(np.unique(values))  # levels counted, 0 past the budget (the radius bisection)
-            assert ev.work["levels"] == (count if count <= (3 if binned else values.size) else 0)
+            count = len(np.unique(values))  # levels counted, 0 past the budget (sorted windows)
+            assert ev.work["levels"] == (count if count <= norms._LEVELS else 0)
 
 
 @pytest.mark.parametrize("gauge", [_lux_gauge, _weak_gauge])
@@ -996,9 +1004,11 @@ def test_norm_records_its_root_find_work(unit_indicator):
                       "replay_steps": strong["replay_steps"]}
     assert 1 <= strong["visited"] <= 12 and strong["steps"] >= 2 and strong["replayed"] <= strong["bisections"]
     weak = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), weak=True, sampling=sampling).work
-    # one distinct value: the level counts give every ball's closed form, and no ball is bisected
-    assert weak == {"path": "closed-form", "levels": 1, "visited": 12 * len(sampling.centers(unit_indicator)),
-                    "sorted_windows": 0, "certified": 0, "bisections": 0}
+    # one distinct value: its level counts give the closed form of the 92 of 12 x 33 balls that the radius bisection
+    # evaluates (the two end radii of each center, then the runs that can reach the sup); no ball is bisected
+    assert len(sampling.centers(unit_indicator)) == 33
+    assert weak == {"path": "closed-form", "levels": 1, "visited": 92, "sorted_windows": 0, "certified": 0,
+                    "bisections": 0}
     assert generalized_orlicz_morrey_norm(unit_indicator, P2, PowerGrowth(-0.25)).work == {"path": "closed-form",
                                                                                            "bisections": 0}
 
@@ -1065,16 +1075,17 @@ def test_norm_reports_its_path(unit_indicator):
 
 
 def test_norm_records_its_weak_closed_form_work(unit_indicator, monkeypatch):
-    # the weak closed form bisects no ball: one value takes its one level count
+    # the weak closed form bisects no ball: one value takes its one level count, at 128 of 12 x 33 balls; level
+    # counts bisect the runs tied with a center's last radius, and certify none
     sampling, lam0 = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64), growth_from_lambda(P2, 0.0)
     work = generalized_orlicz_morrey_norm(unit_indicator, P2, lam0, weak=True, sampling=sampling).work
-    assert work == _work(True, levels=1, visited=12 * len(sampling.centers(unit_indicator)))
+    assert work == _work(True, levels=1, visited=128)
     strong = generalized_orlicz_morrey_norm(unit_indicator, P2, lam0, sampling=sampling)
     assert "sorted_windows" not in strong.work and "certified" not in strong.work
     # more distinct values than levels: the radius bisection sorts windows, and at lambda = 0 certifies the tied
     # runs; no kind bisects a ball
     f = SampledFunction(unit_indicator.grid, unit_indicator.values * np.exp(-unit_indicator.grid.axis_centers() ** 2))
-    monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * 12 * len(sampling.centers(f)))  # 3 levels
+    monkeypatch.setattr(norms, "_LEVELS", 3)
     work = generalized_orlicz_morrey_norm(f, P2, lam0, weak=True, sampling=sampling).work
     assert (work["levels"], work["bisections"]) == (0, 0) and work["sorted_windows"] > 0 and work["certified"] > 0
     assert work["visited"] >= work["sorted_windows"]
@@ -1170,7 +1181,7 @@ def test_weak_closed_form_matches_per_ball(grid, name, monkeypatch):
     for f, binned in ((few, False), (many, True)):
         centers, radii = sampling.centers(f), sampling.radii()
         if binned:
-            monkeypatch.setattr(norms, "_LEVEL_BALLS", 3 * len(centers) * len(radii))  # 3 levels
+            monkeypatch.setattr(norms, "_LEVELS", 3)
         gauges = per_ball_weak_gauges(f, phi, centers, radii)
         fast, work = gauge_matrix(f, phi, centers, radii, True)
         assert np.array_equal(fast.max(axis=0), gauges.max(axis=0))
