@@ -16,7 +16,11 @@ positive values s_i with N_i(c) = #{x in B_c : f(x) >= s_i}, where f has at most
 Strong power gauges scale * t**p take the closed form (scale * cellvol * S) ** (1 / p), S the ``ball_sums`` of
 f**p, unless f**p or its sum overflows.  Other strong gauges take a column root-find: a batched Illinois
 iteration finds per radius lam* = min{lam : max_c U_c(lam) <= 1}, U_c >= F_c the ball sums of phi(f/lam) plus
-their rounding bound.  Where U_c(lam) <= 1 the bisection ``_lux_gauge`` ends below lam (1 + 2e-9), bracket ends
+their rounding bound 4 * size * eps * total.  Where f has at most _LEVELS distinct positive values s_i, U_c is read
+from level counts made once (``_level_bound``): phi is evaluated at the s_i / lam only, the floats of
+``_lux_gauge``, and the sum telescoped over the counts of cells >= s_i errs from the exact sum S by about 3 L eps S
+at most, where the cell sum of ``_lux_gauge`` errs by size * eps * S; as L <= size and S <= total, U_c stays at or
+above that constraint.  Where U_c(lam) <= 1 the bisection ``_lux_gauge`` ends below lam (1 + 2e-9), bracket ends
 permitting (checked).  So balls with U_c(mu) > 1, mu = lam* (1 - 1e-7), are bisected, and unless one reaches
 mu (1 + 3e-9), strictly above the rest, the whole column is; columns go by decreasing lam* * prefactor until
 that times (1 + 4e-9) falls below the best exact entry.  A ball's bisection (``_gauge_bisect``, its bracket's
@@ -62,7 +66,7 @@ NORM_REL_TOL = 1e-9
 _BRACKET_LO, _BRACKET_HI = 1e-12, 1e12
 # Relative margin below a column's root within which balls are re-bisected.
 _MARGIN = 1e-7
-_FLOAT_TINY, _FLOAT_MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
+_FLOAT_TINY, _FLOAT_MAX, _EPS = float(np.finfo(float).tiny), float(np.finfo(float).max), float(np.finfo(float).eps)
 _FLOAT_MIN = float(np.nextafter(0.0, 1.0))  # least positive float
 # The relative accuracy to which the weak closed form checks phi's generalized inverses.
 _INVERSE_CHECK = 1e-9
@@ -272,18 +276,19 @@ class MorreySampling:
         return cs, len(shared)
 
 
-# Entries of one array of gathered ball windows or level counts: the weak radius bisection.
+# Entries of one array of gathered ball windows or level counts: the weak radius bisection and the strong level table.
 _BATCH = 2**16
 # Bytes of one array of window indices or sums that the strong power closed form holds: it takes its radii in
 # groups, or on large 2-D grids one radius over chunks of centers.  A 1-D triviality probe on the default grid
 # (513 centers x 309 radii) peaks at 1.7 MiB traced, against 6.1 MiB with every radius at once.
 _SUM_BYTES = 2**16
-# The ball windows held at once, in index bytes: the strong root-find's (larger sets of radii are split into
-# groups, each with its own batched root-find) and the weak tie certificate's (centers in chunks); and the
+# The ball windows, or level counts, held at once, in bytes: the strong root-find's (larger sets of radii are split
+# into groups, each with its own batched root-find) and the weak tie certificate's (centers in chunks); and the
 # row_prefix slots plus windows of the columns that one root-find step stacks into one table (one column on
 # large grids, where a wider table falls out of cache).
 _WINDOW_BYTES, _STACK_SLOTS = 2**24, 2**15
-# Distinct positive values of f up to which the weak radius bisection reads a ball from level counts, not its window.
+# Distinct positive values of f up to which the weak radius bisection and the strong root-find read a ball from level
+# counts, not from its window.
 _LEVELS = 64
 # Relative margin by which the bound on a skipped run of weak entries stays below the best exact entry.
 _RUN_MARGIN = 1e-12
@@ -510,9 +515,10 @@ def _ball_gauge_matrices(fs, phi, centers, shared, radii, weak, prefactor=None):
 def _work(weak=False, **counts) -> dict:
     """The work record of the weak closed form, its levels counted (0 where windows are sorted), entries evaluated
     (``visited``), windows sorted (0 on level counts), entries certified, and no bisection; or of the strong
-    root-find, its column blocks, blocks visited and batched steps, then the bisections and their replays."""
+    root-find, its levels counted (0 where phi is summed over cells), column blocks, blocks visited and batched
+    steps, then the bisections and their replays."""
     path = ({"path": "closed-form", "levels": 0, "sorted_windows": 0, "certified": 0} if weak else
-            {"path": "column-root-find", "blocks": 0, "steps": 0, "replayed": 0, "replay_steps": 0})
+            {"path": "column-root-find", "levels": 0, "blocks": 0, "steps": 0, "replayed": 0, "replay_steps": 0})
     return path | {"visited": 0, "bisections": 0} | counts
 
 
@@ -521,7 +527,7 @@ def _strong_bound(f, phi, centers, radii):
     one per column, for the balls of ``centers`` at the radii ``radii[cols]`` (ascending), each at its lam.
 
     phi(f / lam) of a chunk of columns goes into one stacked ``row_prefix`` table, read by windows made
-    once; a chunk with a column in ``cols`` is evaluated whole."""
+    once; a chunk with a column in ``cols`` is evaluated whole.  ``_level_bound`` reads U_c from level counts."""
     rows = f.grid.cells_per_axis ** (f.grid.n - 1)
     chunk = max(1, _STACK_SLOTS // ((3 * f.grid.cells_per_axis + 1 + len(centers)) * rows))
     windows = [stacked_ball_windows(f.grid, centers, radii[k : k + chunk]) for k in range(0, len(radii), chunk)]
@@ -536,6 +542,63 @@ def _strong_bound(f, phi, centers, radii):
         return out[cols]
 
     return bound
+
+
+def _level_bound(f, phi, centers, radii, levels):
+    """``_strong_bound`` read from level counts, for f with the distinct positive values ``levels``, s_1 < ... <
+    s_L: U_c(lam) = cellvol * (sum_i G_i * (t_i - t_(i-1)) + 4 * size * eps * total), t_i = phi(s_i / lam)
+    (t_0 = 0), G_i = #{x in B_c : f(x) >= s_i} counted once per ball (``_level_table``), total = sum_i n_i * t_i
+    over the n_i cells of value s_i.  phi is nondecreasing, so a column's infinite t_i are its last ones: a
+    ball counted at the first of them reads inf, and the infinite terms add nothing to the total.
+
+    The t_i are the floats of ``_lux_gauge`` (s_i / lam is its division).  The differences, the products (exact
+    counts) and their sum err by about 3 L eps S at most, S the ball's exact sum, and the cell sum of
+    ``_lux_gauge`` by cells * eps * S: both within 4 * size * eps * total, as L, cells <= size and S <= total."""
+    table, size, n = _level_table(f, levels, centers, radii), f.values.size, len(levels)
+    at = np.bincount(np.searchsorted(levels, f.values[f.values > 0]), minlength=n).astype(float)
+
+    def bound(lam, cols):
+        t = phi(levels / lam[:, None])
+        step = t.copy()
+        step[:, 1:] -= t[:, :-1]
+        if not (finite := np.isfinite(t)).all():
+            t[~finite], step[~finite] = 0.0, 0.0
+        # ``cols`` ascends: the counts are read over its span, a view, with no step for the columns between
+        at_cols, span = cols - cols[0], np.zeros((cols[-1] + 1 - cols[0], n))
+        span[at_cols] = step
+        sums = np.matmul(span[:, None, :], table[cols[0] : cols[-1] + 1])[at_cols, 0]
+        sums += (4 * size * _EPS * (t @ at))[:, None]
+        if not finite.all():
+            hit = np.flatnonzero(~finite[:, -1])
+            first = np.argmin(finite[hit], axis=1)
+            sums[hit] = np.where(table[cols[hit], first] > 0, np.inf, sums[hit])
+        return f.grid.cell_volume * sums
+
+    return bound
+
+
+def _blocks(n_radii, n_centers, size):
+    """(radii, centers) slices of blocks of about _BATCH / ``size`` balls: groups of radii at every center or, where
+    one radius overruns, groups of centers at one radius."""
+    if per := _BATCH // (n_centers * size):
+        return [(slice(k, k + per), slice(None)) for k in range(0, n_radii, per)]
+    per = max(1, _BATCH // size)
+    return [(slice(j, j + 1), slice(a, a + per)) for j in range(n_radii) for a in range(0, n_centers, per)]
+
+
+def _level_table(f, levels, centers, radii):
+    """G[j, i, c] = #{x in B(c, r_j) : f(x) >= s_i} as floats, (radii, levels, centers), from one ``level_counts``
+    reader: windows are made in ``_blocks`` of about _BATCH rows, 2-D ones cut to their ``row_band``, and read in
+    blocks of about _BATCH counts."""
+    grid, n = f.grid, len(levels)
+    count, table = level_counts(f.values, levels), np.empty((len(radii), n, len(centers)))
+    for rs, cs in _blocks(len(radii), len(centers), grid.cells_per_axis ** (grid.n - 1)):
+        windows = ball_windows(grid, centers[cs], radii[rs])
+        start, stop = windows if grid.n == 1 else row_band(windows)
+        block = table[rs, :, cs]
+        for kr, kc in _blocks(start.shape[1], start.shape[0], start.shape[2] * n):
+            block[kr, :, kc] = np.moveaxis(count((start[kc, kr], stop[kc, kr])), 0, -1)
+    return table
 
 
 def _weak_weights(phi, cellvol, npos, size):
@@ -602,14 +665,26 @@ def _root_find_gauges(f, phi, centers, radii, prefactor):
     if fmax == 0:
         return out, _work()
     lo, hi = _bracket(fmax)
-    work, stars = _work(blocks=len(radii)), []
-    balls, rows = out.size, f.grid.cells_per_axis ** (f.grid.n - 1)
-    for part in np.array_split(radii, -(-balls * rows * 16 // _WINDOW_BYTES)):  # windows within _WINDOW_BYTES
-        bound = _strong_bound(f, phi, centers, part)
-        found, steps = _illinois(lambda lam, live: bound(lam, live).max(axis=1), lo, hi, len(part))
-        stars.append(found)
+    levels = distinct(f.values[f.values > 0])
+    counted = len(levels) <= _LEVELS
+
+    def column_bound(cols):
+        return (_level_bound(f, phi, centers, radii[cols], levels) if counted else
+                _strong_bound(f, phi, centers, radii[cols]))
+
+    def roots(bound, cols):
+        found, steps = _illinois(lambda lam, live: bound(lam, live).max(axis=1), lo, hi, len(cols))
         work["steps"] += steps
-    stars, exact = np.concatenate(stars), _bisector(f, phi, centers, radii, out, work)
+        return found
+
+    work = _work(levels=len(levels) if counted else 0, blocks=len(radii))
+    # per column, the bytes of its level counts or of its windows; each group of columns within _WINDOW_BYTES
+    per = len(centers) * (8 * len(levels) if counted else 16 * f.grid.cells_per_axis ** (f.grid.n - 1))
+    parts = np.array_split(np.arange(len(radii)), min(len(radii), -(-len(radii) * per // _WINDOW_BYTES)))
+    # the level counts of one group serve the visits below too; else each group's bound goes before the next
+    kept = column_bound(parts[0]) if counted and len(parts) == 1 else None
+    stars = np.concatenate([roots(kept if kept else column_bound(part), part) for part in parts])
+    exact = _bisector(f, phi, centers, radii, out, work)
     # no per-ball bisection can end at its upper bracket end, inf
     sane, every_column = cellvol * f.values.size * phi(2 * _BRACKET_LO) < 0.5, prefactor is None
     pref, best = np.ones(len(radii)) if every_column else prefactor, -np.inf
@@ -619,7 +694,8 @@ def _root_find_gauges(f, phi, centers, radii, prefactor):
             break
         work["visited"] += 1
         lam, mu = stars[j], stars[j] * (1 - _MARGIN)
-        over = np.flatnonzero(_strong_bound(f, phi, centers, radii[j : j + 1])(np.array([mu]), np.zeros(1, int))[0] > 1)
+        visit, col = (kept, j) if kept else (column_bound(np.array([j])), 0)
+        over = np.flatnonzero(visit(np.array([mu]), np.array([col]))[0] > 1)
         # no per-ball bracket end binds below mu
         if not (sane and lo < mu and np.any(exact(j, over, lam) >= mu * (1 + 3e-9))):
             exact(j, np.arange(len(centers)), lam)

@@ -245,19 +245,24 @@ def level_counts(values, levels):
     #{x in ball : values(x) >= s} for every s of ``levels`` (a last axis), or given ``level`` (indices into
     ``levels`` that broadcast against the balls) for each ball's own level s only.
 
-    Each level set has one ``row_prefix`` table, in the least signed type that holds a row's count.  Read
-    for every level, the tables are interleaved, so that one slot holds the count of every level."""
+    One table in the ``row_prefix`` layout holds the level sets' prefix counts, in the least signed type that
+    holds a row's count, every level of a slot side by side (slots, levels); it is accumulated from the level
+    sets of each row in one pass, with no per-level table."""
     m = np.shape(values)[-1]
-    sets = (values >= np.reshape(levels, (-1,) + (1,) * np.ndim(values))).astype(np.min_scalar_type(-m - 1))
-    tables = row_prefix(sets).reshape(len(levels), -1)
-    interleaved = np.ascontiguousarray(tables.T)  # (slots, levels)
+    rows, levels = np.reshape(values, (-1, m, 1)), np.ravel(levels)
+    table = np.zeros((len(rows), 3 * m + 1, len(levels)), np.min_scalar_type(-m - 1))
+    np.cumsum(rows >= levels, axis=1, dtype=table.dtype, out=table[:, m + 1 : 2 * m + 1])
+    table[:, 2 * m + 1 :] = table[:, 2 * m : 2 * m + 1]  # past a row's cells, its totals
+    table = table.reshape(-1, len(levels))
 
     def count(windows, level=None):
         start, stop = windows
         if level is None:
-            return (interleaved[stop] - interleaved[start]).sum(axis=-2, dtype=np.int32)  # counts of < 2**31 cells
-        first = np.expand_dims(level, -1) * tables.shape[1]  # the first slot of each ball's table, in every row
-        rows = tables.ravel()[stop + first] - tables.ravel()[start + first]
+            rows = table[stop] - table[start]
+            # counts of < 2**31 cells; a 1-D ball's one row needs no sum
+            return rows.sum(axis=-2, dtype=np.int32) if rows.shape[-2] > 1 else rows[..., 0, :].astype(np.int32)
+        level = np.expand_dims(level, -1)  # each ball's level, in every row
+        rows = table[stop, level] - table[start, level]
         return rows.sum(axis=-1) if rows.shape[-1] > 1 else rows[..., 0]  # a 1-D ball's one row needs no sum
 
     return count

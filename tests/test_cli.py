@@ -52,7 +52,10 @@ def test_norm_summary_records_path(capsys, tmp_path, young, path, bisections):
     assert code == 0
     work = json.loads((tmp_path / "norm.json").read_text())["work"]
     assert (work["path"], work["bisections"]) == (path, bisections)
+    # the root-find counted the indicator's one level; the closed form counts none
+    assert work.get("levels") == (1 if path == "column-root-find" else None)
     assert "root" not in out_path.read_text() and "closed" not in out_path.read_text()
+    assert "levels" not in out_path.read_text()
 
 
 def test_norm_summary_records_root_find_work(capsys, tmp_path):

@@ -34,6 +34,7 @@ from olab.norms import (
     _ball_gauge_matrices,
     _bracket,
     _illinois,
+    _level_bound,
     _lux_gauge,
     _morrey_matrices,
     _power_form,
@@ -42,7 +43,7 @@ from olab.norms import (
     _weak_weights,
     _work,
 )
-from olab.sampled import ball_windows, cell_window
+from olab.sampled import ball_windows, cell_window, distinct
 
 from conftest import (
     PIN_GRIDS,
@@ -884,26 +885,123 @@ def root_find_sample(grid, seed):
     return stepped_function(grid, rng) if grid.n == 1 else random_cells_2d(grid, rng)
 
 
+def column_bound(f, phi, centers, radii, evaluator):
+    """The strong root-find's column bound U_c(lam), phi summed over the cells of f or read from its level counts."""
+    if evaluator == "cells":
+        return _strong_bound(f, phi, centers, radii)
+    return _level_bound(f, phi, centers, radii, distinct(f.values[f.values > 0]))
+
+
 @pytest.mark.parametrize("name", ["exp_minus_one", "power_log", "tabulated"])
 @pytest.mark.parametrize("grid", PIN_GRIDS + PIN_GRIDS_2D)
 def test_batched_strong_roots_equal_single_columns(grid, name):
-    # one Illinois iteration over every column of a stacked table finds the
+    # one Illinois iteration over every column of a stacked table (or of the level counts) finds the
     # roots that each column finds alone, bit for bit, and each is feasible
     f, phi = root_find_sample(grid, 35), ROOT_FIND_PHIS[name]
     sampling = oracle_sampling(grid)
-    centers, radii = sampling.centers(f), sampling.radii()
+    centers, radii = np.array(sampling.centers(f)), sampling.radii()
     lo, hi = _bracket(f.values.max())
+    for evaluator in ("cells", "levels"):
+        def roots(cols):
+            bound = column_bound(f, phi, centers, radii[cols], evaluator)
+            return _illinois(lambda lam, live: bound(lam, live).max(axis=1), lo, hi, len(cols))[0], bound
 
-    def roots(cols):
-        bound = _strong_bound(f, phi, centers, radii[cols])
-        return _illinois(lambda lam, live: bound(lam, live).max(axis=1), lo, hi, len(cols))[0], bound
+        with np.errstate(all="ignore"):
+            together, bound = roots(np.arange(len(radii)))
+            alone = np.concatenate([roots(np.array([j]))[0] for j in range(len(radii))])
+            assert np.array_equal(together, alone)
+            finite = np.isfinite(together)
+            assert finite.any() and np.all(bound(together[finite], np.flatnonzero(finite)).max(axis=1) <= 1)
 
+
+def both_evaluators(f, phi, lams, sampling):
+    """Value, witness and the full every-column matrix of f's strong Morrey norm, with phi summed over cells
+    (a level budget of 0) and read from level counts (a budget of every cell): equal bit for bit, and each work
+    record says which evaluator ran.  Returns the level evaluator's work record."""
+    centers, shared = sampling.center_stack([f])
+    finite = f.values[np.isfinite(f.values)]
+    npos = len(np.unique(finite[finite > 0]))
+    runs = []
+    for budget in (0, f.values.size):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(norms, "_LEVELS", budget)
+            evs = [generalized_orlicz_morrey_norm(f, phi, growth_from_lambda(phi, lam, n=f.grid.n), sampling=sampling)
+                   for lam in lams]
+            varphi = growth_from_lambda(phi, lams[-1], n=f.grid.n)
+            full, works = _morrey_matrices([f], phi, varphi, centers, shared, sampling.radii(), False, True)
+        if works[0]["path"] == "column-root-find":
+            assert works[0]["levels"] == (npos if budget else 0)
+        runs.append(([(ev.value, ev.witness) for ev in evs], full[0], works[0]))
+    (cells, cells_full, _), (levels, levels_full, work) = runs
+    assert cells == levels and np.array_equal(cells_full, levels_full)
+    return work
+
+
+def evaluator_samples(grid, seed):
+    """A root-find sample; its multiple by 400, where exp(f / lam) - 1 overflows over most of the search; its
+    subnormal multiple; and an infinite cell beside finite ones."""
+    f = root_find_sample(grid, seed)
+    inf = f.values.copy()
+    inf.flat[5] = np.inf
+    return [f, f.scaled(400.0), SampledFunction(grid, f.values * 5e-324), SampledFunction(grid, inf)]
+
+
+@pytest.mark.parametrize("name", sorted(SIX_KINDS))
+@pytest.mark.parametrize("grid", PIN_GRIDS + PIN_GRIDS_2D)
+def test_strong_evaluators_agree(grid, name):
+    # phi at f's distinct values times each ball's level counts, or phi(f / lam) summed over the cells of each
+    # ball: the same roots' margins, so the same balls bisected and the same matrices
+    for f in evaluator_samples(grid, 44):
+        both_evaluators(f, SIX_KINDS[name], (0.5,), oracle_sampling(grid))
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(PIN_GRIDS[:2] + PIN_GRIDS_2D[:2]),
+       st.sampled_from(sorted(SIX_KINDS)), st.integers(min_value=1, max_value=64))
+@settings(max_examples=20, deadline=None)
+def test_strong_evaluators_property(seed, grid, name, count):
+    # a random sample of 1-64 distinct values: both evaluators agree, and at every lam of the search the level
+    # bound U_c(lam) stays at or above the float constraint of ``_lux_gauge`` of each ball
+    rng, phi = np.random.default_rng(seed), SIX_KINDS[name]
+    values = np.sort(rng.uniform(0.05, 4.0, count)) * 10.0 ** float(rng.integers(-2, 3))
+    f = SampledFunction(grid, rng.choice(values, grid.shape()) * (rng.random(grid.shape()) < rng.uniform(0.2, 1)))
+    sampling = random_sampling(grid, rng)
+    both_evaluators(f, phi, (float(rng.choice([0.0, 0.25, 0.5])),), sampling)
+    assume(f.values.max() > 0)
+    centers, radii = np.array(sampling.centers(f)), sampling.radii()
+    bound = column_bound(f, phi, centers, radii, "levels")
+    lams = np.geomspace(*_bracket(f.values.max()), 7)[1:-1]
     with np.errstate(all="ignore"):
-        together, bound = roots(np.arange(len(radii)))
-        alone = np.concatenate([roots(np.array([j]))[0] for j in range(len(radii))])
-        assert np.array_equal(together, alone)
-        finite = np.isfinite(together)
-        assert finite.any() and np.all(bound(together[finite], np.flatnonzero(finite)).max(axis=1) <= 1)
+        for lam in lams:
+            u = bound(np.full(len(radii), lam), np.arange(len(radii)))
+            for j, r in enumerate(radii):
+                for c, center in enumerate(centers):
+                    pos = f.ball_values(Ball(tuple(center), float(r)))
+                    terms = phi(pos[pos > 0] / np.array([lam])[:, None])
+                    lux = np.inf if np.isinf(terms).any() else grid.cell_volume * terms.sum(axis=1)[0]
+                    assert u[j, c] >= lux
+
+
+@pytest.mark.parametrize("evaluator", ["cells", "levels"])
+def test_root_find_groups_hold_a_radius_each(evaluator, monkeypatch):
+    # a budget of one byte gives each radius its own group, and no group is empty: the value and witness of
+    # the default budget, and as many Illinois steps as the radii take alone
+    grid, phi = PIN_GRIDS[0], ExpMinusOneYoung()
+    f, varphi = root_find_sample(grid, 45), growth_from_lambda(phi, 0.5)
+    sampling = MorreySampling(r_min=grid.h, r_max=2 * grid.extent, n_radii=4, center_stride=8)
+    centers, radii = np.array(sampling.centers(f)), sampling.radii()
+    monkeypatch.setattr(norms, "_LEVELS", 0 if evaluator == "cells" else f.values.size)
+    ref = generalized_orlicz_morrey_norm(f, phi, varphi, sampling=sampling)
+    monkeypatch.setattr(norms, "_WINDOW_BYTES", 1)
+    ev = generalized_orlicz_morrey_norm(f, phi, varphi, sampling=sampling)
+    lo, hi = _bracket(f.values.max())
+    steps = 0
+    with np.errstate(all="ignore"):
+        for j in range(len(radii)):
+            bound = column_bound(f, phi, centers, radii[j : j + 1], evaluator)
+            steps += _illinois(lambda lam, live: bound(lam, live).max(axis=1), lo, hi, 1)[1]
+    assert (ev.value, ev.witness) == (ref.value, ref.witness)
+    assert (ev.work["blocks"], ev.work["steps"]) == (len(radii), steps)
+    assert (ev.work["levels"] > 0) == (evaluator == "levels")
 
 
 @pytest.mark.parametrize("name", sorted(SIX_KINDS))
@@ -949,14 +1047,14 @@ def test_weak_closed_form_brackets_the_bisection(seed, grid, name):
 @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
 @pytest.mark.parametrize("grid", [PIN_GRIDS[1], PIN_GRIDS_2D[0]], ids=["1d", "2d"])
 def test_binned_levels_match_per_ball(grid, weak, monkeypatch):
-    # more distinct values than the level budget: the radius bisection sorts windows and counts no level;
-    # values and witnesses stay exact
+    # more distinct values than the level budget: the radius bisection sorts windows, the root-find sums phi
+    # over cells, and neither counts a level; values and witnesses stay exact
     rng, sampling = np.random.default_rng(37), oracle_sampling(grid)
     f = SampledFunction(grid, rng.uniform(0, 2, grid.shape()) * (rng.random(grid.shape()) < 0.7))
     monkeypatch.setattr(norms, "_LEVELS", 3)
     for phi in (ExpMinusOneYoung(), PowerLogYoung(2, 1)):
         ev = check_root_find(f, phi, (0.0, 0.5), weak, sampling)
-        assert ev.work.get("levels") == (0 if weak else None)
+        assert ev.work["levels"] == 0
 
 
 @pytest.mark.parametrize("binned", [False, True], ids=["exact", "binned"])
@@ -999,8 +1097,9 @@ def test_norm_records_its_root_find_work(unit_indicator):
     sampling = MorreySampling(r_min=0.25, r_max=8.0, n_radii=12, center_stride=64)
     phi = PowerLogYoung(2, 1)
     strong = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), sampling=sampling).work
-    assert strong == {"path": "column-root-find", "blocks": 12, "visited": strong["visited"], "steps": strong["steps"],
-                      "bisections": strong["bisections"], "replayed": strong["replayed"],
+    # one distinct value: the root-find reads phi at it from the level counts of each ball
+    assert strong == {"path": "column-root-find", "levels": 1, "blocks": 12, "visited": strong["visited"],
+                      "steps": strong["steps"], "bisections": strong["bisections"], "replayed": strong["replayed"],
                       "replay_steps": strong["replay_steps"]}
     assert 1 <= strong["visited"] <= 12 and strong["steps"] >= 2 and strong["replayed"] <= strong["bisections"]
     weak = generalized_orlicz_morrey_norm(unit_indicator, phi, PowerGrowth(-0.25), weak=True, sampling=sampling).work
@@ -1027,9 +1126,13 @@ def test_column_maxima_next_to_a_tall_uncovered_cell(seed):
     sampling = MorreySampling(r_min=0.2 * g.h, r_max=0.45 * stride * g.h, n_radii=6, center_stride=stride,
                               include_centroid=False)
     centers, radii, varphi = sampling.centers(f), sampling.radii(), growth_from_lambda(phi, 0.5)
-    fast, _ = morrey_matrix(f, phi, varphi, centers, radii, weak=False, every_column=True)
     slow = per_ball_morrey(f, phi, varphi, centers, radii)[0]
-    assert np.array_equal(fast.max(axis=0), slow.max(axis=0))
+    for budget in (norms._LEVELS, 0):  # phi read at the five values' level counts, then summed over cells
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(norms, "_LEVELS", budget)
+            fast, work = morrey_matrix(f, phi, varphi, centers, radii, weak=False, every_column=True)
+        assert np.array_equal(fast.max(axis=0), slow.max(axis=0)) and (work["levels"] > 0) == (budget > 0)
+    both_evaluators(f, phi, (0.5,), sampling)
 
 
 @pytest.mark.parametrize("phi", [ExpMinusOneYoung(), PowerLogYoung(2, 1)], ids=["exp_minus_one", "power_log"])
