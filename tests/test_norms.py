@@ -34,7 +34,7 @@ from olab.norms import (
     _ball_gauge_matrices,
     _bracket,
     _illinois,
-    _level_bound,
+    _level_bounds,
     _lux_gauge,
     _morrey_matrices,
     _power_form,
@@ -889,7 +889,7 @@ def column_bound(f, phi, centers, radii, evaluator):
     """The strong root-find's column bound U_c(lam), phi summed over the cells of f or read from its level counts."""
     if evaluator == "cells":
         return _strong_bound(f, phi, centers, radii)
-    return _level_bound(f, phi, centers, radii, distinct(f.values[f.values > 0]))
+    return _level_bounds(f, phi, distinct(f.values[f.values > 0]))(centers, radii)
 
 
 @pytest.mark.parametrize("name", ["exp_minus_one", "power_log", "tabulated"])
@@ -1002,6 +1002,30 @@ def test_root_find_groups_hold_a_radius_each(evaluator, monkeypatch):
     assert (ev.value, ev.witness) == (ref.value, ref.witness)
     assert (ev.work["blocks"], ev.work["steps"]) == (len(radii), steps)
     assert (ev.work["levels"] > 0) == (evaluator == "levels")
+
+
+@pytest.mark.parametrize("evaluator", ["cells", "levels"])
+def test_visited_balls_take_their_windows_in_batches(evaluator, monkeypatch):
+    # a batch of 3 window rows: every window the root-find makes holds at most 3 balls of one radius, and the
+    # every-column matrix is that of the default batch (the default-grid 2-D probe once made the windows and
+    # keys of its 4,097 centers at once per visited column, and peaked at 112 MiB RSS against 62 MiB)
+    grid, phi = PIN_GRIDS_2D[0], ExpMinusOneYoung()
+    f, sampling = root_find_sample(grid, 46), oracle_sampling(grid)
+    centers, shared = sampling.center_stack([f])
+    varphi = growth_from_lambda(phi, 0.5, n=2)
+    monkeypatch.setattr(norms, "_LEVELS", 0 if evaluator == "cells" else f.values.size)
+    ref, _ = _morrey_matrices([f], phi, varphi, centers, shared, sampling.radii(), False, True)
+    made, windows = [], norms.ball_windows
+
+    def counted(grid, centers, radii):
+        made.append(len(centers) * np.size(radii))
+        return windows(grid, centers, radii)
+
+    monkeypatch.setattr(norms, "_BATCH", 3 * grid.cells_per_axis)
+    monkeypatch.setattr(norms, "ball_windows", counted)
+    full, works = _morrey_matrices([f], phi, varphi, centers, shared, sampling.radii(), False, True)
+    assert np.array_equal(full, ref) and works[0]["visited"] == len(sampling.radii())
+    assert made and max(made) <= 3
 
 
 @pytest.mark.parametrize("name", sorted(SIX_KINDS))
